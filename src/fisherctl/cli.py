@@ -363,26 +363,55 @@ def _print_summary(result: GrapeResult) -> None:
     print(f"iterations: {result.iterations_used}  converged: {result.converged}")
 
 
+PULSE_KEYS = ("model", "noise", "rates", "x_true", "t", "amplitudes",
+              "objective_name", "final_objective")
+
+
+def _pulse_amplitudes(payload) -> np.ndarray:
+    """Check a pulse-file payload's keys; return its amplitude grid."""
+    if not isinstance(payload, dict):
+        raise FisherctlError("pulse file must hold a JSON object")
+    missing = [key for key in PULSE_KEYS if key not in payload]
+    if missing:
+        raise FisherctlError(f"pulse file lacks key(s): {', '.join(missing)}")
+    try:
+        amplitudes = np.asarray(payload["amplitudes"])
+    except ValueError as exc:  # ragged nested lists
+        raise FisherctlError(f"pulse file amplitudes are not a grid: {exc}")
+    if amplitudes.dtype.kind not in "iuf":
+        raise FisherctlError("pulse file amplitudes must be numbers")
+    if amplitudes.ndim != 2:
+        raise FisherctlError(
+            f"pulse file amplitudes must be a 2-D grid, got {amplitudes.ndim}-D"
+        )
+    return amplitudes.astype(float)
+
+
 def cmd_replay(pulsefile: str) -> int:
     try:
         with open(pulsefile) as fh:
-            payload = json.load(fh)
+            text = fh.read()
     except OSError as exc:
         print(f"cannot read pulse file: {exc}", file=sys.stderr)
         return EXIT_IO
-    model = get_model(payload["model"], noise=payload["noise"],
-                      rates=payload["rates"])
-    amplitudes = np.asarray(payload["amplitudes"], dtype=float)
-    grid = ControlGrid(amplitudes.shape[0], amplitudes.shape[1],
-                       float(payload["t"]), amplitudes)
-    traj = propagate(model, np.asarray(payload["x_true"], dtype=float), grid,
-                     deriv_method="exact")
+    try:
+        payload = json.loads(text)
+        amplitudes = _pulse_amplitudes(payload)
+        model = get_model(payload["model"], noise=payload["noise"],
+                          rates=payload["rates"])
+        grid = ControlGrid(amplitudes.shape[0], amplitudes.shape[1],
+                           float(payload["t"]), amplitudes)
+        x_true = np.asarray(payload["x_true"], dtype=float)
+        stored_val = float(payload["final_objective"])  # also parses "inf"
+    except FisherctlError:
+        raise
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError included
+        raise FisherctlError(f"malformed pulse file: {exc}")
+    traj = propagate(model, x_true, grid, deriv_method="exact")
     p, dp = measure_derivs(traj, model.default_povm)
     f = cfim(p, dp)
     objective = payload["objective_name"]
     value = objective_f0(f) if objective == "f0" else objective_fcle(f)
-    stored = payload["final_objective"]
-    stored_val = float("inf") if stored == "inf" else float(stored)
     print(f"stored objective:      {_fmt(stored_val)}")
     print(f"re-evaluated objective: {_fmt(value)}")
     print(f"tr_inv: {_fmt(tr_inv(f))}")
@@ -644,6 +673,8 @@ def _run_config_from(args) -> RunConfig:
     noise_spec = args.noise if args.noise is not None else file_cfg.get("noise")
     if noise_spec is None:
         noise, rates = True, None
+    elif isinstance(noise_spec, bool):  # before int: bool is an int subclass
+        noise, rates = noise_spec, None
     elif isinstance(noise_spec, str):
         rates = _parse_rates(noise_spec)
         noise, rates = any(r > 0 for r in rates), rates if any(r > 0 for r in rates) else None
@@ -652,8 +683,6 @@ def _run_config_from(args) -> RunConfig:
     elif isinstance(noise_spec, (list, tuple)):
         rates = tuple(float(r) for r in noise_spec)
         noise, rates = any(r > 0 for r in rates), (rates if any(r > 0 for r in rates) else None)
-    elif isinstance(noise_spec, bool):
-        noise, rates = noise_spec, None
     else:
         raise FisherctlError(f"bad noise specification {noise_spec!r}")
 

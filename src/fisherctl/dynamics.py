@@ -1,20 +1,28 @@
 """Open-system dynamics over a piecewise-constant control grid.
 
 The generator of the evolution is ``L(rho) = -i[H, rho] + sum_c (gamma_c/2)
-(A_c rho A_c - rho)`` with involutory Hermitian dephasing bases ``A_c``.  The
-state is advanced step by step as ``rho_j = exp(dt L_j) rho_{j-1}``, and the
-parameter derivatives of the state are carried along in one of two ways:
+(A_c rho A_c - rho)`` with involutory Hermitian dephasing bases ``A_c``.  It is
+affine in the control amplitudes: step j has ``L_j = L0(x) + sum_k V_k(j) C_k``
+with ``L0(x)`` the generator of the free Hamiltonian and ``C_k = -i ad(H_k)``.
+All m step generators are built as one ``(m, d^2, d^2)`` stack
+(:func:`step_liouvillians`) and exponentiated together by :func:`expm_stack`,
+the scaling-and-squaring Pade method of Higham (SIAM J. Matrix Anal. Appl. 26,
+1179 (2005)) over fixed-size chunks of the stack.  Noiseless steps take the
+spectral form ``exp(dt L) = U kron conj(U)`` from one stacked ``eigh``, and a
+grid whose steps are all equal is exponentiated once and broadcast.
+
+The state is advanced step by step as ``rho_j = exp(dt L_j) rho_{j-1}``, and
+the parameter derivatives of the state are carried along in one of two ways:
 
 ``exact``
     per-step derivative of the exponential via the augmented block matrix
     ``exp(dt [[L, dL], [0, L]])``, exact to machine precision for
-    piecewise-constant generators;
+    piecewise-constant generators.  The finite-difference gradient checks
+    (acceptance criterion C3) compare against this mode;
 
 ``first_order``
     the recursion ``drho_j = exp(dt L_j) drho_{j-1} + dt (dL_j) rho_j``,
-    first-order accurate in dt.  This is the discretization the analytic
-    control gradients are derived from, so gradient checks must compare
-    against this mode.
+    first-order accurate in dt.
 """
 
 from __future__ import annotations
@@ -22,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -33,7 +40,6 @@ from .operators import (
     Povm,
     Superoperator,
     commutator_superop,
-    dag,
     sandwich_superop,
     validate_density_matrix,
     validate_hermitian,
@@ -45,6 +51,7 @@ __all__ = [
     "NoiseSpec",
     "Trajectory",
     "build_liouvillian",
+    "expm_stack",
     "measure",
     "measure_derivs",
     "propagate",
@@ -54,6 +61,27 @@ __all__ = [
 
 TRACE_DRIFT_ABORT = 1e-6
 PROB_CLAMP_FLOOR = -1e-12
+
+# Pade coefficients b_0..b_m and the 1-norm bounds theta_m below which the
+# degree-m approximant of exp is accurate to unit roundoff (Higham 2005,
+# Table 2.3).
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_PADE_THETA_13 = 5.371920351148152e0
+# Matrices per kernel pass: bounds the Pade temporaries whatever the stack
+# length, and keeps each product small.
+EXPM_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -133,7 +161,8 @@ class Trajectory:
     """States, per-step propagators and state derivatives along the grid.
 
     ``states[j]`` is the state after j steps (``states[0]`` is the probe),
-    ``segment_propagators[j-1]`` maps ``states[j-1]`` to ``states[j]``, and
+    ``segment_propagators[j-1]`` (an (m, d^2, d^2) stack, read-only) maps
+    ``states[j-1]`` to ``states[j]``, and
     ``param_derivs[a][j]`` is the derivative of ``states[j]`` with respect to
     the a-th model parameter (None when derivatives were not requested).
     """
@@ -142,7 +171,7 @@ class Trajectory:
     x: np.ndarray
     controls: ControlGrid
     states: tuple
-    segment_propagators: tuple
+    segment_propagators: np.ndarray
     param_derivs: np.ndarray | None
     deriv_method: str | None
     dt: float = field(init=False)
@@ -178,45 +207,145 @@ def build_liouvillian(h: np.ndarray, noise: NoiseSpec) -> Superoperator:
     return Superoperator(d, lmat)
 
 
-def step_hamiltonians(model, x, controls: ControlGrid) -> list:
-    """Total Hamiltonian ``H0(x) + sum_k V_k(j) H_k`` for each time step."""
+def _check_fields(model, controls: ControlGrid) -> None:
     if controls.num_fields != len(model.control_hams):
         raise DimensionMismatch(
             f"{controls.num_fields} control fields vs "
             f"{len(model.control_hams)} control Hamiltonians"
         )
+
+
+def step_hamiltonians(model, x, controls: ControlGrid) -> np.ndarray:
+    """Total Hamiltonians ``H0(x) + sum_k V_k(j) H_k`` as one (m, d, d) stack."""
+    _check_fields(model, controls)
     h0 = model.h0(np.asarray(x, dtype=float))
-    hams = []
-    for j in range(controls.num_steps):
-        h = h0.copy()
-        for k, hk in enumerate(model.control_hams):
-            h = h + controls.amplitudes[k, j] * hk
-        hams.append(h)
+    hams = np.broadcast_to(h0, (controls.num_steps,) + h0.shape)
+    for amps, hk in zip(controls.amplitudes, model.control_hams):
+        hams = hams + amps[:, None, None] * hk
     return hams
 
 
-def step_liouvillians(model, x, controls: ControlGrid) -> list:
-    """Per-step generators ``L_i = build_liouvillian(H_i, noise)``."""
-    return [build_liouvillian(h, model.noise) for h in step_hamiltonians(model, x, controls)]
+def step_liouvillians(model, x, controls: ControlGrid) -> np.ndarray:
+    """Step generators ``L_j = L0(x) + sum_k V_k(j) C_k`` as one (m, d^2, d^2) stack.
+
+    ``L0(x)`` is :func:`build_liouvillian` of the free Hamiltonian, built (and
+    validated) once per call; ``C_k = -i ad(H_k)`` is the direction of control
+    field k.
+    """
+    _check_fields(model, controls)
+    l0 = build_liouvillian(model.h0(np.asarray(x, dtype=float)), model.noise).mat
+    gens = np.broadcast_to(l0, (controls.num_steps,) + l0.shape)
+    for amps, hk in zip(controls.amplitudes, model.control_hams):
+        gens = gens + amps[:, None, None] * (-1j * commutator_superop(hk).mat)
+    return gens
 
 
-def _hamiltonian_step_propagator(h: np.ndarray, dt: float) -> np.ndarray:
-    # Spectral exponential of the (normal) purely Hamiltonian generator:
-    # exp(dt L) = U kron conj(U) with U = exp(-i dt H).
-    evals, evecs = np.linalg.eigh(h)
-    u = (evecs * np.exp(-1j * dt * evals)) @ dag(evecs)
-    return np.kron(u, np.conj(u))
+def _expm_chunk(a: np.ndarray) -> np.ndarray:
+    # One scaling-and-squaring pass over a (k, n, n) chunk: the lowest Pade
+    # degree whose theta bounds the chunk's largest 1-norm, else degree 13
+    # after scaling by 2^-s, then s squarings.
+    eta = float(np.abs(a).sum(axis=-2).max())
+    if not np.isfinite(eta):
+        raise PropagationError("matrix exponential of a non-finite generator")
+    m = next((m for m, theta in _PADE_THETA if eta <= theta), 13)
+    b = _PADE_COEFFS[m]
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    s = 0
+    if m == 13:
+        s = max(0, int(np.ceil(np.log2(eta / _PADE_THETA_13))))
+        a = a * 2.0**-s
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    else:
+        a2 = a @ a
+        power = a2
+        u = b[1] * eye + b[3] * a2
+        v = b[0] * eye + b[2] * a2
+        for i in range(4, m + 1, 2):
+            power = power @ a2
+            u = u + b[i + 1] * power
+            v = v + b[i] * power
+        u = a @ u
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
-def _exact_step_derivative(lmat: np.ndarray, dlmat: np.ndarray, dt: float) -> np.ndarray:
-    # Upper-right block of exp(dt [[L, dL], [0, L]]) is the exact derivative
-    # of exp(dt L) in the direction dL.
-    d2 = lmat.shape[0]
-    aug = np.zeros((2 * d2, 2 * d2), dtype=complex)
-    aug[:d2, :d2] = lmat
-    aug[:d2, d2:] = dlmat
-    aug[d2:, d2:] = lmat
-    return scipy.linalg.expm(dt * aug)[:d2, d2:]
+def expm_stack(a: np.ndarray) -> np.ndarray:
+    """``exp(A_i)`` for every matrix of a ``(k, n, n)`` stack.
+
+    Scaling-and-squaring Pade method of Higham (SIAM J. Matrix Anal. Appl. 26,
+    1179 (2005)) over chunks of :data:`EXPM_CHUNK` matrices, each chunk in a
+    few stacked ``matmul``/``solve`` calls.
+    """
+    a = np.asarray(a, dtype=complex)
+    out = np.empty(a.shape, dtype=complex)
+    for lo in range(0, a.shape[0], EXPM_CHUNK):
+        out[lo:lo + EXPM_CHUNK] = _expm_chunk(a[lo:lo + EXPM_CHUNK])
+    return out
+
+
+def _derivative_blocks(gens: np.ndarray, dgens: np.ndarray) -> np.ndarray:
+    """Exact derivatives of ``exp(G_j)`` in each direction ``dG_a``.
+
+    The upper-right block of ``exp([[G, dG], [0, G]])``; shape (k, n, d2, d2)
+    for k generators and n directions.  The augmented matrices are built a few
+    steps at a time, all directions together, so their stack stays small.
+    """
+    k, d2 = gens.shape[:2]
+    n = dgens.shape[0]
+    per = max(1, EXPM_CHUNK // n)
+    out = np.empty((k, n, d2, d2), dtype=complex)
+    for lo in range(0, k, per):
+        g = gens[lo:lo + per, None]
+        aug = np.zeros((len(g), n, 2 * d2, 2 * d2), dtype=complex)
+        aug[..., :d2, :d2] = g
+        aug[..., :d2, d2:] = dgens
+        aug[..., d2:, d2:] = g
+        blocks = expm_stack(aug.reshape(-1, 2 * d2, 2 * d2)).reshape(aug.shape)
+        out[lo:lo + len(g)] = blocks[..., :d2, d2:]
+    return out
+
+
+def _spectral_propagators(hams: np.ndarray, tau: float) -> np.ndarray:
+    # Exponential of a purely Hamiltonian (normal) generator for each step:
+    # exp(tau L) = U kron conj(U) with U = exp(-i tau H).
+    evals, evecs = np.linalg.eigh(hams)
+    u = (evecs * np.exp(-1j * tau * evals)[:, None, :]) @ np.conj(evecs.swapaxes(1, 2))
+    k, d = u.shape[:2]
+    kron = u[:, :, None, :, None] * np.conj(u)[:, None, :, None, :]
+    return kron.reshape(k, d * d, d * d)
+
+
+def _distinct_steps(controls: ControlGrid) -> ControlGrid:
+    """The grid itself, or its first step alone when all steps are equal.
+
+    Propagators of a uniform grid are computed once and broadcast.
+    """
+    amps = controls.amplitudes
+    if controls.num_steps > 1 and np.all(amps == amps[:, :1]):
+        return ControlGrid(controls.num_fields, 1, controls.dt, amps[:, :1])
+    return controls
+
+
+def _step_propagators(model, x, steps: ControlGrid, tau: float,
+                      gens: np.ndarray | None = None) -> np.ndarray:
+    """``exp(tau L_j)`` for every step of ``steps`` as one stack.
+
+    ``gens`` passes in the stack of :func:`step_liouvillians` when the caller
+    has already built it.
+    """
+    if not model.noise:
+        return _spectral_propagators(step_hamiltonians(model, x, steps), tau)
+    if gens is None:
+        gens = step_liouvillians(model, x, steps)
+    return expm_stack(tau * gens)
 
 
 def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
@@ -248,49 +377,21 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     d = model.dim
     dt = controls.dt
     m = controls.num_steps
-    hams = step_hamiltonians(model, x, controls)
-    noisy = bool(model.noise)
-
-    # Propagators for repeated identical steps are computed once.
-    uniform = bool(np.all(controls.amplitudes == controls.amplitudes[:, :1]))
-
-    liouvillians = None
-    derivs_wanted = deriv_method is not None
-    if noisy or derivs_wanted:
-        if uniform:
-            first = build_liouvillian(hams[0], model.noise)
-            liouvillians = [first] * m
-        else:
-            liouvillians = [build_liouvillian(h, model.noise) for h in hams]
-
-    segs: list = []
-    if uniform:
-        if noisy:
-            e0 = scipy.linalg.expm(dt * liouvillians[0].mat)
-        else:
-            e0 = _hamiltonian_step_propagator(hams[0], dt)
-        segs = [e0] * m
-    else:
-        for j in range(m):
-            if noisy:
-                segs.append(scipy.linalg.expm(dt * liouvillians[j].mat))
-            else:
-                segs.append(_hamiltonian_step_propagator(hams[j], dt))
-
     n_par = len(model.param_names)
-    dh0 = model.dh0(x)
-    dl_mats = [-1j * commutator_superop(dh).mat for dh in dh0] if derivs_wanted else []
+    derivs_wanted = deriv_method is not None
 
-    dsegs = None
+    steps = _distinct_steps(controls)
+    gens = step_liouvillians(model, x, steps) if derivs_wanted else None
+    segs = _step_propagators(model, x, steps, dt, gens)
+    if not np.all(np.isfinite(segs)):
+        raise PropagationError(f"step propagators are not finite (dt={dt:.3g})")
+    segs = np.broadcast_to(segs, (m,) + segs.shape[1:])
+
+    if derivs_wanted:
+        dl_mats = np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
     if deriv_method == "exact":
-        if uniform:
-            base = [_exact_step_derivative(liouvillians[0].mat, dl, dt) for dl in dl_mats]
-            dsegs = [base] * m
-        else:
-            dsegs = [
-                [_exact_step_derivative(liouvillians[j].mat, dl, dt) for dl in dl_mats]
-                for j in range(m)
-            ]
+        dsegs = _derivative_blocks(dt * gens, dt * dl_mats)
+        dsegs = np.broadcast_to(dsegs, (m,) + dsegs.shape[1:])
 
     rho_v = vec(probe)
     states = [probe]
@@ -307,15 +408,11 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
                 f"(dt={dt:.3g}); propagation aborted"
             )
         states.append(rho_v.reshape(d, d))
+        if deriv_method == "exact":
+            drho_v = drho_v @ segs[j].T + dsegs[j] @ prev_v
+        elif deriv_method == "first_order":
+            drho_v = drho_v @ segs[j].T + dt * (dl_mats @ rho_v)
         if derivs_wanted:
-            if deriv_method == "exact":
-                drho_v = drho_v @ segs[j].T + np.stack(
-                    [dsegs[j][a] @ prev_v for a in range(n_par)]
-                )
-            else:
-                drho_v = drho_v @ segs[j].T + dt * np.stack(
-                    [dl_mats[a] @ rho_v for a in range(n_par)]
-                )
             derivs.append(drho_v.reshape(n_par, d, d))
 
     param_derivs = np.stack(derivs, axis=1) if derivs_wanted else None
@@ -324,7 +421,7 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
         x=x,
         controls=controls,
         states=tuple(states),
-        segment_propagators=tuple(Superoperator(d, s) for s in segs),
+        segment_propagators=segs,
         param_derivs=param_derivs,
         deriv_method=deriv_method,
     )

@@ -36,16 +36,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import (
     ControlGrid,
     Trajectory,
-    _hamiltonian_step_propagator,
-    build_liouvillian,
+    _distinct_steps,
+    _step_propagators,
     measure,
     propagate,
-    step_hamiltonians,
 )
 from .errors import (
     DimensionMismatch,
@@ -127,22 +125,10 @@ class GrapeResult:
 
 def _half_step_propagators(trajectory: Trajectory) -> np.ndarray:
     """exp(dt/2 L_j) for every step, reusing the uniform-grid shortcut."""
-    model = trajectory.model
     controls = trajectory.controls
-    dt2 = 0.5 * trajectory.dt
-    hams = step_hamiltonians(model, trajectory.x, controls)
-    uniform = bool(np.all(controls.amplitudes == controls.amplitudes[:, :1]))
-    noisy = bool(model.noise)
-
-    def one(h):
-        if noisy:
-            return scipy.linalg.expm(dt2 * build_liouvillian(h, model.noise).mat)
-        return _hamiltonian_step_propagator(h, dt2)
-
-    if uniform:
-        e = one(hams[0])
-        return np.broadcast_to(e, (controls.num_steps,) + e.shape)
-    return np.stack([one(h) for h in hams])
+    halves = _step_propagators(trajectory.model, trajectory.x,
+                               _distinct_steps(controls), 0.5 * trajectory.dt)
+    return np.broadcast_to(halves, (controls.num_steps,) + halves.shape[1:])
 
 
 class GradientContext:
@@ -172,7 +158,7 @@ class GradientContext:
         self.num_fields = len(model.control_hams)
         self.num_params = model.num_params
 
-        self.segs = np.stack([s.mat for s in trajectory.segment_propagators])
+        self.segs = trajectory.segment_propagators
         self.rvecs = np.stack([vec(s) for s in trajectory.states])  # (m+1, d^2)
 
         self.ctrl_comms = np.stack(

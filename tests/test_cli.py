@@ -144,6 +144,22 @@ class TestSweep:
         rows = read_csv(out)
         assert len(rows) == 1 and float(rows[0]["t"]) == 0.6
 
+    @pytest.mark.parametrize("name", ["magfield", "zz", "xxz"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_config_noise_boolean(self, tmp_path, name, flag):
+        # true means the model's default rates, false the noiseless variant
+        from fisherctl import get_model
+        from fisherctl.cli import _build_parser, _model_rates, _run_config_from
+
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": name, "t_grid": [0.5], "noise": flag}))
+        args = _build_parser().parse_args(["sweep", "--config", str(cfg)])
+        model = _model_rates(_run_config_from(args))
+        expected = get_model(name, noise=flag)
+        assert [rate for _, rate in model.noise.channels] == \
+            [rate for _, rate in expected.noise.channels]
+        assert bool(model.noise) is flag
+
     def test_steps_per_unit_floor(self):
         assert run(["sweep", "--model", "xxz", "--t-grid", "0.5",
                     "--steps-per-unit", "5"]) == EXIT_CONFIG
@@ -175,6 +191,27 @@ class TestOptimize:
             if line.startswith("re-evaluated objective"):
                 reeval = float(line.split(":")[1])
         assert stored is not None and abs(stored - reeval) < 1e-9
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda text, payload: "{not json", id="not-json"),
+        pytest.param(lambda text, payload: json.dumps(
+            {k: v for k, v in payload.items() if k != "x_true"}), id="missing-key"),
+        pytest.param(lambda text, payload: json.dumps(
+            dict(payload, amplitudes=payload["amplitudes"][0])), id="amplitudes-1d"),
+        pytest.param(lambda text, payload: json.dumps(
+            dict(payload, amplitudes=[["a", "b"], ["c", "d"]])), id="amplitudes-text"),
+    ])
+    def test_replay_malformed_pulse_file_exits_2(self, tmp_path, capsys, mutate):
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.2", "--max-iters", "1",
+                    "--init", "zeros", "--steps-per-unit", "20",
+                    "--out", str(out)]) == 0
+        text = out.read_text()
+        bad = tmp_path / "bad.json"
+        bad.write_text(mutate(text, json.loads(text)))
+        capsys.readouterr()
+        assert run(["optimize", "--replay", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_band_for_noiseless_exchange_model(self, tmp_path, capsys):
         # below the uncontrolled 1/(2T^2), at or above the probe-optimal

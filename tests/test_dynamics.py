@@ -1,17 +1,22 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import fisherctl.dynamics as dyn
 from fisherctl import (
+    MODEL_NAMES,
     ControlGrid,
     InvariantViolation,
     NoiseSpec,
     build_liouvillian,
+    commutator_superop,
     get_model,
     measure,
     measure_derivs,
     propagate,
     step_liouvillians,
 )
+from fisherctl.dynamics import expm_stack
 from fisherctl.models import bell_povm, pm_povm
 from fisherctl.operators import I2, SX, SZ, kron
 
@@ -89,7 +94,7 @@ class TestStepLiouvillians:
         steps = step_liouvillians(model, model.true_values, grid)
         assert len(steps) == grid.num_steps
         for s in steps[1:]:
-            assert np.array_equal(s.mat, steps[0].mat)
+            assert np.array_equal(s, steps[0])
 
     def test_linearity_in_amplitudes(self):
         from fisherctl import commutator_superop
@@ -99,9 +104,20 @@ class TestStepLiouvillians:
         amps[2, 0], amps[2, 1] = 0.4, -0.1
         grid = ControlGrid(6, 2, 1.0, amps)
         l1, l2 = step_liouvillians(model, model.true_values, grid)
-        diff = l1.mat - l2.mat
+        diff = l1 - l2
         expected = (0.4 - (-0.1)) * (-1j) * commutator_superop(model.control_hams[2]).mat
         assert np.abs(diff - expected).max() < 1e-12
+
+    def test_matches_per_step_assembly(self, rng, catalog_model):
+        model = catalog_model
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 7, 0.7, rng.uniform(-1.0, 1.0, size=(p, 7)))
+        steps = step_liouvillians(model, model.true_values, grid)
+        for j, gen in enumerate(steps):
+            h = model.h0(model.true_values) + sum(
+                grid.amplitudes[k, j] * hk for k, hk in enumerate(model.control_hams))
+            ref = build_liouvillian(h, model.noise).mat
+            assert np.abs(gen - ref).max() < 1e-13
 
     def test_field_count_mismatch(self):
         from fisherctl import DimensionMismatch
@@ -165,7 +181,7 @@ class TestPropagate:
 
         v = vec(traj.states[0])
         for seg in traj.segment_propagators:
-            v = seg.mat @ v
+            v = seg @ v
         assert np.abs(unvec(v, 4) - traj.final_state).max() < 1e-10
 
     def test_derivatives_traceless(self, catalog_model):
@@ -196,12 +212,104 @@ class TestPropagate:
         from fisherctl import PropagationError
         import fisherctl.dynamics as dyn
 
-        monkeypatch.setattr(dyn.scipy.linalg, "expm",
-                            lambda a: 1.01 * np.eye(a.shape[0], dtype=complex))
+        monkeypatch.setattr(dyn, "expm_stack", lambda a: 1.01 * np.broadcast_to(
+            np.eye(a.shape[-1], dtype=complex), a.shape))
         model = get_model("zz")
         with pytest.raises(PropagationError, match="trace drifted"):
             propagate(model, model.true_values, zero_controls(0.5, 10),
                       deriv_method=None)
+
+
+def _scaled_stack(rng, count, dim, norm):
+    a = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+    return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def _rel(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestExpmStack:
+    # 1-norms from the lowest Pade degree without squaring up to several
+    # squarings of the degree-13 approximant
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 20.0, 200.0])
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_matches_scipy(self, rng, norm, dim):
+        a = _scaled_stack(rng, 5, dim, norm)
+        got = expm_stack(a)
+        for g, x in zip(got, a):
+            assert _rel(g, scipy.linalg.expm(x)) <= 1e-13
+
+    def test_zero_is_identity(self):
+        z = np.zeros((3, 16, 16), dtype=complex)
+        assert np.array_equal(expm_stack(z), np.broadcast_to(np.eye(16), z.shape))
+
+    def test_diagonal(self, rng):
+        diag = 3.0 * (rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16)))
+        got = expm_stack(np.stack([np.diag(v) for v in diag]))
+        for g, v in zip(got, diag):
+            assert _rel(g, np.diag(np.exp(v))) <= 1e-13
+
+    def test_stack_length_not_a_multiple_of_the_chunk(self, rng):
+        count = 2 * dyn.EXPM_CHUNK + 3
+        norms = np.geomspace(1e-3, 10.0, count)
+        a = np.concatenate([_scaled_stack(rng, 1, 16, n) for n in norms])
+        got = expm_stack(a)
+        assert got.shape == a.shape
+        for g, x in zip(got, a):
+            assert _rel(g, scipy.linalg.expm(x)) <= 1e-13
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_uniform_shortcut_matches_full_stack(self, monkeypatch, name, noise):
+        model = get_model(name, noise=noise)
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 37, 0.8, np.full((p, 37), 0.3))
+        short = propagate(model, model.true_values, grid)
+        monkeypatch.setattr(dyn, "_distinct_steps", lambda controls: controls)
+        full = propagate(model, model.true_values, grid)
+        assert _rel(short.final_state, full.final_state) <= 1e-13
+        assert _rel(short.param_derivs, full.param_derivs) <= 1e-13
+        assert _rel(short.segment_propagators, full.segment_propagators) <= 1e-13
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_derivative_blocks_match_augmented_scipy(self, rng, name, noise):
+        model = get_model(name, noise=noise)
+        x = model.true_values
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 19, 0.7, rng.uniform(-0.5, 0.5, size=(p, 19)))
+        dt = grid.dt
+        gens = step_liouvillians(model, x, grid)
+        dls = np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
+        blocks = dyn._derivative_blocks(dt * gens, dt * dls)
+        d2 = gens.shape[1]
+        zero = np.zeros((d2, d2))
+        for j, gen in enumerate(gens):
+            for a, dl in enumerate(dls):
+                ref = scipy.linalg.expm(dt * np.block([[gen, dl], [zero, gen]]))
+                assert _rel(blocks[j, a], ref[:d2, d2:]) <= 1e-13
+
+    def test_hot_path_does_not_call_scipy_expm(self, monkeypatch, rng):
+        from fisherctl import GrapeConfig, optimize
+        from fisherctl.grape import GradientContext
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.expm called")
+
+        monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        for noise in (True, False):
+            model = get_model("magfield-xyz", noise=noise)
+            x = model.true_values
+            p = len(model.control_hams)
+            grid = ControlGrid(p, 30, 0.3, rng.uniform(-0.2, 0.2, size=(p, 30)))
+            propagate(model, x, grid, deriv_method="exact")
+            traj = propagate(model, x, grid, deriv_method=None)
+            grad = GradientContext(traj, model.default_povm).cfim_gradient_grid()
+            assert np.all(np.isfinite(grad))
+            cfg = GrapeConfig(update_rule="bfgs", max_iters=2, steps_per_unit=50)
+            res = optimize(model, x, None, None, 0.4, cfg)
+            assert np.isfinite(res.final_objective)
 
 
 class TestMeasure:
