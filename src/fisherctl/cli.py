@@ -34,8 +34,8 @@ import numpy as np
 from . import oracles
 from .dynamics import ControlGrid, measure_derivs, propagate
 from .errors import FisherctlError, InvariantViolation, PropagationError, SingularContribution
-from .fisher import cfim, objective_f0, objective_fcle, qfim, tr_inv
-from .grape import GrapeConfig, GrapeResult, optimize
+from .fisher import cfim, qfim, tr_inv
+from .grape import GrapeConfig, GrapeResult, _objective_value, optimize
 from .models import MODEL_NAMES, get_model
 
 EXIT_OK = 0
@@ -410,8 +410,7 @@ def cmd_replay(pulsefile: str) -> int:
     traj = propagate(model, x_true, grid, deriv_method="exact")
     p, dp = measure_derivs(traj, model.default_povm)
     f = cfim(p, dp)
-    objective = payload["objective_name"]
-    value = objective_f0(f) if objective == "f0" else objective_fcle(f)
+    value = _objective_value(payload["objective_name"], f)
     print(f"stored objective:      {_fmt(stored_val)}")
     print(f"re-evaluated objective: {_fmt(value)}")
     print(f"tr_inv: {_fmt(tr_inv(f))}")

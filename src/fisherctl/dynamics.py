@@ -12,17 +12,11 @@ spectral form ``exp(dt L) = U kron conj(U)`` from one stacked ``eigh``, and a
 grid whose steps are all equal is exponentiated once and broadcast.
 
 The state is advanced step by step as ``rho_j = exp(dt L_j) rho_{j-1}``, and
-the parameter derivatives of the state are carried along in one of two ways:
-
-``exact``
-    per-step derivative of the exponential via the augmented block matrix
-    ``exp(dt [[L, dL], [0, L]])``, exact to machine precision for
-    piecewise-constant generators.  The finite-difference gradient checks
-    (acceptance criterion C3) compare against this mode;
-
-``first_order``
-    the recursion ``drho_j = exp(dt L_j) drho_{j-1} + dt (dL_j) rho_j``,
-    first-order accurate in dt.
+the parameter derivatives of the state are carried along exactly: the
+per-step derivative of the exponential comes from the augmented block matrix
+``exp(dt [[L, dL], [0, L]])``, exact to machine precision for
+piecewise-constant generators.  The finite-difference gradient checks
+(acceptance criterion C3) compare against these derivatives.
 """
 
 from __future__ import annotations
@@ -361,11 +355,11 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     controls : ControlGrid
     probe : ndarray, optional
         Initial state; defaults to the model's probe.
-    deriv_method : {"exact", "first_order", None}
-        How parameter derivatives of the state are propagated (None skips
+    deriv_method : {"exact", None}
+        Whether parameter derivatives of the state are propagated (None skips
         them entirely).
     """
-    if deriv_method not in ("exact", "first_order", None):
+    if deriv_method not in ("exact", None):
         raise InvariantViolation(f"unknown deriv_method {deriv_method!r}")
     x = np.asarray(x, dtype=float)
     if probe is None:
@@ -389,7 +383,6 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
 
     if derivs_wanted:
         dl_mats = np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
-    if deriv_method == "exact":
         dsegs = _derivative_blocks(dt * gens, dt * dl_mats)
         dsegs = np.broadcast_to(dsegs, (m,) + dsegs.shape[1:])
 
@@ -408,11 +401,8 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
                 f"(dt={dt:.3g}); propagation aborted"
             )
         states.append(rho_v.reshape(d, d))
-        if deriv_method == "exact":
-            drho_v = drho_v @ segs[j].T + dsegs[j] @ prev_v
-        elif deriv_method == "first_order":
-            drho_v = drho_v @ segs[j].T + dt * (dl_mats @ rho_v)
         if derivs_wanted:
+            drho_v = drho_v @ segs[j].T + dsegs[j] @ prev_v
             derivs.append(drho_v.reshape(n_par, d, d))
 
     param_derivs = np.stack(derivs, axis=1) if derivs_wanted else None

@@ -14,11 +14,30 @@ X into step j, the responses behind the gradients are
 
 with the running sums ``w_{a,j} = sum_{i<=j} D_{i+1}^j J_a(i) rho_{i-1}`` and
 ``G_{a,j} = sum_{i>j} D_{i+1}^m J_a(i) D_{j+1}^{i-1}`` (empty, hence zero, at
-j = m).  Then ``dp_y/dV_k(j) = Tr[E_y R1]``, ``d(d_a p_y)/dV_k(j) =
-Tr[E_y (R2 + R3 + RX)]``, and the information-matrix entry gradients combine
-the responses through the score-weighted effect operators
-``sum_y (d ln p_y) E_y``.
+j = m).  Then ``dp_y/dV_k(j) = Tr[E_y R1]`` and ``d(d_a p_y)/dV_k(j) =
+Tr[E_y (R2 + R3 + RX)]``.
 
+Adjoint contraction
+-------------------
+Every response is read only through an effect trace, so the left factors
+``D_{j+1}^m`` and ``G_{a,j}`` are never formed as matrices.  As in GRAPE
+(Khaneja et al., J. Magn. Reson. 172, 296 (2005)), a forward state sweep
+(``rho_j`` and ``w_{a,j}``) meets a backward costate sweep that carries the
+effect covectors ``e_y`` instead:
+
+* ``lam_{y,j}  = e_y D_{j+1}^m``,  with ``lam_{j-1} = lam_j E_j``;
+* ``mu_{y,a,j} = e_y G_{a,j}``,    with ``mu_{a,j-1} = mu_{a,j} E_j +
+  lam_j J_a(j)`` and ``mu_{a,m} = 0``.
+
+The backward sweep costs O(n_out n m d^4) flops and O(n_out n m d^2) memory,
+against O(n m d^6) and O(n m d^4) for sweeping the matrices themselves.  One
+grid builder contracts the forward insertions with these covectors into two
+real grids, ``dprob[y, k, j]`` and ``ddprob[y, a, k, j]``; every public
+gradient is a slice of them, and the information-matrix entry gradients are
+their score-weighted sums over outcomes.
+
+Quadrature
+----------
 The insertion ``J_X(j)`` discretizes the within-step integral
 ``int_0^dt exp((dt-s) L_j) X exp(s L_j) ds`` by quadrature: "simpson"
 (default for the standalone gradient functions; bias is fourth order in dt)
@@ -26,8 +45,6 @@ or "trapezoid" (used inside the ascent loop where per-iteration cost
 matters; bias is second order).  The textbook end-point form of these
 gradients is first order in dt and misses finite-difference checks at
 practical grid densities, which is why the refined quadratures are used.
-Both running sums are built by one forward and one backward recursion, so a
-full gradient grid costs O(m) small matrix products per parameter.
 """
 
 from __future__ import annotations
@@ -218,57 +235,43 @@ class GradientContext:
         self.dp = np.real(self.effect_vecs @ drho_flat.T).T
 
         self._active = self.p > EPS_P
-        self._suffix = None
-        self._gsum = None
-        self._gsum_e = None
-        self._gsum_h = None
+        self._lam = self._mu = self._mu_e = self._mu_h = None
+        self._grids = None
 
-    # -- backward sweeps -------------------------------------------------------
+    # -- backward costate sweep -----------------------------------------------
 
     def _ensure_backward(self):
-        if self._suffix is not None:
+        """Effect covectors, indexed by step j = 0..m along the first axis:
+        ``lam[j, y]``, ``mu[j, y, a]``, ``mu_e[j] = mu[j] E_j`` and (simpson)
+        ``mu_h[j] = mu[j] exp(dt/2 L_j)``."""
+        if self._lam is not None:
             return
         m = self.num_steps
-        d2 = self.rvecs.shape[1]
-        n = self.num_params
-        simpson = self.insertion == "simpson"
-        suffix = np.empty((m + 1, d2, d2), dtype=complex)
-        suffix[m] = np.eye(d2)
-        gsum = np.zeros((n, m + 1, d2, d2), dtype=complex)
-        gsum_e = np.zeros_like(gsum)
-        gsum_h = np.zeros_like(gsum) if simpson else None
-        for j in range(m - 1, -1, -1):
-            e_next = self.segs[j]  # propagator of step j+1 in 0-based storage
-            suffix[j] = suffix[j + 1] @ e_next
-            if simpson:
-                se_half = suffix[j + 1] @ self.halves[j]
-            for a in range(n):
-                ge = gsum[a, j + 1] @ e_next
-                gsum_e[a, j + 1] = ge
-                if simpson:
-                    gsum_h[a, j + 1] = gsum[a, j + 1] @ self.halves[j]
-                    step_ins = self._coef * (
-                        (suffix[j + 1] @ self.dh0_comms[a]) @ e_next
-                        + 4.0 * (se_half @ self.dh0_comms[a]) @ self.halves[j]
-                        + suffix[j] @ self.dh0_comms[a]
-                    )
-                else:
-                    step_ins = self._coef * (
-                        (suffix[j + 1] @ self.dh0_comms[a]) @ e_next
-                        + suffix[j] @ self.dh0_comms[a]
-                    )
-                gsum[a, j] = ge + step_ins
-        self._suffix = suffix
-        self._gsum = gsum
-        self._gsum_e = gsum_e
-        self._gsum_h = gsum_h
+        segs, halves, dh = self.segs, self.halves, self.dh0_comms
+        lam = np.empty((m + 1,) + self.effect_vecs.shape, dtype=complex)
+        lam[m] = self.effect_vecs
+        for j in range(m, 0, -1):
+            lam[j - 1] = lam[j] @ segs[j - 1]
 
-    @property
-    def suffix(self) -> np.ndarray:
-        self._ensure_backward()
-        return self._suffix
+        # ins[j-1, y, a] = lam_j J_a(j), using lam_j E_j = lam_{j-1}
+        lam_dh = np.einsum("jyr,ars->jyas", lam, dh)
+        ins = lam_dh[1:] @ segs[:, None] + lam_dh[:-1]
+        if self.insertion == "simpson":
+            lam_h = np.einsum("jyr,jrs->jys", lam[1:], halves)
+            ins += 4.0 * (np.einsum("jyr,ars->jyas", lam_h, dh) @ halves[:, None])
+        ins *= self._coef
 
-    # -- response vectors --------------------------------------------------------
+        mu = np.zeros((m + 1,) + ins.shape[1:], dtype=complex)
+        mu_e = np.zeros_like(mu)
+        for j in range(m, 0, -1):
+            mu_e[j] = mu[j] @ segs[j - 1]
+            mu[j - 1] = mu_e[j] + ins[j - 1]
+        if self.insertion == "simpson":
+            self._mu_h = np.zeros_like(mu)
+            self._mu_h[1:] = mu[1:] @ halves[:, None]
+        self._lam, self._mu, self._mu_e = lam, mu, mu_e
+
+    # -- gradient grids -----------------------------------------------------------
 
     def _check_indices(self, k: int, j: int):
         if not 0 <= k < self.num_fields:
@@ -276,112 +279,15 @@ class GradientContext:
         if not 1 <= j <= self.num_steps:
             raise DimensionMismatch(f"step index {j} out of range (1..{self.num_steps})")
 
-    def _insert_vec(self, x_comm: np.ndarray, j: int, pre: np.ndarray,
-                    post: np.ndarray, halfv: np.ndarray | None = None) -> np.ndarray:
-        """``J_X(j)`` applied to a vectorized operator with transported forms
-        ``post = E_j pre`` and (simpson) ``halfv = exp(dt/2 L_j) pre``."""
-        e_j = self.segs[j - 1]
-        if self.insertion == "simpson":
-            if halfv is None:
-                halfv = self.halves[j - 1] @ pre
-            return self._coef * (
-                x_comm @ post
-                + 4.0 * (self.halves[j - 1] @ (x_comm @ halfv))
-                + e_j @ (x_comm @ pre)
-            )
-        return self._coef * (x_comm @ post + e_j @ (x_comm @ pre))
-
-    def pulse_response(self, k: int, j: int) -> np.ndarray:
-        """vec of ``D_{j+1}^m J_k(j) rho_{j-1}``."""
-        self._check_indices(k, j)
-        self._ensure_backward()
-        halfv = self.hvecs[j - 1] if self.insertion == "simpson" else None
-        ins = self._insert_vec(self.ctrl_comms[k], j, self.rvecs[j - 1],
-                               self.rvecs[j], halfv)
-        return self._suffix[j] @ ins
-
-    def _cross_insert(self, a: int, k: int, j: int) -> np.ndarray:
-        # Same-step mix dJ_a(j)/dV_k(j) rho_{j-1}: differentiate the step
-        # propagators inside J_a(j) in the V_k(j) direction, at the same
-        # quadrature order as J itself.
-        hk = self.ctrl_comms[k]
-        hd = self.dh0_comms[a]
-        e_j = self.segs[j - 1]
-        rho_pre = self.rvecs[j - 1]
-        jd = hd @ rho_pre
-        if self.insertion == "trapezoid":
-            c2 = self._coef
-            ins_k = c2 * (hk @ self.rvecs[j] + e_j @ (hk @ rho_pre))
-            jk_jd = c2 * (hk @ (e_j @ jd) + e_j @ (hk @ jd))
-            return c2 * (hd @ ins_k + jk_jd)
-        c6 = self._coef
-        half_j = self.halves[j - 1]
-        hv = self.hvecs[j - 1]
-        c4 = -0.25j * self.dt  # trapezoid insert over the half step
-        jk_full_rho = self._insert_vec(hk, j, rho_pre, self.rvecs[j], hv)
-        jk_half_rho = c4 * (hk @ hv + half_j @ (hk @ rho_pre))
-        jk_full_jd = c6 * (
-            hk @ (e_j @ jd)
-            + 4.0 * (half_j @ (hk @ (half_j @ jd)))
-            + e_j @ (hk @ jd)
-        )
-        xah = hd @ hv
-        t4a = c4 * (hk @ (half_j @ xah) + half_j @ (hk @ xah))
-        t4b = half_j @ (hd @ jk_half_rho)
-        return c6 * (hd @ jk_full_rho + 4.0 * (t4a + t4b) + jk_full_jd)
-
-    def deriv_response(self, a: int, k: int, j: int) -> np.ndarray:
-        """vec of the past/future/same-step insertion response for parameter a."""
-        self._check_indices(k, j)
-        self._ensure_backward()
-        hk = self.ctrl_comms[k]
-        # past: J_k(j) applied to the accumulated parameter insertions
-        halfv = self.uhsum[a, j] if self.insertion == "simpson" else None
-        ins_past = self._insert_vec(hk, j, self.wsum[a, j - 1], self.usum[a, j], halfv)
-        past = self._suffix[j] @ (ins_past + self._cross_insert(a, k, j))
-        # future: insertions in steps after j, transported around J_k(j)
-        future = self._gsum[a, j] @ (hk @ self.rvecs[j]) \
-            + self._gsum_e[a, j] @ (hk @ self.rvecs[j - 1])
-        if self.insertion == "simpson":
-            future = future + 4.0 * (self._gsum_h[a, j] @ (hk @ self.hvecs[j - 1]))
-        return past + self._coef * future
-
-    # -- score-weighted effect operators -------------------------------------------
-
-    def score_effect(self, a: int) -> np.ndarray:
-        """vec (conjugated) of ``sum_y (d_a ln p_y) E_y`` over active outcomes."""
-        weights = np.where(self._active, self.dp[a] / np.where(self._active, self.p, 1.0), 0.0)
-        return weights @ self.effect_vecs
-
-    def score_pair_effect(self, a: int, b: int) -> np.ndarray:
-        """vec (conjugated) of ``sum_y (d_a ln p_y)(d_b ln p_y) E_y``."""
-        p_safe = np.where(self._active, self.p, 1.0)
-        weights = np.where(self._active, self.dp[a] * self.dp[b] / p_safe**2, 0.0)
-        return weights @ self.effect_vecs
-
-    # -- public gradients ------------------------------------------------------------
-
-    def prob_gradient(self, k: int, j: int) -> np.ndarray:
-        return np.real(self.effect_vecs @ self.pulse_response(k, j))
-
-    def dprob_gradient(self, a: int, k: int, j: int) -> np.ndarray:
-        return np.real(self.effect_vecs @ self.deriv_response(a, k, j))
-
-    def cfim_entry_gradient(self, a: int, b: int, k: int, j: int) -> float:
-        r1 = self.pulse_response(k, j)
-        ra = self.deriv_response(a, k, j)
-        rb = self.deriv_response(b, k, j)
-        term = float(np.real(self.score_effect(b) @ ra))
-        term += float(np.real(self.score_effect(a) @ rb))
-        term -= float(np.real(self.score_pair_effect(a, b) @ r1))
-        return term
-
-    def _response_grids(self):
-        """R1 (k, j, s) and R2+R3+RX (a, k, j, s) for all indices at once."""
+    def _gradient_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached ``dprob[y, k, j-1] = dp_y/dV_k(j)`` and
+        ``ddprob[y, a, k, j-1] = d(d_a p_y)/dV_k(j)``."""
+        if self._grids is not None:
+            return self._grids
         self._ensure_backward()
         coef = self._coef
         c2 = -0.5j * self.dt
-        segs, suffix = self.segs, self._suffix
+        segs = self.segs
         simpson = self.insertion == "simpson"
 
         # hr[k, j] = [H_k, rho_j]; ehr[k, j] = E_j [H_k, rho_{j-1}]
@@ -393,7 +299,6 @@ class GradientContext:
             ins = coef * (hr[:, 1:] + 4.0 * ehhv + ehr)
         else:
             ins = coef * (hr[:, 1:] + ehr)  # J_k(j) rho_{j-1}, j = 1..m
-        r1 = np.einsum("jrs,kjs->kjr", suffix[1:], ins)
 
         # past insertions: J_k(j) w_{a, j-1}
         hu = np.einsum("krs,ajs->akjr", self.ctrl_comms, self.usum[:, 1:])
@@ -406,14 +311,16 @@ class GradientContext:
         else:
             ins_past = coef * (hu + ehw)
 
-        # same-step mix, at the same quadrature order as the main insertions
+        # same-step mix dJ_a(j)/dV_k(j) rho_{j-1}: the step propagators inside
+        # J_a(j) differentiated in the V_k(j) direction, at the same
+        # quadrature order as the main insertions
         jd = np.einsum("ars,js->ajr", self.dh0_comms, self.rvecs[:-1])  # j-1 slot
         ejd = np.einsum("jrs,ajs->ajr", segs, jd)
         hejd = np.einsum("krs,ajs->akjr", self.ctrl_comms, ejd)
         hjd = np.einsum("krs,ajs->akjr", self.ctrl_comms, jd)
         ehjd = np.einsum("jrs,akjs->akjr", segs, hjd)
         if simpson:
-            c4 = -0.25j * self.dt
+            c4 = -0.25j * self.dt  # trapezoid insert over the half step
             halves = self.halves
             # J_k over the full step applied to [dH0_a, rho_{j-1}]
             hhhjd = np.einsum("krs,ajs->akjr", self.ctrl_comms,
@@ -442,27 +349,47 @@ class GradientContext:
                 + c2 * (hejd + ehjd)
             )
 
-        r23 = np.einsum("jrs,akjs->akjr", suffix[1:], ins_past + ins_cross)
-        future = np.einsum("ajrs,kjs->akjr", self._gsum[:, 1:], hr[:, 1:])
-        future += np.einsum("ajrs,kjs->akjr", self._gsum_e[:, 1:], hr[:, :-1])
+        # contract with the covectors: lam for R1, R2, RX; mu for R3
+        lam = self._lam[1:]
+        dprob = np.real(np.einsum("jys,kjs->ykj", lam, ins))
+        resp = np.einsum("jys,akjs->yakj", lam, ins_past + ins_cross)
+        future = np.einsum("jyas,kjs->yakj", self._mu[1:], hr[:, 1:])
+        future += np.einsum("jyas,kjs->yakj", self._mu_e[1:], hr[:, :-1])
         if simpson:
-            future += 4.0 * np.einsum("ajrs,kjs->akjr", self._gsum_h[:, 1:], hhv)
-        r23 += coef * future
-        return r1, r23
+            future += 4.0 * np.einsum("jyas,kjs->yakj", self._mu_h[1:], hhv)
+        self._grids = dprob, np.real(resp + coef * future)
+        return self._grids
+
+    # -- public gradients ------------------------------------------------------------
+
+    def prob_gradient(self, k: int, j: int) -> np.ndarray:
+        self._check_indices(k, j)
+        return self._gradient_grids()[0][:, k, j - 1].copy()
+
+    def dprob_gradient(self, a: int, k: int, j: int) -> np.ndarray:
+        self._check_indices(k, j)
+        return self._gradient_grids()[1][:, a, k, j - 1].copy()
+
+    def cfim_entry_gradient(self, a: int, b: int, k: int, j: int) -> float:
+        self._check_indices(k, j)
+        return float(self.cfim_gradient_grid()[a, b, k, j - 1])
 
     def cfim_gradient_grid(self) -> np.ndarray:
-        """All entry gradients at once: shape (n_par, n_par, p, m)."""
-        n = self.num_params
-        r1, r23 = self._response_grids()
-        l1 = np.stack([self.score_effect(a) for a in range(n)])
-        t23 = np.real(np.einsum("cs,bkjs->cbkj", l1, r23))  # Tr[L1_c R_b]
-        grid = np.empty((n, n, self.num_fields, self.num_steps))
-        for a in range(n):
-            for b in range(a, n):
-                l2 = self.score_pair_effect(a, b)
-                g = t23[b, a] + t23[a, b] - np.real(np.einsum("s,kjs->kj", l2, r1))
-                grid[a, b] = grid[b, a] = g
-        return grid
+        """All entry gradients at once: shape (n_par, n_par, p, m).
+
+        With score weights ``s1[a, y] = d_a p_y / p_y`` and ``s2[a, b, y] =
+        s1[a, y] s1[b, y]`` (zero on inactive outcomes) the entry (a, b) is
+        ``sum_y s1[a, y] ddprob[y, b] + s1[b, y] ddprob[y, a] - s2[a, b, y]
+        dprob[y]``.
+        """
+        dprob, ddprob = self._gradient_grids()
+        p_safe = np.where(self._active, self.p, 1.0)
+        s1 = np.where(self._active, self.dp / p_safe, 0.0)
+        s2 = np.where(self._active, self.dp[:, None] * self.dp[None] / p_safe**2, 0.0)
+        t = np.einsum("ay,ybkj->abkj", s1, ddprob)
+        # summed outcome by outcome so the grid is symmetric in (a, b) bit for bit
+        pair = sum(s2[:, :, y, None, None] * dprob[y] for y in range(len(dprob)))
+        return t + t.transpose(1, 0, 2, 3) - pair
 
     def current_cfim(self) -> FisherMatrix:
         return cfim(self.p, self.dp)

@@ -200,6 +200,8 @@ class TestOptimize:
             dict(payload, amplitudes=payload["amplitudes"][0])), id="amplitudes-1d"),
         pytest.param(lambda text, payload: json.dumps(
             dict(payload, amplitudes=[["a", "b"], ["c", "d"]])), id="amplitudes-text"),
+        pytest.param(lambda text, payload: json.dumps(
+            dict(payload, objective_name="variance")), id="unknown-objective"),
     ])
     def test_replay_malformed_pulse_file_exits_2(self, tmp_path, capsys, mutate):
         out = tmp_path / "pulse.json"

@@ -366,21 +366,6 @@ class TestMeasure:
 
 
 class TestDerivativeDiscretization:
-    def test_first_order_error_halves_when_steps_double(self):
-        # the first-order derivative recursion converges linearly to the
-        # exact per-step derivative propagation
-        model = get_model("xxz")
-        t = 1.0
-        exact = propagate(model, model.true_values, zero_controls(t, 400),
-                          deriv_method="exact").final_derivs
-        errors = []
-        for density in (50, 100, 200):
-            fo = propagate(model, model.true_values, zero_controls(t, density),
-                           deriv_method="first_order").final_derivs
-            errors.append(np.abs(fo - exact).max())
-        assert errors[0] / errors[1] >= 1.9
-        assert errors[1] / errors[2] >= 1.9
-
     def test_exact_mode_is_density_independent(self):
         model = get_model("zz")
         t = 0.7

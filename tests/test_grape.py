@@ -123,13 +123,14 @@ class TestGradientDprob:
             assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-10) < 1e-3
 
     def test_future_insertions_vanish_at_final_step(self, controlled_setup):
-        # at j = m only past insertions contribute
+        # at j = m only past insertions contribute: the future-insertion
+        # covectors start from zero there
         model, grid, traj = controlled_setup
         ctx = GradientContext(traj, model.default_povm)
         ctx._ensure_backward()
         m = grid.num_steps
-        assert np.abs(ctx._gsum[:, m]).max() == 0.0
-        assert np.abs(ctx._gsum_e[:, m]).max() == 0.0
+        assert np.abs(ctx._mu[m]).max() == 0.0
+        assert np.abs(ctx._mu_e[m]).max() == 0.0
 
 
 class TestGradientCfimEntry:
@@ -214,29 +215,36 @@ class TestGradientObjective:
 
 class TestDiscretizationError:
     def test_gradient_bias_shrinks_quadratically_with_grid_density(self):
-        # trapezoid insertions: the finite-difference mismatch drops ~4x per
-        # step-count doubling
+        # trapezoid insertions, as in the ascent loop: the finite-difference
+        # mismatch of each gradient drops ~4x per step-count doubling
         rng = np.random.default_rng(12)
         model = get_model("xxz")
+        povm = model.default_povm
         base = rng.uniform(-0.25, 0.25, size=(6, 50))
+        h = 1e-6
         medians = []
         for m in (50, 100, 200):
             amps = np.repeat(base, m // 50, axis=1)
             grid = ControlGrid(6, m, 1.0, amps)
             traj = propagate(model, model.true_values, grid, deriv_method=None)
-            ctx = GradientContext(traj, model.default_povm, insertion="trapezoid")
-            rel = []
+            ctx = GradientContext(traj, povm, insertion="trapezoid")
+            rel = {"prob": [], "dprob": [], "cfim": []}
             for (k, cell) in [(0, 10), (2, 20), (4, 35), (1, 44), (5, 5)]:
                 j = cell * (m // 50) + 1
-                h = 1e-6
-                fd = (probs_at(model, perturbed(grid, k, j, h), model.default_povm)
-                      - probs_at(model, perturbed(grid, k, j, -h),
-                                 model.default_povm)) / (2 * h)
-                g = ctx.prob_gradient(k, j)
-                rel.append(np.abs(g - fd).max() / np.abs(fd).max())
-            medians.append(float(np.median(rel)))
-        assert medians[0] / medians[1] >= 1.9
-        assert medians[1] / medians[2] >= 1.9
+                plus, minus = perturbed(grid, k, j, h), perturbed(grid, k, j, -h)
+                fd = (probs_at(model, plus, povm) - probs_at(model, minus, povm)) / (2 * h)
+                rel["prob"].append(np.abs(ctx.prob_gradient(k, j) - fd).max()
+                                   / np.abs(fd).max())
+                fd = (dp_at(model, plus, povm)[1] - dp_at(model, minus, povm)[1]) / (2 * h)
+                rel["dprob"].append(np.abs(ctx.dprob_gradient(1, k, j) - fd).max()
+                                    / np.abs(fd).max())
+                fd = (cfim_at(model, plus, povm)[0, 1]
+                      - cfim_at(model, minus, povm)[0, 1]) / (2 * h)
+                rel["cfim"].append(abs(ctx.cfim_entry_gradient(0, 1, k, j) - fd) / abs(fd))
+            medians.append({key: float(np.median(v)) for key, v in rel.items()})
+        for key in ("prob", "dprob", "cfim"):
+            assert medians[0][key] / medians[1][key] >= 1.9, key
+            assert medians[1][key] / medians[2][key] >= 1.9, key
 
 
 class TestOptimize:
