@@ -340,6 +340,7 @@ def cmd_optimize(config: RunConfig) -> int:
         "seed": config.grape.init_seed,
         "objective_name": result.objective,
         "update_rule": config.grape.update_rule,
+        "amplitude_bound": config.grape.amplitude_bound,
         "amplitudes": _json_safe(result.final_controls.amplitudes),
         "final_objective": _json_safe(result.final_objective),
         "final_tr_inv": _json_safe(result.final_tr_inv),
@@ -365,6 +366,18 @@ def _print_summary(result: GrapeResult) -> None:
 
 PULSE_KEYS = ("model", "noise", "rates", "x_true", "t", "amplitudes",
               "objective_name", "final_objective")
+
+
+def _pulse_bound(payload) -> float | None:
+    """The recorded amplitude bound; files written without one have none."""
+    bound = payload.get("amplitude_bound")
+    if bound is None:
+        return None
+    if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+        raise FisherctlError(
+            f"malformed pulse file: amplitude_bound {bound!r} is not a number"
+        )
+    return float(bound)
 
 
 def _pulse_amplitudes(payload) -> np.ndarray:
@@ -400,7 +413,7 @@ def cmd_replay(pulsefile: str) -> int:
         model = get_model(payload["model"], noise=payload["noise"],
                           rates=payload["rates"])
         grid = ControlGrid(amplitudes.shape[0], amplitudes.shape[1],
-                           float(payload["t"]), amplitudes)
+                           float(payload["t"]), amplitudes, _pulse_bound(payload))
         x_true = np.asarray(payload["x_true"], dtype=float)
         stored_val = float(payload["final_objective"])  # also parses "inf"
     except FisherctlError:
@@ -559,10 +572,30 @@ def cmd_validate() -> int:
         for state in traj.states:
             assert abs(np.trace(state).real - 1.0) < 1e-9
 
+    def derivatives_match_differences():
+        # exact state derivatives of a noisy, driven trajectory against
+        # central differences in every parameter; the long grid's steps take
+        # the degree-13 Pade approximant with a squaring, the short one's a
+        # low degree
+        model = get_model("magfield-xyz")
+        x = model.true_values
+        amps = np.random.default_rng(7).uniform(-0.3, 0.3, (len(model.control_hams), 20))
+        h = 1e-5
+        for t in (1.0, 30.0):
+            grid = ControlGrid(amps.shape[0], amps.shape[1], t, amps)
+            exact = propagate(model, x, grid, deriv_method="exact").final_derivs
+            for a, step in enumerate(h * np.eye(len(x))):
+                fd = (propagate(model, x + step, grid, deriv_method=None).final_state
+                      - propagate(model, x - step, grid, deriv_method=None).final_state)
+                fd /= 2 * h
+                rel = np.max(np.abs(exact[a] - fd)) / np.max(np.abs(fd))
+                assert rel < 1e-6, f"T={t}, parameter {a}: relative deviation {rel:.2e}"
+
     check("closed-form probabilities (coupling models)", probabilities_match)
     check("quantum vs classical information ordering", information_ordering)
     check("closed-form information matrix (exchange model)", xxz_closed_form)
     check("trace preservation along trajectories", trace_preserved)
+    check("exact state derivatives vs finite differences", derivatives_match_differences)
 
     failed = 0
     for name, ok, detail in checks:

@@ -60,6 +60,7 @@ from .dynamics import (
     _distinct_steps,
     _step_propagators,
     measure,
+    measure_derivs,
     propagate,
 )
 from .errors import (
@@ -595,8 +596,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
                 break
 
     final_traj = propagate(model, x_true, controls, probe, deriv_method="exact")
-    final_ctx = GradientContext(final_traj, povm)
-    final_cfim = final_ctx.current_cfim()
+    final_cfim = cfim(*measure_derivs(final_traj, povm))
     return GrapeResult(
         final_controls=controls,
         objective_history=tuple(history),

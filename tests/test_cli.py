@@ -181,6 +181,7 @@ class TestOptimize:
         assert run(["optimize", "--model", "xxz", "--t", "0.8",
                     "--max-iters", "10", "--seed", "4",
                     "--steps-per-unit", "20", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["amplitude_bound"] is None
         capsys.readouterr()
         assert run(["optimize", "--replay", str(out)]) == 0
         text = capsys.readouterr().out
@@ -192,6 +193,20 @@ class TestOptimize:
                 reeval = float(line.split(":")[1])
         assert stored is not None and abs(stored - reeval) < 1e-9
 
+    def test_replay_keeps_the_amplitude_bound(self, tmp_path, capsys):
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.5",
+                    "--max-iters", "5", "--seed", "2", "--amplitude-bound", "0.05",
+                    "--steps-per-unit", "20", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["amplitude_bound"] == 0.05
+        assert np.max(np.abs(payload["amplitudes"])) <= 0.05
+        assert run(["optimize", "--replay", str(out)]) == 0
+        # pulse files written before the bound was recorded lack the key
+        del payload["amplitude_bound"]
+        out.write_text(json.dumps(payload))
+        assert run(["optimize", "--replay", str(out)]) == 0
+
     @pytest.mark.parametrize("mutate", [
         pytest.param(lambda text, payload: "{not json", id="not-json"),
         pytest.param(lambda text, payload: json.dumps(
@@ -202,6 +217,12 @@ class TestOptimize:
             dict(payload, amplitudes=[["a", "b"], ["c", "d"]])), id="amplitudes-text"),
         pytest.param(lambda text, payload: json.dumps(
             dict(payload, objective_name="variance")), id="unknown-objective"),
+        pytest.param(lambda text, payload: json.dumps(dict(
+            payload, amplitude_bound=0.5,
+            amplitudes=[[1.0] * len(row) for row in payload["amplitudes"]])),
+            id="over-bound"),
+        pytest.param(lambda text, payload: json.dumps(
+            dict(payload, amplitude_bound="wide")), id="bound-text"),
     ])
     def test_replay_malformed_pulse_file_exits_2(self, tmp_path, capsys, mutate):
         out = tmp_path / "pulse.json"
@@ -308,6 +329,22 @@ class TestValidate:
         assert run(["validate"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    def test_broken_derivative_kernel_fails(self, capsys, monkeypatch):
+        import fisherctl.dynamics as dyn
+
+        kernel = dyn.expm_stack
+
+        def skewed(a, directions=None):
+            if directions is None:
+                return kernel(a)
+            exps, frechet = kernel(a, directions)
+            return exps, 1.001 * frechet
+
+        monkeypatch.setattr(dyn, "expm_stack", skewed)
+        assert run(["validate"]) != 0
+        out = capsys.readouterr().out
+        assert "[FAIL] exact state derivatives vs finite differences" in out
 
 
 class TestEntryPoint:

@@ -272,6 +272,35 @@ class TestExpmStack:
         assert _rel(short.param_derivs, full.param_derivs) <= 1e-13
         assert _rel(short.segment_propagators, full.segment_propagators) <= 1e-13
 
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 20.0, 200.0])
+    @pytest.mark.parametrize("dim", [16, 32])
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_frechet_matches_scipy(self, rng, norm, dim, count):
+        a = _scaled_stack(rng, 2 * dyn.EXPM_CHUNK + 3, dim, norm)
+        e = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        _, frechet = expm_stack(a, e)
+        assert frechet.shape == (len(a), count, dim, dim)
+        for blocks, x in zip(frechet, a):
+            for block, direction in zip(blocks, e):
+                ref = scipy.linalg.expm_frechet(x, direction, compute_expm=False)
+                assert _rel(block, ref) <= 1e-13
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.5, 4.0, 200.0])
+    def test_directions_leave_the_exponentials_unchanged(self, rng, norm):
+        a = _scaled_stack(rng, 2 * dyn.EXPM_CHUNK + 3, 16, norm)
+        e = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
+        assert np.array_equal(expm_stack(a, e)[0], expm_stack(a))
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_noisy_propagation_identical_with_and_without_derivatives(self, rng, name):
+        model = get_model(name, noise=True)
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 41, 1.3, rng.uniform(-0.3, 0.3, size=(p, 41)))
+        exact = propagate(model, model.true_values, grid, deriv_method="exact")
+        plain = propagate(model, model.true_values, grid, deriv_method=None)
+        assert np.array_equal(exact.segment_propagators, plain.segment_propagators)
+        assert np.array_equal(np.stack(exact.states), np.stack(plain.states))
+
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @pytest.mark.parametrize("noise", [True, False])
     def test_derivative_blocks_match_augmented_scipy(self, rng, name, noise):
@@ -282,7 +311,7 @@ class TestExpmStack:
         dt = grid.dt
         gens = step_liouvillians(model, x, grid)
         dls = np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
-        blocks = dyn._derivative_blocks(dt * gens, dt * dls)
+        _, blocks = expm_stack(dt * gens, dt * dls)
         d2 = gens.shape[1]
         zero = np.zeros((d2, d2))
         for j, gen in enumerate(gens):
@@ -295,9 +324,10 @@ class TestExpmStack:
         from fisherctl.grape import GradientContext
 
         def refuse(*args, **kwargs):
-            raise AssertionError("scipy.linalg.expm called")
+            raise AssertionError("scipy.linalg.expm or expm_frechet called")
 
         monkeypatch.setattr(scipy.linalg, "expm", refuse)
+        monkeypatch.setattr(scipy.linalg, "expm_frechet", refuse)
         for noise in (True, False):
             model = get_model("magfield-xyz", noise=noise)
             x = model.true_values
