@@ -362,6 +362,7 @@ def _print_summary(result: GrapeResult) -> None:
     print(f"objective ({result.objective}): {_fmt(result.final_objective)}")
     print(f"tr_inv: {_fmt(result.final_tr_inv)}")
     print(f"iterations: {result.iterations_used}  converged: {result.converged}")
+    print(f"evaluations: {result.evaluations}")
 
 
 PULSE_KEYS = ("model", "noise", "rates", "x_true", "t", "amplitudes",

@@ -19,22 +19,38 @@ Tr[E_y (R2 + R3 + RX)]``.
 
 Adjoint contraction
 -------------------
-Every response is read only through an effect trace, so the left factors
-``D_{j+1}^m`` and ``G_{a,j}`` are never formed as matrices.  As in GRAPE
-(Khaneja et al., J. Magn. Reson. 172, 296 (2005)), a forward state sweep
-(``rho_j`` and ``w_{a,j}``) meets a backward costate sweep that carries the
-effect covectors ``e_y`` instead:
+Every response is read only through an effect trace and is linear in it, so
+the left factors ``D_{j+1}^m`` and ``G_{a,j}`` are never formed as matrices
+and any weighted sum over outcomes costs one pass.  As in GRAPE (Khaneja et
+al., J. Magn. Reson. 172, 296 (2005)), a forward state sweep (``rho_j`` and
+``w_{a,j}``) meets a backward costate sweep.  A weight row ``W`` asks for
+``sum_{b<n, y} W[b, y] d(d_b p_y)/dV + sum_y W[n, y] dp_y/dV``; its effect
+covectors are folded before the sweep:
 
-* ``lam_{y,j}  = e_y D_{j+1}^m``,  with ``lam_{j-1} = lam_j E_j``;
-* ``mu_{y,a,j} = e_y G_{a,j}``,    with ``mu_{a,j-1} = mu_{a,j} E_j +
-  lam_j J_a(j)`` and ``mu_{a,m} = 0``.
+* ``lam_{b,j} = (sum_y W[b, y] e_y) D_{j+1}^m`` for b = 0..n, with
+  ``lam_{j-1} = lam_j E_j``;
+* one ``mu_j = sum_{b<n} (sum_y W[b, y] e_y) G_{b,j}``, with ``mu_{j-1} =
+  mu_j E_j + sum_b lam_{b,j} J_b(j)`` and ``mu_m = 0``.
 
-The backward sweep costs O(n_out n m d^4) flops and O(n_out n m d^2) memory,
-against O(n m d^6) and O(n m d^4) for sweeping the matrices themselves.  One
-grid builder contracts the forward insertions with these covectors into two
-real grids, ``dprob[y, k, j]`` and ``ddprob[y, a, k, j]``; every public
-gradient is a slice of them, and the information-matrix entry gradients are
-their score-weighted sums over outcomes.
+The scalar objective ``phi(F)`` needs a single row: with ``G =
+dphi/dF`` and the scores ``s1[a, y] = d_a p_y / p_y``, ``W[b, y] = 2 sum_a
+G_ab s1[a, y]`` and ``W[n, y] = -sum_ab G_ab s1[a, y] s1[b, y]``.  Its
+gradient is thus backpropagated directly (de Fouquieres et al., J. Magn.
+Reson. 212, 412 (2011)) with n + 1 ``lam`` rows and one ``mu`` row, where
+the per-outcome responses carry n_out ``lam`` and n_out n ``mu`` rows; the
+``(n, n, p, m)`` information-matrix grid is never formed.  Identity weights
+(one row per outcome and per (parameter, outcome) pair) give the per-outcome
+grids ``dprob[y, k, j]`` and ``ddprob[y, a, k, j]``; every public
+per-index gradient is a slice of them, and the information-matrix grid is
+their score-weighted sum over outcomes.
+
+Each term of a response is ``L A_k R``: a costate covector ``L`` and a
+forward vector ``R`` of step j around ``A_k = ad(H_k)``, the commutator
+superoperator of control k.  The pairs of one step are summed into ``S_j =
+sum_t L_t^T R_t`` (d^2 x d^2), and the weighted gradient is ``Re sum(A_k *
+S_j)``, so every contraction is a batched matrix product over the steps,
+each product small enough to stay on one thread: O(r n m d^4) flops for r
+weight rows, with no p x n x m x d^2 intermediate.
 
 Quadrature
 ----------
@@ -136,6 +152,7 @@ class GrapeResult:
     final_cfim: FisherMatrix
     final_tr_inv: float
     iterations_used: int
+    evaluations: int  # objective evaluations, rejected and failed trial points included
     converged: bool
     objective: str
     final_objective: float
@@ -171,106 +188,114 @@ class GradientContext:
         dt = trajectory.dt
         self.dt = dt
         m = trajectory.num_steps
-        d = model.dim
+        d2 = model.dim**2
         self.num_steps = m
         self.num_fields = len(model.control_hams)
-        self.num_params = model.num_params
+        self.num_params = n = model.num_params
 
         self.segs = trajectory.segment_propagators
-        self.rvecs = np.stack([vec(s) for s in trajectory.states])  # (m+1, d^2)
+        self.rvecs = np.stack(trajectory.states).reshape(m + 1, d2)
 
         self.ctrl_comms = np.stack(
             [commutator_superop(hk).mat for hk in model.control_hams]
         )
         dh0 = model.dh0(trajectory.x)
         self.dh0_comms = np.stack([commutator_superop(dh).mat for dh in dh0])
+        # (d^2, n d^2): a row vector times it applies every [dH0_a, .] at once;
+        # products stay one small matrix per step, below OpenBLAS's threading
+        # threshold
+        dh_cols = self.dh0_comms.transpose(2, 0, 1).reshape(d2, n * d2)
+        dhr = (self.rvecs[:, None] @ dh_cols).reshape(m + 1, n, d2)  # [dH0_a, rho_j]
 
+        # Forward insertion sums w[j, a] = sum_{i<=j} D_{i+1}^j J_a(i) rho_{i-1}
+        # obey w_j = E_j z_j + src_j with z_j = w_{j-1} + coef [dH0_a, rho_{j-1}];
+        # z and ez = E_j z_j are what the gradients read.
         if insertion == "simpson":
             self._coef = -1j * dt / 6.0
             self.halves = _half_step_propagators(trajectory)
-            # hvecs[j-1] = exp(dt/2 L_j) rho_{j-1}
-            self.hvecs = np.einsum("jrs,js->jr", self.halves, self.rvecs[:-1])
+            # hvecs[j-1] = exp(dt/2 L_j) rho_{j-1}, dhh[j-1, a] = [dH0_a, hvecs[j-1]]
+            # and hdhh[j-1, a] = exp(dt/2 L_j) dhh[j-1, a]
+            self.hvecs = (self.halves @ self.rvecs[:-1, :, None])[..., 0]
+            self._dhh = (self.hvecs[:, None] @ dh_cols).reshape(m, n, d2)
+            self._hdhh = self._dhh @ self.halves.swapaxes(1, 2)
+            src = self._coef * (dhr[1:] + 4.0 * self._hdhh)
         else:
             self._coef = -0.5j * dt
-            self.halves = None
-            self.hvecs = None
-
-        # Forward insertion sums w[a, j] = sum_{i<=j} D_{i+1}^j J_a(i) rho_{i-1},
-        # pre-insertion transports u[a, j] = E_j w[a, j-1] and (simpson only)
-        # the half-step transports uh[a, j] = exp(dt/2 L_j) w[a, j-1].
-        n = self.num_params
-        d2 = d * d
-        wsum = np.zeros((n, m + 1, d2), dtype=complex)
-        usum = np.zeros_like(wsum)
-        uhsum = np.zeros_like(wsum) if insertion == "simpson" else None
-        dh_t = self.dh0_comms.transpose(0, 2, 1)
-        for j in range(1, m + 1):
-            e_j = self.segs[j - 1]
-            w_prev = wsum[:, j - 1]
-            u = w_prev @ e_j.T
-            usum[:, j] = u
-            if insertion == "simpson":
-                uh = w_prev @ self.halves[j - 1].T
-                uhsum[:, j] = uh
-                wsum[:, j] = u + self._coef * (
-                    self.rvecs[j] @ dh_t
-                    + 4.0 * ((self.hvecs[j - 1] @ dh_t) @ self.halves[j - 1].T)
-                    + (self.rvecs[j - 1] @ dh_t) @ e_j.T
-                )
-            else:
-                wsum[:, j] = u + self._coef * (
-                    self.rvecs[j] @ dh_t + (self.rvecs[j - 1] @ dh_t) @ e_j.T
-                )
-        self.wsum = wsum
-        self.usum = usum
-        self.uhsum = uhsum
+            self.halves = self.hvecs = None
+            src = self._coef * dhr[1:]
+        cjd = self._coef * dhr[:-1]
+        w = np.zeros((m + 1, n, d2), dtype=complex)
+        ez = np.empty((m, n, d2), dtype=complex)
+        segs_t = self.segs.swapaxes(1, 2)
+        for j in range(m):
+            ez[j] = (w[j] + cjd[j]) @ segs_t[j]
+            w[j + 1] = ez[j] + src[j]
+        self._z = w[:-1] + cjd
+        self._ez = ez
 
         # Measurement data.  Derivatives follow the trajectory when present;
-        # otherwise w[a, m] is the discretized derivative of the final state.
+        # otherwise w[m] is the discretized derivative of the final state.
         self.p = measure(trajectory.final_state, povm)
         if trajectory.param_derivs is not None:
             drho_flat = trajectory.final_derivs.reshape(n, -1)
         else:
-            drho_flat = wsum[:, m]
+            drho_flat = w[m]
         self.effect_vecs = np.stack([np.conj(vec(e)) for e in povm.effects])
         self.dp = np.real(self.effect_vecs @ drho_flat.T).T
 
         self._active = self.p > EPS_P
-        self._lam = self._mu = self._mu_e = self._mu_h = None
-        self._grids = None
+        self._backward = self._grids = None
 
     # -- backward costate sweep -----------------------------------------------
 
-    def _ensure_backward(self):
-        """Effect covectors, indexed by step j = 0..m along the first axis:
-        ``lam[j, y]``, ``mu[j, y, a]``, ``mu_e[j] = mu[j] E_j`` and (simpson)
-        ``mu_h[j] = mu[j] exp(dt/2 L_j)``."""
-        if self._lam is not None:
-            return
-        m = self.num_steps
-        segs, halves, dh = self.segs, self.halves, self.dh0_comms
-        lam = np.empty((m + 1,) + self.effect_vecs.shape, dtype=complex)
-        lam[m] = self.effect_vecs
+    def _costates(self, weights: np.ndarray):
+        """Backward sweep of the weighted effect covectors.
+
+        ``weights[r, b, y]`` weights ``d(d_b p_y)/dV`` for b < n and
+        ``dp_y/dV`` for b = n.  Returns ``lam[j, r, b] = (sum_y weights[r, b, y]
+        e_y) D_{j+1}^m`` and ``mu[j, r]``, indexed by step j = 0..m, followed by
+        the products the contraction reuses: ``ld[j, r] = sum_b lam[j, r, b]
+        [dH0_b, .]`` and, for simpson (else None), ``lamh = lam_b
+        exp(dt/2 L_j)``, ``lhd = sum_b lamh_b [dH0_b, .]`` and ``lhdh = lhd
+        exp(dt/2 L_j)`` for j = 1..m.
+        """
+        m, n = self.num_steps, self.num_params
+        segs, halves = self.segs, self.halves
+        rows, d2 = weights.shape[0], segs.shape[-1]
+        dh = self.dh0_comms.reshape(n * d2, d2)
+
+        lam = np.empty((m + 1, rows * (n + 1), d2), dtype=complex)
+        lam[m] = (weights @ self.effect_vecs).reshape(-1, d2)
         for j in range(m, 0, -1):
             lam[j - 1] = lam[j] @ segs[j - 1]
+        lam = lam.reshape(m + 1, rows, n + 1, d2)
+        lam_b = lam[:, :, :n]
 
-        # ins[j-1, y, a] = lam_j J_a(j), using lam_j E_j = lam_{j-1}
-        lam_dh = np.einsum("jyr,ars->jyas", lam, dh)
-        ins = lam_dh[1:] @ segs[:, None] + lam_dh[:-1]
+        # ins[j-1, r] = sum_b lam_{b,j} J_b(j), using lam_{b,j} E_j = lam_{b,j-1}
+        ld = lam_b.reshape(m + 1, rows, n * d2) @ dh
+        ins = ld[1:] @ segs + ld[:-1]
+        lamh = lhd = lhdh = None
         if self.insertion == "simpson":
-            lam_h = np.einsum("jyr,jrs->jys", lam[1:], halves)
-            ins += 4.0 * (np.einsum("jyr,ars->jyas", lam_h, dh) @ halves[:, None])
+            lamh = (lam_b[1:].reshape(m, rows * n, d2) @ halves).reshape(m, rows, n, d2)
+            lhd = lamh.reshape(m, rows, n * d2) @ dh
+            lhdh = lhd @ halves
+            ins += 4.0 * lhdh
         ins *= self._coef
 
-        mu = np.zeros((m + 1,) + ins.shape[1:], dtype=complex)
-        mu_e = np.zeros_like(mu)
+        mu = np.zeros((m + 1, rows, d2), dtype=complex)
         for j in range(m, 0, -1):
-            mu_e[j] = mu[j] @ segs[j - 1]
-            mu[j - 1] = mu_e[j] + ins[j - 1]
-        if self.insertion == "simpson":
-            self._mu_h = np.zeros_like(mu)
-            self._mu_h[1:] = mu[1:] @ halves[:, None]
-        self._lam, self._mu, self._mu_e = lam, mu, mu_e
+            mu[j - 1] = mu[j] @ segs[j - 1] + ins[j - 1]
+        return lam, mu, ld, lamh, lhd, lhdh
+
+    def _ensure_backward(self):
+        """Identity-weight costates, cached: one weight row per outcome y for
+        ``dp_y`` and per (parameter, outcome) pair for ``d_a p_y``, as the
+        per-outcome grids read them."""
+        if self._backward is None:
+            n, n_out = self.num_params, len(self.effect_vecs)
+            rows = (n + 1) * n_out
+            self._backward = self._costates(np.eye(rows).reshape(rows, n + 1, n_out))
+        return self._backward
 
     # -- gradient grids -----------------------------------------------------------
 
@@ -280,86 +305,59 @@ class GradientContext:
         if not 1 <= j <= self.num_steps:
             raise DimensionMismatch(f"step index {j} out of range (1..{self.num_steps})")
 
+    def _contract(self, lam, mu, ld, lamh, lhd, lhdh) -> np.ndarray:
+        """``grid[r, k, j-1]``: the weighted response sums of weight row r.
+
+        Each step pairs the costates (left) with forward vectors (right);
+        ``S_j = sum_t L_t^T R_t`` and ``grid[r, k, j-1] = Re sum(A_k * S_j)``.
+        """
+        m, n = self.num_steps, self.num_params
+        coef, segs, rvecs = self._coef, self.segs, self.rvecs
+        rows, d2 = mu.shape[1], mu.shape[2]
+        lam_b = lam[:, :, :n]
+        # every pair whose forward vector is rho_j, rho_{j-1} or (simpson)
+        # exp(dt/2 L_j) rho_{j-1} shares one costate
+        shared = mu[1:] + lam[1:, :, n] + coef * ld[1:]
+        shared_e = shared @ segs
+        if self.insertion == "simpson":
+            c4 = -0.25j * self.dt  # trapezoid insert over the half step
+            shared_e += 4.0 * c4 * lhdh
+            shared_h = shared @ self.halves + c4 * lhd
+            left = [shared[:, :, None], shared_e[:, :, None], shared_h[:, :, None],
+                    lam_b[1:], lamh, lam_b[:-1]]
+            right = [coef * rvecs[1:, None], coef * rvecs[:-1, None],
+                     4.0 * coef * self.hvecs[:, None],
+                     coef * (self._ez + 4.0 * c4 * self._hdhh),
+                     4.0 * coef * (self._z @ self.halves.swapaxes(1, 2) + c4 * self._dhh),
+                     coef * self._z]
+        else:
+            left = [shared[:, :, None], shared_e[:, :, None], lam_b[1:], lam_b[:-1]]
+            right = [coef * rvecs[1:, None], coef * rvecs[:-1, None],
+                     coef * self._ez, coef * self._z]
+        pairs_l = np.concatenate(left, axis=2)  # (m, rows, T, d^2)
+        pairs_r = np.concatenate(right, axis=1)  # (m, T, d^2)
+        s = pairs_l.swapaxes(2, 3) @ pairs_r[:, None]  # (m, rows, d^2, d^2)
+        ctrl = self.ctrl_comms.reshape(len(self.ctrl_comms), d2 * d2)
+        grid = s.reshape(m, rows, d2 * d2) @ ctrl.T  # (m, rows, p)
+        return np.real(grid).transpose(1, 2, 0)
+
     def _gradient_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``dprob[y, k, j-1] = dp_y/dV_k(j)`` and
         ``ddprob[y, a, k, j-1] = d(d_a p_y)/dV_k(j)``."""
-        if self._grids is not None:
-            return self._grids
-        self._ensure_backward()
-        coef = self._coef
-        c2 = -0.5j * self.dt
-        segs = self.segs
-        simpson = self.insertion == "simpson"
-
-        # hr[k, j] = [H_k, rho_j]; ehr[k, j] = E_j [H_k, rho_{j-1}]
-        hr = np.einsum("krs,js->kjr", self.ctrl_comms, self.rvecs)
-        ehr = np.einsum("jrs,kjs->kjr", segs, hr[:, :-1])
-        if simpson:
-            hhv = np.einsum("krs,js->kjr", self.ctrl_comms, self.hvecs)
-            ehhv = np.einsum("jrs,kjs->kjr", self.halves, hhv)
-            ins = coef * (hr[:, 1:] + 4.0 * ehhv + ehr)
-        else:
-            ins = coef * (hr[:, 1:] + ehr)  # J_k(j) rho_{j-1}, j = 1..m
-
-        # past insertions: J_k(j) w_{a, j-1}
-        hu = np.einsum("krs,ajs->akjr", self.ctrl_comms, self.usum[:, 1:])
-        hw = np.einsum("krs,ajs->akjr", self.ctrl_comms, self.wsum[:, :-1])
-        ehw = np.einsum("jrs,akjs->akjr", segs, hw)
-        if simpson:
-            huh = np.einsum("krs,ajs->akjr", self.ctrl_comms, self.uhsum[:, 1:])
-            ehuh = np.einsum("jrs,akjs->akjr", self.halves, huh)
-            ins_past = coef * (hu + 4.0 * ehuh + ehw)
-        else:
-            ins_past = coef * (hu + ehw)
-
-        # same-step mix dJ_a(j)/dV_k(j) rho_{j-1}: the step propagators inside
-        # J_a(j) differentiated in the V_k(j) direction, at the same
-        # quadrature order as the main insertions
-        jd = np.einsum("ars,js->ajr", self.dh0_comms, self.rvecs[:-1])  # j-1 slot
-        ejd = np.einsum("jrs,ajs->ajr", segs, jd)
-        hejd = np.einsum("krs,ajs->akjr", self.ctrl_comms, ejd)
-        hjd = np.einsum("krs,ajs->akjr", self.ctrl_comms, jd)
-        ehjd = np.einsum("jrs,akjs->akjr", segs, hjd)
-        if simpson:
-            c4 = -0.25j * self.dt  # trapezoid insert over the half step
-            halves = self.halves
-            # J_k over the full step applied to [dH0_a, rho_{j-1}]
-            hhhjd = np.einsum("krs,ajs->akjr", self.ctrl_comms,
-                              np.einsum("jrs,ajs->ajr", halves, jd))
-            jk_full_jd = coef * (hejd + 4.0 * np.einsum(
-                "jrs,akjs->akjr", halves, hhhjd) + ehjd)
-            # half-step pieces
-            jk_half_rho = c4 * (hhv + np.einsum("jrs,kjs->kjr", halves, hr[:, :-1]))
-            xah = np.einsum("ars,js->ajr", self.dh0_comms, self.hvecs)
-            hxah = np.einsum("krs,ajs->akjr", self.ctrl_comms,
-                             np.einsum("jrs,ajs->ajr", halves, xah))
-            ehxah = np.einsum("jrs,akjs->akjr", halves,
-                              np.einsum("krs,ajs->akjr", self.ctrl_comms, xah))
-            t4a = c4 * (hxah + ehxah)
-            t4b = np.einsum("jrs,akjs->akjr", halves,
-                            np.einsum("ars,kjs->akjr", self.dh0_comms, jk_half_rho))
-            ins_cross = coef * (
-                np.einsum("ars,kjs->akjr", self.dh0_comms, ins)
-                + 4.0 * (t4a + t4b)
-                + jk_full_jd
-            )
-        else:
-            ins_k2 = c2 * (hr[:, 1:] + ehr)
-            ins_cross = c2 * (
-                np.einsum("ars,kjs->akjr", self.dh0_comms, ins_k2)
-                + c2 * (hejd + ehjd)
-            )
-
-        # contract with the covectors: lam for R1, R2, RX; mu for R3
-        lam = self._lam[1:]
-        dprob = np.real(np.einsum("jys,kjs->ykj", lam, ins))
-        resp = np.einsum("jys,akjs->yakj", lam, ins_past + ins_cross)
-        future = np.einsum("jyas,kjs->yakj", self._mu[1:], hr[:, 1:])
-        future += np.einsum("jyas,kjs->yakj", self._mu_e[1:], hr[:, :-1])
-        if simpson:
-            future += 4.0 * np.einsum("jyas,kjs->yakj", self._mu_h[1:], hhv)
-        self._grids = dprob, np.real(resp + coef * future)
+        if self._grids is None:
+            n, n_out = self.num_params, len(self.effect_vecs)
+            grid = self._contract(*self._ensure_backward())
+            grid = grid.reshape(n + 1, n_out, self.num_fields, self.num_steps)
+            self._grids = grid[n], grid[:n].swapaxes(0, 1)
         return self._grids
+
+    def _scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """``s1[a, y] = d_a p_y / p_y`` and ``s2[a, b, y] = d_a p_y d_b p_y /
+        p_y^2``, zero on inactive outcomes."""
+        p_safe = np.where(self._active, self.p, 1.0)
+        s1 = np.where(self._active, self.dp / p_safe, 0.0)
+        s2 = np.where(self._active, self.dp[:, None] * self.dp[None] / p_safe**2, 0.0)
+        return s1, s2
 
     # -- public gradients ------------------------------------------------------------
 
@@ -378,19 +376,27 @@ class GradientContext:
     def cfim_gradient_grid(self) -> np.ndarray:
         """All entry gradients at once: shape (n_par, n_par, p, m).
 
-        With score weights ``s1[a, y] = d_a p_y / p_y`` and ``s2[a, b, y] =
-        s1[a, y] s1[b, y]`` (zero on inactive outcomes) the entry (a, b) is
-        ``sum_y s1[a, y] ddprob[y, b] + s1[b, y] ddprob[y, a] - s2[a, b, y]
-        dprob[y]``.
+        The entry (a, b) is ``sum_y s1[a, y] ddprob[y, b] + s1[b, y]
+        ddprob[y, a] - s2[a, b, y] dprob[y]``.
         """
         dprob, ddprob = self._gradient_grids()
-        p_safe = np.where(self._active, self.p, 1.0)
-        s1 = np.where(self._active, self.dp / p_safe, 0.0)
-        s2 = np.where(self._active, self.dp[:, None] * self.dp[None] / p_safe**2, 0.0)
-        t = np.einsum("ay,ybkj->abkj", s1, ddprob)
+        s1, s2 = self._scores()
+        n_out = len(dprob)
+        t = sum(s1[:, y, None, None, None] * ddprob[y] for y in range(n_out))
         # summed outcome by outcome so the grid is symmetric in (a, b) bit for bit
-        pair = sum(s2[:, :, y, None, None] * dprob[y] for y in range(len(dprob)))
+        pair = sum(s2[:, :, y, None, None] * dprob[y] for y in range(n_out))
         return t + t.transpose(1, 0, 2, 3) - pair
+
+    def objective_gradient(self, objective: str) -> np.ndarray:
+        """Gradient grid (num_fields x num_steps) of a scalar objective of the
+        information matrix, by one reverse pass with the chain rule folded
+        into the effect covectors."""
+        g = _objective_derivative(objective, self.current_cfim().matrix)
+        s1, _ = self._scores()
+        gs1 = g @ s1
+        # one weight row: 2 G s1 on d(d_b p_y) and -s1^T G s1 on dp_y
+        weights = np.concatenate([2.0 * gs1, -np.sum(s1 * gs1, axis=0)[None]])
+        return self._contract(*self._costates(weights[None]))[0]
 
     def current_cfim(self) -> FisherMatrix:
         return cfim(self.p, self.dp)
@@ -424,36 +430,29 @@ def _objective_value(objective: str, f: FisherMatrix) -> float:
     raise FisherctlError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
-def _objective_gradient_from_grid(objective: str, fmat: np.ndarray,
-                                  grid: np.ndarray) -> np.ndarray:
-    n = fmat.shape[0]
+def _objective_derivative(objective: str, fmat: np.ndarray) -> np.ndarray:
+    """``G[a, b] = d objective / d F[a, b]``, symmetric, at the matrix ``fmat``."""
     if objective == "f0":
         diag = np.diag(fmat)
         if np.min(diag) <= 0:
             raise InvariantViolation("harmonic objective gradient needs positive diagonal")
         f0 = 1.0 / np.sum(1.0 / diag)
-        out = np.zeros_like(grid[0, 0])
-        for a in range(n):
-            out += (f0**2 / diag[a] ** 2) * grid[a, a]
-        return out
+        return np.diag(f0**2 / diag**2)
     if objective == "fcle":
-        if n != 2:
+        if fmat.shape != (2, 2):
             raise DimensionMismatch("det/trace objective needs exactly two parameters")
         trf = fmat[0, 0] + fmat[1, 1]
         if trf <= 0:
             raise InvariantViolation("det/trace objective gradient needs positive trace")
-        out = (fmat[1, 1] ** 2 + fmat[0, 1] ** 2) / trf**2 * grid[0, 0]
-        out += (fmat[0, 0] ** 2 + fmat[0, 1] ** 2) / trf**2 * grid[1, 1]
-        out -= (2 * fmat[0, 1] / trf) * grid[0, 1]
-        return out
-    raise FisherctlError(f"unknown objective {objective!r}")
+        off = -fmat[0, 1] / trf
+        return np.array([[(fmat[1, 1] ** 2 + fmat[0, 1] ** 2) / trf**2, off],
+                         [off, (fmat[0, 0] ** 2 + fmat[0, 1] ** 2) / trf**2]])
+    raise FisherctlError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
 
 
 def gradient_objective(trajectory: Trajectory, povm: Povm, objective: str) -> np.ndarray:
     """Chain-rule gradient grid (num_fields x num_steps) of a scalar objective."""
-    ctx = GradientContext(trajectory, povm)
-    fmat = ctx.current_cfim().matrix
-    return _objective_gradient_from_grid(objective, fmat, ctx.cfim_gradient_grid())
+    return GradientContext(trajectory, povm).objective_gradient(objective)
 
 
 # -- ascent loop ----------------------------------------------------------------------
@@ -507,22 +506,23 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
     m = max(1, round(config.steps_per_unit * t))
     controls = _initial_controls(model, t, m, config)
 
+    evaluations = 0
+
     def evaluate(grid: ControlGrid):
+        nonlocal evaluations
+        evaluations += 1
         traj = propagate(model, x_true, grid, probe, deriv_method=None)
         ctx = GradientContext(traj, povm, insertion="trapezoid")
-        fm = ctx.current_cfim()
-        val = _objective_value(objective, fm)
+        val = _objective_value(objective, ctx.current_cfim())
         if not math.isfinite(val):
             raise PropagationError(f"objective became non-finite ({val})")
-        return val, fm, ctx
+        return val, ctx
 
-    obj, fmat, ctx = evaluate(controls)
+    obj, ctx = evaluate(controls)
     history = [obj]
     n_ctrl = controls.num_fields * m
     hinv = np.eye(n_ctrl) if config.update_rule == "bfgs" else None
-    grad_flat = _objective_gradient_from_grid(
-        objective, fmat.matrix, ctx.cfim_gradient_grid()
-    ).reshape(-1)
+    grad_flat = ctx.objective_gradient(objective).reshape(-1)
     converged = False
     iterations = 0
     step_memory = config.step_size  # grows/shrinks with accepted steps
@@ -546,7 +546,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
                 new_amps = np.clip(new_amps, -config.amplitude_bound, config.amplitude_bound)
             candidate = controls.with_amplitudes(new_amps)
             try:
-                new_obj, new_fmat, new_ctx = evaluate(candidate)
+                new_obj, new_ctx = evaluate(candidate)
             except (PropagationError, SingularContribution):
                 converged = False
                 break
@@ -564,7 +564,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
                     )
                 candidate = controls.with_amplitudes(new_amps)
                 try:
-                    new_obj, new_fmat, new_ctx = evaluate(candidate)
+                    new_obj, new_ctx = evaluate(candidate)
                 except (PropagationError, SingularContribution):
                     step *= 0.5
                     continue
@@ -577,15 +577,13 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
             if config.update_rule == "gradient":
                 step_memory = step
 
-        new_grad = _objective_gradient_from_grid(
-            objective, new_fmat.matrix, new_ctx.cfim_gradient_grid()
-        ).reshape(-1)
+        new_grad = new_ctx.objective_gradient(objective).reshape(-1)
         if config.update_rule == "bfgs":
             s = (candidate.amplitudes - controls.amplitudes).reshape(-1)
             y = -(new_grad - grad_flat)  # gradients of the minimized (-objective)
             hinv = _bfgs_update(hinv, s, y)
 
-        controls, obj, fmat, ctx, grad_flat = candidate, new_obj, new_fmat, new_ctx, new_grad
+        controls, obj, grad_flat = candidate, new_obj, new_grad
         history.append(obj)
 
         w = config.convergence_window
@@ -603,6 +601,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         final_cfim=final_cfim,
         final_tr_inv=tr_inv(final_cfim),
         iterations_used=iterations,
+        evaluations=evaluations,
         converged=converged,
         objective=objective,
         final_objective=_objective_value(objective, final_cfim),

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, InvariantViolation
 
@@ -200,6 +199,8 @@ def sandwich_superop(a: np.ndarray) -> Superoperator:
 
 def expm(s: Superoperator, t: float) -> Superoperator:
     """exp(t S) as a superoperator; t = 0 short-circuits to the identity."""
+    import scipy.linalg  # only here, so that importing the package skips scipy
+
     if not np.isfinite(t):
         raise InvariantViolation("propagation time must be finite")
     if t == 0.0:

@@ -176,6 +176,17 @@ class TestOptimize:
         assert payload["steps"] == 6
         assert np.asarray(payload["amplitudes"]).shape == (6, 6)
 
+    def test_summary_reports_evaluations(self, tmp_path, capsys):
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.5", "--max-iters", "4",
+                    "--seed", "1", "--steps-per-unit", "12", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("iterations:"))
+        iters = int(lines[at].split()[1])
+        assert lines[at + 1].startswith("evaluations: ")
+        assert int(lines[at + 1].split()[1]) >= iters + 1
+        assert "evaluations" not in json.loads(out.read_text())
+
     def test_replay_round_trip(self, tmp_path, capsys):
         out = tmp_path / "pulse.json"
         assert run(["optimize", "--model", "xxz", "--t", "0.8",

@@ -341,6 +341,30 @@ class TestExpmStack:
             res = optimize(model, x, None, None, 0.4, cfg)
             assert np.isfinite(res.final_objective)
 
+    def test_gradient_path_does_not_call_einsum(self, monkeypatch, rng):
+        # the gradient contractions are batched matmuls; np.einsum would run
+        # numpy's non-BLAS loops over every step
+        from fisherctl import GrapeConfig, optimize
+        from fisherctl.grape import GradientContext
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.einsum called")
+
+        monkeypatch.setattr(np, "einsum", refuse)
+        for noise in (True, False):
+            model = get_model("magfield-xyz", noise=noise)
+            x = model.true_values
+            for rule in ("bfgs", "gradient"):
+                cfg = GrapeConfig(update_rule=rule, max_iters=1, steps_per_unit=50)
+                res = optimize(model, x, None, None, 0.4, cfg)
+                assert res.iterations_used == 1 and np.isfinite(res.final_objective)
+            p = len(model.control_hams)
+            grid = ControlGrid(p, 30, 0.3, rng.uniform(-0.2, 0.2, size=(p, 30)))
+            traj = propagate(model, x, grid, deriv_method=None)
+            for insertion in ("simpson", "trapezoid"):
+                ctx = GradientContext(traj, model.default_povm, insertion=insertion)
+                assert np.all(np.isfinite(ctx.cfim_gradient_grid()))
+
 
 class TestMeasure:
     def test_maximally_mixed_bell_probabilities(self):

@@ -14,6 +14,7 @@ from fisherctl import (
     gradient_prob,
     measure,
     measure_derivs,
+    objective_fcle,
     optimize,
     propagate,
 )
@@ -43,6 +44,93 @@ def perturbed(grid, k, j, h):
     amps = grid.amplitudes.copy()
     amps[k, j - 1] += h
     return grid.with_amplitudes(amps)
+
+
+def einsum_reference_grids(traj, povm, insertion):
+    """The per-outcome gradient grids ``dprob[y, k, j-1]`` and
+    ``ddprob[y, a, k, j-1]`` written term by term as einsums over explicit
+    forward insertion sums and effect-covector sweeps, one response at a
+    time; the batched-matmul contraction in ``GradientContext`` must
+    reproduce it to rounding."""
+    from fisherctl.grape import _half_step_propagators
+    from fisherctl.operators import commutator_superop, vec
+
+    model, dt, m = traj.model, traj.dt, traj.num_steps
+    segs = traj.segment_propagators
+    rvecs = np.stack([vec(s) for s in traj.states])
+    cc = np.stack([commutator_superop(hk).mat for hk in model.control_hams])
+    dh = np.stack([commutator_superop(x).mat for x in model.dh0(traj.x)])
+    dh_t = dh.transpose(0, 2, 1)
+    n, d2 = len(dh), rvecs.shape[1]
+    simpson = insertion == "simpson"
+    coef = -1j * dt / 6.0 if simpson else -0.5j * dt
+    halves = _half_step_propagators(traj) if simpson else None
+    hvecs = np.einsum("jrs,js->jr", halves, rvecs[:-1]) if simpson else None
+
+    wsum = np.zeros((n, m + 1, d2), dtype=complex)
+    usum, uhsum = np.zeros_like(wsum), np.zeros_like(wsum)
+    for j in range(1, m + 1):
+        e_j, w_prev = segs[j - 1], wsum[:, j - 1]
+        usum[:, j] = w_prev @ e_j.T
+        src = rvecs[j] @ dh_t + (rvecs[j - 1] @ dh_t) @ e_j.T
+        if simpson:
+            uhsum[:, j] = w_prev @ halves[j - 1].T
+            src = src + 4.0 * ((hvecs[j - 1] @ dh_t) @ halves[j - 1].T)
+        wsum[:, j] = usum[:, j] + coef * src
+
+    effects = np.stack([np.conj(vec(e)) for e in povm.effects])
+    lam = np.empty((m + 1,) + effects.shape, dtype=complex)
+    lam[m] = effects
+    for j in range(m, 0, -1):
+        lam[j - 1] = lam[j] @ segs[j - 1]
+    lam_dh = np.einsum("jyr,ars->jyas", lam, dh)
+    ins = lam_dh[1:] @ segs[:, None] + lam_dh[:-1]
+    if simpson:
+        lam_h = np.einsum("jyr,jrs->jys", lam[1:], halves)
+        ins += 4.0 * (np.einsum("jyr,ars->jyas", lam_h, dh) @ halves[:, None])
+    ins *= coef
+    mu = np.zeros((m + 1,) + ins.shape[1:], dtype=complex)
+    mu_e = np.zeros_like(mu)
+    for j in range(m, 0, -1):
+        mu_e[j] = mu[j] @ segs[j - 1]
+        mu[j - 1] = mu_e[j] + ins[j - 1]
+
+    hr = np.einsum("krs,js->kjr", cc, rvecs)
+    ehr = np.einsum("jrs,kjs->kjr", segs, hr[:, :-1])
+    jd = np.einsum("ars,js->ajr", dh, rvecs[:-1])
+    hejd = np.einsum("krs,ajs->akjr", cc, np.einsum("jrs,ajs->ajr", segs, jd))
+    ehjd = np.einsum("jrs,akjs->akjr", segs, np.einsum("krs,ajs->akjr", cc, jd))
+    hu = np.einsum("krs,ajs->akjr", cc, usum[:, 1:])
+    ehw = np.einsum("jrs,akjs->akjr", segs,
+                    np.einsum("krs,ajs->akjr", cc, wsum[:, :-1]))
+    if simpson:
+        c4 = -0.25j * dt
+        hhv = np.einsum("krs,js->kjr", cc, hvecs)
+        ins_k = coef * (hr[:, 1:] + 4.0 * np.einsum("jrs,kjs->kjr", halves, hhv) + ehr)
+        huh = np.einsum("krs,ajs->akjr", cc, uhsum[:, 1:])
+        ins_past = coef * (hu + 4.0 * np.einsum("jrs,akjs->akjr", halves, huh) + ehw)
+        hhhjd = np.einsum("krs,ajs->akjr", cc, np.einsum("jrs,ajs->ajr", halves, jd))
+        jk_full_jd = coef * (hejd + 4.0 * np.einsum("jrs,akjs->akjr", halves, hhhjd) + ehjd)
+        jk_half_rho = c4 * (hhv + np.einsum("jrs,kjs->kjr", halves, hr[:, :-1]))
+        xah = np.einsum("ars,js->ajr", dh, hvecs)
+        hxah = np.einsum("krs,ajs->akjr", cc, np.einsum("jrs,ajs->ajr", halves, xah))
+        ehxah = np.einsum("jrs,akjs->akjr", halves, np.einsum("krs,ajs->akjr", cc, xah))
+        t4b = np.einsum("jrs,akjs->akjr", halves,
+                        np.einsum("ars,kjs->akjr", dh, jk_half_rho))
+        ins_cross = coef * (np.einsum("ars,kjs->akjr", dh, ins_k)
+                            + 4.0 * (c4 * (hxah + ehxah) + t4b) + jk_full_jd)
+    else:
+        ins_k = coef * (hr[:, 1:] + ehr)
+        ins_past = coef * (hu + ehw)
+        ins_cross = coef * (np.einsum("ars,kjs->akjr", dh, ins_k) + coef * (hejd + ehjd))
+    dprob = np.real(np.einsum("jys,kjs->ykj", lam[1:], ins_k))
+    future = np.einsum("jyas,kjs->yakj", mu[1:], hr[:, 1:])
+    future += np.einsum("jyas,kjs->yakj", mu_e[1:], hr[:, :-1])
+    if simpson:
+        mu_h = mu[1:] @ halves[:, None]
+        future += 4.0 * np.einsum("jyas,kjs->yakj", mu_h, hhv)
+    resp = np.einsum("jys,akjs->yakj", lam[1:], ins_past + ins_cross)
+    return dprob, np.real(resp + coef * future)
 
 
 @pytest.fixture(scope="module")
@@ -127,10 +215,10 @@ class TestGradientDprob:
         # covectors start from zero there
         model, grid, traj = controlled_setup
         ctx = GradientContext(traj, model.default_povm)
-        ctx._ensure_backward()
+        mu = ctx._ensure_backward()[1]
         m = grid.num_steps
-        assert np.abs(ctx._mu[m]).max() == 0.0
-        assert np.abs(ctx._mu_e[m]).max() == 0.0
+        assert np.abs(mu[m]).max() == 0.0
+        assert np.abs(mu[m - 1]).max() > 0.0
 
 
 class TestGradientCfimEntry:
@@ -177,11 +265,11 @@ class TestGradientObjective:
         ctx = GradientContext(traj, model.default_povm)
         grid_f = ctx.cfim_gradient_grid()
         fmat = ctx.current_cfim().matrix
-        from fisherctl.grape import _objective_gradient_from_grid
+        from fisherctl.grape import _objective_derivative
 
         a = fmat[0, 0]
         iso = np.diag([a, a, a])
-        got = _objective_gradient_from_grid("f0", iso, grid_f)
+        got = np.tensordot(_objective_derivative("f0", iso), grid_f, 2)
         expected = (grid_f[0, 0] + grid_f[1, 1] + grid_f[2, 2]) / 9.0
         assert np.abs(got - expected).max() < 1e-12
 
@@ -211,6 +299,62 @@ class TestGradientObjective:
         model, grid, traj = controlled_setup
         with pytest.raises(Exception):
             gradient_objective(traj, model.default_povm, "variance")
+
+
+class TestGridsAgainstReference:
+    @pytest.mark.parametrize("insertion", ["simpson", "trapezoid"])
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("name", ["magfield", "magfield-xyz", "zz", "xxz"])
+    def test_matches_einsum_reference(self, name, noise, insertion):
+        model = get_model(name, noise=noise)
+        p, m = len(model.control_hams), 30
+        rng = np.random.default_rng(len(name) + 10 * noise)
+        grid = ControlGrid(p, m, 0.6, rng.uniform(-0.3, 0.3, size=(p, m)))
+        traj = propagate(model, model.true_values, grid, deriv_method=None)
+        ctx = GradientContext(traj, model.default_povm, insertion=insertion)
+        for got, want in zip(ctx._gradient_grids(),
+                             einsum_reference_grids(traj, model.default_povm, insertion)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestObjectiveReversePass:
+    @pytest.mark.parametrize("insertion", ["simpson", "trapezoid"])
+    @pytest.mark.parametrize("deriv_method", [None, "exact"])
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("name", ["magfield", "magfield-xyz", "zz", "xxz"])
+    def test_matches_explicit_chain_rule(self, name, noise, deriv_method, insertion):
+        # one reverse pass with the chain rule folded into the effect
+        # covectors equals sum_ab G_ab dF_ab over the full information grid
+        from fisherctl.grape import _objective_derivative
+
+        model = get_model(name, noise=noise)
+        p, m = len(model.control_hams), 40
+        rng = np.random.default_rng(len(name) + 10 * noise)
+        grid = ControlGrid(p, m, 0.8, rng.uniform(-0.3, 0.3, size=(p, m)))
+        traj = propagate(model, model.true_values, grid, deriv_method=deriv_method)
+        ctx = GradientContext(traj, model.default_povm, insertion=insertion)
+        fmat = ctx.current_cfim().matrix
+        grid_f = ctx.cfim_gradient_grid()
+        objectives = ("f0", "fcle") if model.num_params == 2 else ("f0",)
+        for objective in objectives:
+            chain = np.tensordot(_objective_derivative(objective, fmat), grid_f, 2)
+            got = ctx.objective_gradient(objective)
+            assert got.shape == (p, m)
+            assert np.abs(got - chain).max() <= 1e-12 * np.abs(chain).max(), objective
+
+    def test_fcle_derivative_off_diagonal(self):
+        from fisherctl.grape import _objective_derivative
+
+        fmat = np.array([[3.0, 0.7], [0.7, 2.0]])
+        g = _objective_derivative("fcle", fmat)
+        assert g[0, 1] == g[1, 0] == -0.7 / 5.0
+        h = 1e-6
+        for a, b in [(0, 0), (1, 1)]:
+            step = np.zeros((2, 2))
+            step[a, b] = h
+            fd = (objective_fcle(fmat + step) - objective_fcle(fmat - step)) / (2 * h)
+            assert abs(g[a, b] - fd) < 1e-9
 
 
 class TestDiscretizationError:
@@ -324,6 +468,31 @@ class TestOptimize:
         assert abs(res_b.final_objective - res_g.final_objective) \
             <= 0.02 * max(res_b.final_objective, res_g.final_objective)
         assert res_b.iterations_used < res_g.iterations_used
+
+    def test_evaluations_count_every_trial_point(self, monkeypatch):
+        import fisherctl.grape as grape_mod
+
+        model = get_model("xxz")
+        fixed = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
+            max_iters=6, init_seed=2, steps_per_unit=20, update_rule="gradient",
+            fixed_step=True, step_size=0.005))
+        assert fixed.evaluations == fixed.iterations_used + 1
+
+        trials = []
+        real_propagate = grape_mod.propagate
+
+        def counting(*args, **kwargs):
+            if kwargs.get("deriv_method") is None:
+                trials.append(1)
+            return real_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(grape_mod, "propagate", counting)
+        for rule in ("gradient", "bfgs"):
+            trials.clear()
+            res = optimize(model, model.true_values, None, None, 0.7, GrapeConfig(
+                max_iters=12, init_seed=3, steps_per_unit=30, update_rule=rule))
+            assert res.evaluations >= res.iterations_used + 1
+            assert res.evaluations == len(trials)
 
     def test_user_controls_init(self):
         model = get_model("xxz")

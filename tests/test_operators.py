@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -57,6 +62,20 @@ class TestCommutatorSuperop:
 
 
 class TestExpm:
+    def test_package_import_does_not_load_scipy(self):
+        # scipy serves only this wrapper; the package and the CLI import without it
+        import fisherctl
+
+        src = str(Path(fisherctl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import fisherctl, fisherctl.cli, sys; assert 'scipy' not in sys.modules"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_zero_generator_gives_identity(self):
         s = Superoperator.zero(2)
         out = expm(s, 3.7)
