@@ -363,6 +363,7 @@ def _print_summary(result: GrapeResult) -> None:
     print(f"tr_inv: {_fmt(result.final_tr_inv)}")
     print(f"iterations: {result.iterations_used}  converged: {result.converged}")
     print(f"evaluations: {result.evaluations}")
+    print(f"termination: {result.termination}")
 
 
 PULSE_KEYS = ("model", "noise", "rates", "x_true", "t", "amplitudes",

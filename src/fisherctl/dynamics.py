@@ -231,8 +231,8 @@ def step_liouvillians(model, x, controls: ControlGrid) -> np.ndarray:
     _check_fields(model, controls)
     l0 = build_liouvillian(model.h0(np.asarray(x, dtype=float)), model.noise).mat
     gens = np.broadcast_to(l0, (controls.num_steps,) + l0.shape)
-    for amps, hk in zip(controls.amplitudes, model.control_hams):
-        gens = gens + amps[:, None, None] * (-1j * commutator_superop(hk).mat)
+    for amps, ck in zip(controls.amplitudes, model.control_comms):
+        gens = gens + amps[:, None, None] * (-1j * ck)
     return gens
 
 

@@ -61,6 +61,17 @@ or "trapezoid" (used inside the ascent loop where per-iteration cost
 matters; bias is second order).  The textbook end-point form of these
 gradients is first order in dt and misses finite-difference checks at
 practical grid densities, which is why the refined quadratures are used.
+
+Quasi-Newton update
+-------------------
+The "bfgs" rule never forms the (p m) x (p m) inverse Hessian.  It keeps the
+accepted secant pairs ``(s_i, y_i, 1/s_i.y_i)`` since the last reset and
+applies the BFGS matrix they build from ``H_0 = I`` to the gradient by the
+two-loop recursion (Nocedal, Math. Comp. 35, 773 (1980)) over every pair.
+With no memory cap this is the same matrix as the dense update, at O(k p m)
+work and memory for k stored pairs.  Every operation acts on length-(p m)
+vectors, too small to wake a BLAS worker thread; stacking the pairs into one
+(k, p m) matrix product would reach that threshold again.
 """
 
 from __future__ import annotations
@@ -112,7 +123,9 @@ class GrapeConfig:
     [-init_amplitude, init_amplitude], seeded) or "user" (``user_controls``
     supplies the p x m amplitude grid).  ``update_rule`` is "gradient"
     (backtracking gradient ascent; plain fixed-step when ``fixed_step``) or
-    "bfgs" (quasi-Newton over the flattened control vector).
+    "bfgs" (quasi-Newton over the flattened control vector: exact BFGS from
+    every secant pair since the last reset, applied by the two-loop
+    recursion, with a backtracking line search from unit step).
     """
 
     step_size: float = 0.01
@@ -153,9 +166,16 @@ class GrapeResult:
     final_tr_inv: float
     iterations_used: int
     evaluations: int  # objective evaluations, rejected and failed trial points included
-    converged: bool
+    # why the loop stopped: "converged", "max_iters", "line_search_stall" or
+    # "numerical_failure" (a fixed step, or every trial of the last line
+    # search, raised)
+    termination: str
     objective: str
     final_objective: float
+
+    @property
+    def converged(self) -> bool:
+        return self.termination == "converged"
 
 
 def _half_step_propagators(trajectory: Trajectory) -> np.ndarray:
@@ -196,9 +216,7 @@ class GradientContext:
         self.segs = trajectory.segment_propagators
         self.rvecs = np.stack(trajectory.states).reshape(m + 1, d2)
 
-        self.ctrl_comms = np.stack(
-            [commutator_superop(hk).mat for hk in model.control_hams]
-        )
+        self.ctrl_comms = model.control_comms
         dh0 = model.dh0(trajectory.x)
         self.dh0_comms = np.stack([commutator_superop(dh).mat for dh in dh0])
         # (d^2, n d^2): a row vector times it applies every [dH0_a, .] at once;
@@ -474,15 +492,18 @@ def _initial_controls(model, t: float, m: int, config: GrapeConfig) -> ControlGr
     return ControlGrid(p, m, t, amps, config.amplitude_bound)
 
 
-def _bfgs_update(hinv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-    sy = float(s @ y)
-    if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-        return hinv  # curvature condition failed; keep the old approximation
-    rho = 1.0 / sy
-    hy = hinv @ y
-    yhy = float(y @ hy)
-    term = np.outer(s, hy)
-    return hinv - rho * (term + term.T) + rho**2 * (yhy + sy) * np.outer(s, s)
+def _bfgs_direction(pairs: list, g: np.ndarray) -> np.ndarray:
+    """``H g`` for the BFGS inverse Hessian that the secant pairs ``(s, y,
+    1/s.y)``, oldest first, build from ``H_0 = I``: the two-loop recursion."""
+    q = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * (s @ q)
+        q -= a * y
+        alphas.append(a)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * (y @ q)) * s
+    return q
 
 
 def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
@@ -520,18 +541,17 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
 
     obj, ctx = evaluate(controls)
     history = [obj]
-    n_ctrl = controls.num_fields * m
-    hinv = np.eye(n_ctrl) if config.update_rule == "bfgs" else None
+    pairs = []  # BFGS secant pairs (s, y, 1/s.y) since the last reset
     grad_flat = ctx.objective_gradient(objective).reshape(-1)
-    converged = False
+    termination = "max_iters"
     iterations = 0
     step_memory = config.step_size  # grows/shrinks with accepted steps
 
     for iterations in range(1, config.max_iters + 1):
         if config.update_rule == "bfgs":
-            direction = hinv @ grad_flat
+            direction = _bfgs_direction(pairs, grad_flat)
             if float(direction @ grad_flat) <= 0:
-                hinv = np.eye(n_ctrl)  # reset a non-ascent approximation
+                pairs.clear()  # reset a non-ascent approximation
                 direction = grad_flat.copy()
             step0 = 1.0
         else:
@@ -548,11 +568,10 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
             try:
                 new_obj, new_ctx = evaluate(candidate)
             except (PropagationError, SingularContribution):
-                converged = False
+                termination = "numerical_failure"
                 break
-            accepted = True
         else:
-            accepted = False
+            accepted = evaluated = False
             step = step0
             for _ in range(MAX_BACKTRACKS + 1):
                 new_amps = controls.amplitudes + step * direction.reshape(
@@ -568,12 +587,15 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
                 except (PropagationError, SingularContribution):
                     step *= 0.5
                     continue
+                evaluated = True
                 if new_obj > obj:
                     accepted = True
                     break
                 step *= 0.5
             if not accepted:
-                break  # stalled: no ascent at line-search resolution
+                # no ascent at line-search resolution
+                termination = "line_search_stall" if evaluated else "numerical_failure"
+                break
             if config.update_rule == "gradient":
                 step_memory = step
 
@@ -581,7 +603,10 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         if config.update_rule == "bfgs":
             s = (candidate.amplitudes - controls.amplitudes).reshape(-1)
             y = -(new_grad - grad_flat)  # gradients of the minimized (-objective)
-            hinv = _bfgs_update(hinv, s, y)
+            sy = float(s @ y)
+            # a pair that fails the curvature test keeps the old approximation
+            if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs.append((s, y, 1.0 / sy))
 
         controls, obj, grad_flat = candidate, new_obj, new_grad
         history.append(obj)
@@ -590,7 +615,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         if len(history) > w:
             change = abs(history[-1] - history[-1 - w])
             if change <= config.convergence_tol * max(abs(history[-1]), 1e-30):
-                converged = True
+                termination = "converged"
                 break
 
     final_traj = propagate(model, x_true, controls, probe, deriv_method="exact")
@@ -602,7 +627,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         final_tr_inv=tr_inv(final_cfim),
         iterations_used=iterations,
         evaluations=evaluations,
-        converged=converged,
+        termination=termination,
         objective=objective,
         final_objective=_objective_value(objective, final_cfim),
     )

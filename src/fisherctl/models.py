@@ -10,13 +10,14 @@ Pauli operators on each qubit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .dynamics import NoiseSpec
 from .errors import FisherctlError
-from .operators import I2, SX, SY, SZ, Povm, kron
+from .operators import I2, SX, SY, SZ, Povm, commutator_superop, kron
 
 __all__ = [
     "MODEL_NAMES",
@@ -59,6 +60,13 @@ class ParametricModel:
     @property
     def num_params(self) -> int:
         return len(self.param_names)
+
+    @cached_property
+    def control_comms(self) -> np.ndarray:
+        """The (p, d^2, d^2) stack of ``ad(H_k)``, each ``H_k`` validated once."""
+        comms = np.stack([commutator_superop(hk).mat for hk in self.control_hams])
+        comms.flags.writeable = False
+        return comms
 
 
 def local_control_hams() -> tuple:

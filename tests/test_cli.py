@@ -187,6 +187,15 @@ class TestOptimize:
         assert int(lines[at + 1].split()[1]) >= iters + 1
         assert "evaluations" not in json.loads(out.read_text())
 
+    def test_summary_reports_termination(self, tmp_path, capsys):
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.5", "--max-iters", "2",
+                    "--seed", "1", "--steps-per-unit", "12", "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("evaluations:"))
+        assert lines[at + 1] == "termination: max_iters"
+        assert "termination" not in json.loads(out.read_text())
+
     def test_replay_round_trip(self, tmp_path, capsys):
         out = tmp_path / "pulse.json"
         assert run(["optimize", "--model", "xxz", "--t", "0.8",

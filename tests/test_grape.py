@@ -133,6 +133,19 @@ def einsum_reference_grids(traj, povm, insertion):
     return dprob, np.real(resp + coef * future)
 
 
+def dense_bfgs_update(hinv, s, y):
+    """The dense inverse-Hessian BFGS update that the two-loop recursion in
+    ``optimize`` replaces, kept as the reference it must reproduce."""
+    sy = float(s @ y)
+    if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        return hinv  # curvature condition failed; keep the old approximation
+    rho = 1.0 / sy
+    hy = hinv @ y
+    yhy = float(y @ hy)
+    term = np.outer(s, hy)
+    return hinv - rho * (term + term.T) + rho**2 * (yhy + sy) * np.outer(s, s)
+
+
 @pytest.fixture(scope="module")
 def controlled_setup():
     rng = np.random.default_rng(41)
@@ -494,6 +507,79 @@ class TestOptimize:
             assert res.evaluations >= res.iterations_used + 1
             assert res.evaluations == len(trials)
 
+    def test_termination_reasons(self):
+        model = get_model("xxz")
+        common = dict(init_seed=3, steps_per_unit=20)
+        capped = optimize(model, model.true_values, None, None, 0.6,
+                          GrapeConfig(max_iters=2, update_rule="bfgs", **common))
+        assert (capped.termination, capped.converged) == ("max_iters", False)
+        assert capped.iterations_used == 2
+        done = optimize(model, model.true_values, None, None, 0.6, GrapeConfig(
+            max_iters=200, update_rule="bfgs", convergence_tol=1e-3, **common))
+        assert (done.termination, done.converged) == ("converged", True)
+        assert done.iterations_used < 200
+
+    def test_line_search_stall(self, monkeypatch):
+        import fisherctl.grape as grape_mod
+
+        # a flat objective: no trial point ever ascends
+        monkeypatch.setattr(grape_mod, "_objective_value", lambda objective, f: 1.0)
+        model = get_model("xxz")
+        for rule in ("gradient", "bfgs"):
+            res = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
+                max_iters=5, init_seed=1, steps_per_unit=12, update_rule=rule))
+            assert (res.termination, res.converged) == ("line_search_stall", False)
+            assert res.iterations_used == 1
+            assert res.evaluations == 1 + grape_mod.MAX_BACKTRACKS + 1
+
+    @pytest.mark.parametrize("rule,fixed", [("gradient", True), ("gradient", False),
+                                            ("bfgs", False)])
+    def test_numerical_failure(self, monkeypatch, rule, fixed):
+        import fisherctl.grape as grape_mod
+        from fisherctl import PropagationError
+
+        real_propagate = grape_mod.propagate
+        calls = []
+
+        def failing(*args, **kwargs):
+            # the initial evaluation and the final exact re-evaluation succeed;
+            # every trial point raises
+            if kwargs.get("deriv_method") is None:
+                calls.append(1)
+                if len(calls) > 1:
+                    raise PropagationError("injected failure")
+            return real_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(grape_mod, "propagate", failing)
+        model = get_model("xxz")
+        res = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
+            max_iters=5, init_seed=1, steps_per_unit=12, update_rule=rule,
+            fixed_step=fixed))
+        assert (res.termination, res.converged) == ("numerical_failure", False)
+        assert res.iterations_used == 1
+        assert res.evaluations == (2 if fixed else 1 + grape_mod.MAX_BACKTRACKS + 1)
+
+    def test_partly_failed_line_search_is_a_stall(self, monkeypatch):
+        import fisherctl.grape as grape_mod
+        from fisherctl import PropagationError
+
+        real_propagate = grape_mod.propagate
+        calls = []
+
+        def every_other(*args, **kwargs):
+            if kwargs.get("deriv_method") is None:
+                calls.append(1)
+                if len(calls) % 2 == 0:
+                    raise PropagationError("injected failure")
+            return real_propagate(*args, **kwargs)
+
+        monkeypatch.setattr(grape_mod, "propagate", every_other)
+        monkeypatch.setattr(grape_mod, "_objective_value", lambda objective, f: 1.0)
+        model = get_model("xxz")
+        res = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
+            max_iters=5, init_seed=1, steps_per_unit=12, update_rule="bfgs"))
+        assert res.termination == "line_search_stall"
+
     def test_user_controls_init(self):
         model = get_model("xxz")
         m = 15
@@ -512,3 +598,114 @@ class TestOptimize:
             GrapeConfig(init_scheme="user")
         with pytest.raises(InvariantViolation):
             GrapeConfig(update_rule="newton")
+
+
+class TestBfgsDirection:
+    """The two-loop recursion over the stored secant pairs against the dense
+    inverse-Hessian update it replaces."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_dense_update(self, seed):
+        from fisherctl.grape import _bfgs_direction
+
+        rng = np.random.default_rng(seed)
+        n = 60
+        hinv, pairs = np.eye(n), []
+        skipped = resets = 0
+        for it in range(40):
+            if it == 23:
+                hinv, pairs = np.eye(n), []  # a non-ascent reset
+                resets += 1
+            s = rng.normal(size=n)
+            y = rng.normal(size=n) + (2.0 if it % 7 else -2.0) * s
+            if it % 11 == 5:
+                y -= (s @ y) / (s @ s) * s  # s.y = 0 up to rounding
+            sy = float(s @ y)
+            if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+                pairs.append((s, y, 1.0 / sy))
+            else:
+                skipped += 1
+            hinv = dense_bfgs_update(hinv, s, y)
+            g = rng.normal(size=n)
+            want = hinv @ g
+            got = _bfgs_direction(pairs, g)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert skipped >= 4 and resets == 1 and len(pairs) >= 10
+
+    def test_empty_memory_returns_the_gradient(self):
+        from fisherctl.grape import _bfgs_direction
+
+        g = np.arange(5.0)
+        out = _bfgs_direction([], g)
+        assert np.array_equal(out, g) and out is not g
+
+    def test_optimize_directions_match_dense_matrix(self, monkeypatch):
+        # inside a real BFGS run, every direction equals the dense matrix
+        # built from the same stored pairs
+        import fisherctl.grape as grape_mod
+
+        real = grape_mod._bfgs_direction
+        seen = []
+
+        def checked(pairs, g):
+            hinv = np.eye(len(g))
+            for s, y, rho in pairs:
+                assert rho == 1.0 / float(s @ y)
+                assert s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
+                hinv = dense_bfgs_update(hinv, s, y)
+            out = real(pairs, g)
+            want = hinv @ g
+            assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
+            seen.append(len(pairs))
+            return out
+
+        monkeypatch.setattr(grape_mod, "_bfgs_direction", checked)
+        model = get_model("xxz")
+        optimize(model, model.true_values, None, None, 0.7, GrapeConfig(
+            max_iters=12, init_seed=3, steps_per_unit=30, update_rule="bfgs"))
+        assert max(seen) >= 5
+
+    def test_memory_stays_below_one_dense_matrix(self):
+        # 6 fields x 400 steps = 2400 controls, where one dense (p m)^2
+        # float64 inverse Hessian is 46.1 MB.  The run holds the propagators,
+        # the gradient workspaces and a few length-2400 secant pairs: its peak
+        # measured 15.8 MB (a 2.9x margin); the dense update peaked at 190 MB
+        import tracemalloc
+
+        model = get_model("magfield-xyz")
+        cfg = GrapeConfig(max_iters=3, init_seed=1, steps_per_unit=200,
+                          update_rule="bfgs")
+        n_ctrl = len(model.control_hams) * round(cfg.steps_per_unit * 2.0)
+        assert n_ctrl >= 2400
+        dense_bytes = n_ctrl**2 * 8
+        tracemalloc.start()
+        try:
+            res = optimize(model, model.true_values, None, None, 2.0, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.iterations_used == 3
+        assert peak < dense_bytes, (peak, dense_bytes)
+
+    def test_non_ascent_direction_resets_memory(self, monkeypatch):
+        import fisherctl.grape as grape_mod
+
+        real = grape_mod._bfgs_direction
+        seen = []
+
+        def flipped_once(pairs, g):
+            seen.append(len(pairs))
+            out = real(pairs, g)
+            return -out if len(seen) == 5 else out
+
+        monkeypatch.setattr(grape_mod, "_bfgs_direction", flipped_once)
+        model = get_model("xxz")
+        res = optimize(model, model.true_values, None, None, 0.7, GrapeConfig(
+            max_iters=8, init_seed=3, steps_per_unit=30, update_rule="bfgs"))
+        assert res.iterations_used == 8
+        # the flipped direction is replaced by the gradient and the pairs are
+        # dropped; the next call sees only the pair of that gradient step
+        assert seen[:5] == [0, 1, 2, 3, 4]
+        assert seen[5] == 1
+        hist = res.objective_history
+        assert all(b > a for a, b in zip(hist, hist[1:]))
