@@ -575,23 +575,26 @@ def cmd_validate() -> int:
             assert abs(np.trace(state).real - 1.0) < 1e-9
 
     def derivatives_match_differences():
-        # exact state derivatives of a noisy, driven trajectory against
-        # central differences in every parameter; the long grid's steps take
-        # the degree-13 Pade approximant with a squaring, the short one's a
-        # low degree
-        model = get_model("magfield-xyz")
-        x = model.true_values
-        amps = np.random.default_rng(7).uniform(-0.3, 0.3, (len(model.control_hams), 20))
+        # exact state derivatives against central differences in every
+        # parameter: a noisy driven trajectory (Pade derivative actions; the
+        # long grid's steps take the degree-13 approximant with a squaring,
+        # the short one's a low degree) and a noiseless one (Daleckii-Krein),
+        # the latter also uncontrolled, where the spectrum is degenerate
+        amps = np.random.default_rng(7).uniform(-0.3, 0.3, (6, 20))
         h = 1e-5
-        for t in (1.0, 30.0):
-            grid = ControlGrid(amps.shape[0], amps.shape[1], t, amps)
-            exact = propagate(model, x, grid, deriv_method="exact").final_derivs
-            for a, step in enumerate(h * np.eye(len(x))):
-                fd = (propagate(model, x + step, grid, deriv_method=None).final_state
-                      - propagate(model, x - step, grid, deriv_method=None).final_state)
-                fd /= 2 * h
-                rel = np.max(np.abs(exact[a] - fd)) / np.max(np.abs(fd))
-                assert rel < 1e-6, f"T={t}, parameter {a}: relative deviation {rel:.2e}"
+        for noise, ctrl in ((True, amps), (False, amps), (False, 0.0 * amps)):
+            model = get_model("magfield-xyz", noise=noise)
+            x = model.true_values
+            for t in (1.0, 30.0):
+                grid = ControlGrid(6, 20, t, ctrl)
+                exact = propagate(model, x, grid, deriv_method="exact").final_derivs
+                for a, step in enumerate(h * np.eye(len(x))):
+                    fd = (propagate(model, x + step, grid, deriv_method=None).final_state
+                          - propagate(model, x - step, grid, deriv_method=None).final_state)
+                    fd /= 2 * h
+                    rel = np.max(np.abs(exact[a] - fd)) / np.max(np.abs(fd))
+                    assert rel < 1e-6, (f"noise={noise}, T={t}, parameter {a}: "
+                                        f"relative deviation {rel:.2e}")
 
     check("closed-form probabilities (coupling models)", probabilities_match)
     check("quantum vs classical information ordering", information_ordering)

@@ -12,13 +12,18 @@ spectral form ``exp(dt L) = U kron conj(U)`` from one stacked ``eigh``, and a
 grid whose steps are all equal is exponentiated once and broadcast.
 
 The state is advanced step by step as ``rho_j = exp(dt L_j) rho_{j-1}``, and
-the parameter derivatives of the state are carried along exactly: the
-per-step derivative of the exponential in direction ``dt dL_a`` is the
-Frechet derivative of the same Pade approximant (Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 30, 1639 (2009)), computed by :func:`expm_stack` in the
-pass that exponentiates the step generators and exact to machine precision
-for piecewise-constant generators.  The finite-difference gradient checks
-(acceptance criterion C3) compare against these derivatives.
+the parameter derivatives of the state are carried along exactly as
+``drho_j = exp(dt L_j) drho_{j-1} + f_j``.  The source ``f_j`` is the
+derivative of step j's exponential in direction ``dt dL_a`` applied to
+``rho_{j-1}``; it is computed as an action on the stored states, never as a
+per-step derivative matrix.  Noisy steps apply the Frechet derivative of the
+same Pade approximant (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
+(2009)) to the states (:func:`_frechet_action`).  Noiseless steps
+differentiate ``U = exp(-i dt H)`` by the Daleckii-Krein formula on the
+spectral decomposition that already gives U (:func:`_daleckii_krein`).  Both
+are exact to machine precision for piecewise-constant generators, and the
+finite-difference gradient checks (acceptance criterion C3) compare against
+them.
 """
 
 from __future__ import annotations
@@ -236,120 +241,169 @@ def step_liouvillians(model, x, controls: ControlGrid) -> np.ndarray:
     return gens
 
 
-def _times(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # X_a @ Y_i for every block of x = [X_1 | ... | X_p] (..., n, p*n)
-    n = y.shape[-1]
-    return (x.reshape(x.shape[:-2] + (-1, n)) @ y).reshape(len(y), n, -1)
-
-
-def _expm_chunk(a: np.ndarray, e: np.ndarray | None = None):
-    # One scaling-and-squaring pass over a (k, n, n) chunk: the lowest Pade
-    # degree whose theta bounds the chunk's largest 1-norm, else degree 13
-    # after scaling by 2^-s, then s squarings.  Given directions side by side,
-    # e = [E_1 | ... | E_p] (n, p*n), the Frechet derivatives L(A_i, E_a) of
-    # the same approximant are carried along, side by side as well (Al-Mohy &
-    # Higham 2009, Alg. 6.4): mX is the derivative of the power aX and lw/lu/lv
-    # those of w/u/v.  They never change the operations that produce exp(A_i).
+def _pade_order(a: np.ndarray):
+    # The lowest Pade degree m whose theta bounds the largest 1-norm eta of a
+    # (k, n, n) chunk, else degree 13 after scaling by 2^-s; returns (m, s).
     eta = float(np.abs(a).sum(axis=-2).max())
     if not np.isfinite(eta):
         raise PropagationError("matrix exponential of a non-finite generator")
     m = next((m for m, theta in _PADE_THETA if eta <= theta), 13)
+    if m < 13:
+        return m, 0
+    return m, max(0, int(np.ceil(np.log2(eta / _PADE_THETA_13))))
+
+
+def _pade(a: np.ndarray, m: int, s: int):
+    # Numerator parts of the degree-m approximant of a (k, n, n) stack scaled
+    # by 2^-s: returns (b, scaled a, u, v) with r(a) = (v - u)^-1 (v + u)
+    # and exp(A_i) ~ r(a_i)^(2^s).
     b = _PADE_COEFFS[m]
     eye = np.eye(a.shape[-1], dtype=a.dtype)
-    s = 0
     if m == 13:
-        s = max(0, int(np.ceil(np.log2(eta / _PADE_THETA_13))))
         a = a * 2.0**-s
         a2 = a @ a
         a4 = a2 @ a2
         a6 = a2 @ a4
         w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
-        w = a6 @ w1 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-        u = a @ w
+        u = a @ (a6 @ w1 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
         z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
         v = a6 @ z1 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-        if e is not None:
-            e = e * 2.0**-s
-            m2 = a @ e + _times(e, a)
-            m4 = a2 @ m2 + _times(m2, a2)
-            m6 = a4 @ m2 + _times(m4, a2)
-            lw = (a6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + _times(m6, w1)
-                  + b[7] * m6 + b[5] * m4 + b[3] * m2)
-            lu = a @ lw + _times(e, w)
-            lv = (a6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + _times(m6, z1)
-                  + b[6] * m6 + b[4] * m4 + b[2] * m2)
-    else:
-        a2 = a @ a
-        power = a2
-        u = b[1] * eye + b[3] * a2
-        v = b[0] * eye + b[2] * a2
-        if e is not None:
-            m2 = a @ e + _times(e, a)
-            mpow = m2
-            lw = b[3] * m2
-            lv = b[2] * m2
-        for i in range(4, m + 1, 2):
-            if e is not None:
-                mpow = power @ m2 + _times(mpow, a2)
-                lw = lw + b[i + 1] * mpow
-                lv = lv + b[i] * mpow
-            power = power @ a2
-            u = u + b[i + 1] * power
-            v = v + b[i] * power
-        if e is not None:
-            lu = a @ lw + _times(e, u)
-        u = a @ u
+        return b, a, u, v
+    a2 = a @ a
+    power = a2
+    u = b[1] * eye + b[3] * a2
+    v = b[0] * eye + b[2] * a2
+    for i in range(4, m + 1, 2):
+        power = power @ a2
+        u = u + b[i + 1] * power
+        v = v + b[i] * power
+    return b, a, a @ u, v
+
+
+def _expm_chunk(a: np.ndarray) -> np.ndarray:
+    # One scaling-and-squaring pass over a (k, n, n) chunk.
+    m, s = _pade_order(a)
+    _, a, u, v = _pade(a, m, s)
     r = np.linalg.solve(v - u, v + u)
-    if e is None:
-        for _ in range(s):
-            r = r @ r
-        return r
-    # one solve with V - U for all directions: their right-hand sides sit
-    # side by side
-    lmat = np.linalg.solve(v - u, (lu + lv) + _times(lu - lv, r))
     for _ in range(s):
-        lmat = r @ lmat + _times(lmat, r)
         r = r @ r
-    return r, lmat
+    return r
 
 
-def expm_stack(a: np.ndarray, directions: np.ndarray | None = None):
+def expm_stack(a: np.ndarray) -> np.ndarray:
     """``exp(A_i)`` for every matrix of a ``(k, n, n)`` stack.
 
     Scaling-and-squaring Pade method of Higham (SIAM J. Matrix Anal. Appl. 26,
     1179 (2005)) over chunks of :data:`EXPM_CHUNK` matrices, each chunk in a
-    few stacked ``matmul``/``solve`` calls.  Given a ``(p, n, n)`` stack of
-    ``directions`` E_a, it returns ``(exp(A_i), L(A_i, E_a))``, the second of
-    shape ``(k, p, n, n)``: the Frechet derivatives of the same approximant
-    (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639 (2009)), computed
-    in the same pass, with the exponentials bit-identical to the call without
-    directions.
+    few stacked ``matmul``/``solve`` calls.  Derivatives of the exponentials
+    are never formed as matrices: :func:`propagate` applies them to the states
+    (:func:`_frechet_action`).
     """
     a = np.asarray(a, dtype=complex)
-    k, n = a.shape[:2]
     out = np.empty(a.shape, dtype=complex)
-    if directions is None:
-        for lo in range(0, k, EXPM_CHUNK):
-            out[lo:lo + EXPM_CHUNK] = _expm_chunk(a[lo:lo + EXPM_CHUNK])
-        return out
-    e = np.asarray(directions, dtype=complex)
+    for lo in range(0, len(a), EXPM_CHUNK):
+        out[lo:lo + EXPM_CHUNK] = _expm_chunk(a[lo:lo + EXPM_CHUNK])
+    return out
+
+
+def _frechet_action_chunk(a, e, w, ew):
+    # L(A_i, E_a) w_i for one chunk of generators, or for the one generator
+    # of a uniform grid shared by every state: the Frechet derivative of the
+    # approximant that exp(A_i) took, applied to vectors (Al-Mohy & Higham
+    # 2009 for the algebra).  w and ew = exp(A_i) w_i are (k, n); returns
+    # (k, p, n).  Every product is a stack of small per-step ones, none large
+    # enough to wake OpenBLAS's worker threads.
+    deg, s = _pade_order(a)
+    b, a, u, v = _pade(a, deg, s)
+    w, ew = w[..., None], ew[..., None]
+    if s:
+        # exp(A) ~ r^N, N = 2^s: L(A, E) w = sum_i r^(N-1-i) L_r(a, E/N) z_i
+        # over the sub-step vectors z_i = r^i w, side by side
+        e = e * 2.0**-s
+        r = np.linalg.solve(v - u, v + u)
+        z = [w]
+        for _ in range(2**s):
+            z.append(r @ z[-1])
+        w, ew = np.concatenate(z[:-1], axis=-1), np.concatenate(z[1:], axis=-1)
+    # With r = (v - u)^-1 (v + u) and ew = r w:  L_r w = (v - u)^-1 (dU y+ +
+    # dV y-), y+- = w +- ew, the odd Pade terms on y+ and the even on y-.
+    # The derivative of sum_i b_i a^i applied to Y_i is sum_l a^l E q_l with
+    # q_{l-1} = a q_l + b_l Y_l, q_{m-1} = b_m Y_m: one descending pass, which
+    # applies [a; E_1; ...; E_p] to q_l and sums g = a g + E q_l.
+    k, n, cols = w.shape
     p = len(e)
-    side = e.transpose(1, 0, 2).reshape(n, p * n)
-    frechet = np.empty((k, p, n, n), dtype=complex)
-    for lo in range(0, k, EXPM_CHUNK):
-        out[lo:lo + EXPM_CHUNK], lmat = _expm_chunk(a[lo:lo + EXPM_CHUNK], side)
-        frechet[lo:lo + EXPM_CHUNK] = lmat.reshape(-1, n, p, n).transpose(0, 2, 1, 3)
-    return out, frechet
+    y = (w + ew, w - ew)
+    # rows (i, a) of the E part: its product is g's (n, p*cols) layout as is
+    ops = np.concatenate([a, np.broadcast_to(e.transpose(1, 0, 2).reshape(n * p, n),
+                                             (len(a), n * p, n))], axis=1)
+    q = b[deg] * y[(deg + 1) % 2]
+    for l in range(deg - 1, -1, -1):
+        both = ops @ q
+        eq = both[:, n:].reshape(k, n, p * cols)
+        g = eq if l == deg - 1 else a @ g + eq
+        q = both[:, :n] + b[l] * y[(l + 1) % 2]
+    # a generator shared by every state (a uniform grid) is inverted once
+    g = np.linalg.inv(v - u) @ g if len(a) < k else np.linalg.solve(v - u, g)
+    if s:
+        subs = g.reshape(k, n, p, cols)
+        g = subs[..., 0]
+        for i in range(1, cols):
+            g = r @ g + subs[..., i]
+    return g.reshape(k, n, p).transpose(0, 2, 1)
 
 
-def _spectral_propagators(hams: np.ndarray, tau: float) -> np.ndarray:
-    # Exponential of a purely Hamiltonian (normal) generator for each step:
-    # exp(tau L) = U kron conj(U) with U = exp(-i tau H).
+def _frechet_action(a: np.ndarray, directions: np.ndarray, w: np.ndarray,
+                    ew: np.ndarray) -> np.ndarray:
+    """``L(A_j, E_a) w_j`` for every state w_j, never forming ``L(A_j, E_a)``.
+
+    The Frechet derivative of the same Pade approximant as :func:`expm_stack`,
+    applied to vectors (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
+    (2009)), chunk by chunk with the same degree and scaling.  ``a`` is the
+    ``(m, n, n)`` stack of generators, or ``(1, n, n)`` for a uniform grid
+    whose states all share one step; ``w`` and ``ew = exp(A_j) w_j`` are
+    ``(m, n)``.  Returns ``(m, p, n)`` for the ``(p, n, n)`` directions.
+    """
+    e = np.asarray(directions, dtype=complex)
+    out = np.empty((len(w), len(e), w.shape[1]), dtype=complex)
+    shared = len(a) == 1
+    # a shared generator takes its states in blocks that bound the temporaries
+    step = EXPM_CHUNK * EXPM_CHUNK if shared else EXPM_CHUNK
+    for lo in range(0, len(w), step):
+        rows = slice(lo, lo + step)
+        out[rows] = _frechet_action_chunk(a if shared else a[rows], e, w[rows], ew[rows])
+    return out
+
+
+def _unitaries(hams: np.ndarray, tau: float):
+    # U = exp(-i tau H) = V e^{-i tau Lambda} V^dagger for every step from one
+    # stacked eigh; returns (U, Lambda, V).
     evals, evecs = np.linalg.eigh(hams)
     u = (evecs * np.exp(-1j * tau * evals)[:, None, :]) @ np.conj(evecs.swapaxes(1, 2))
+    return u, evals, evecs
+
+
+def _superop(u: np.ndarray) -> np.ndarray:
+    # exp(tau L) = U kron conj(U) of a purely Hamiltonian (normal) generator
     k, d = u.shape[:2]
     kron = u[:, :, None, :, None] * np.conj(u)[:, None, :, None, :]
     return kron.reshape(k, d * d, d * d)
+
+
+def _daleckii_krein(evals: np.ndarray, evecs: np.ndarray, tau: float,
+                    dhams: np.ndarray) -> np.ndarray:
+    """``dU`` of ``U = exp(-i tau H)`` in each direction ``dH_a``, (k, p, d, d).
+
+    Daleckii-Krein (Higham, *Functions of Matrices*, SIAM 2008, Thm 3.11):
+    ``dU = V (G o (V^dagger (-i tau dH) V)) V^dagger`` with the divided
+    differences of exp over ``-i tau lambda`` in the stable form
+    ``G_ij = exp(-i tau (l_i + l_j)/2) sinc(tau (l_i - l_j)/2)``, exact for
+    coincident eigenvalues without a degeneracy threshold.
+    """
+    half = 0.5 * tau * (evals[:, :, None] - evals[:, None, :])
+    gamma = np.exp(-0.5j * tau * (evals[:, :, None] + evals[:, None, :])) * np.sinc(half / np.pi)
+    vh = np.conj(evecs.swapaxes(1, 2))[:, None]
+    inner = vh @ (-1j * tau * np.asarray(dhams, dtype=complex)) @ evecs[:, None]
+    return evecs[:, None] @ (gamma[:, None] * inner) @ vh
 
 
 def _distinct_steps(controls: ControlGrid) -> ControlGrid:
@@ -366,7 +420,7 @@ def _distinct_steps(controls: ControlGrid) -> ControlGrid:
 def _step_propagators(model, x, steps: ControlGrid, tau: float) -> np.ndarray:
     """``exp(tau L_j)`` for every step of ``steps`` as one stack."""
     if not model.noise:
-        return _spectral_propagators(step_hamiltonians(model, x, steps), tau)
+        return _superop(_unitaries(step_hamiltonians(model, x, steps), tau)[0])
     return expm_stack(tau * step_liouvillians(model, x, steps))
 
 
@@ -399,45 +453,49 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     d = model.dim
     dt = controls.dt
     m = controls.num_steps
-    n_par = len(model.param_names)
-    derivs_wanted = deriv_method is not None
 
     steps = _distinct_steps(controls)
-    if derivs_wanted:
-        # the step exponentials and their exact parameter derivatives
-        # L(dt L_j, dt dL_a) come from one kernel pass; noiseless steps keep
-        # their spectral exponentials
-        dl_mats = np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
-        segs, dsegs = expm_stack(dt * step_liouvillians(model, x, steps), dt * dl_mats)
-        if not model.noise:
-            segs = _spectral_propagators(step_hamiltonians(model, x, steps), dt)
-        dsegs = np.broadcast_to(dsegs, (m,) + dsegs.shape[1:])
+    if model.noise:
+        gens = dt * step_liouvillians(model, x, steps)
+        segs = expm_stack(gens)
     else:
-        segs = _step_propagators(model, x, steps, dt)
+        u, evals, evecs = _unitaries(step_hamiltonians(model, x, steps), dt)
+        segs = _superop(u)
     if not np.all(np.isfinite(segs)):
         raise PropagationError(f"step propagators are not finite (dt={dt:.3g})")
     segs = np.broadcast_to(segs, (m,) + segs.shape[1:])
 
-    rho_v = vec(probe)
-    states = [probe]
-    drho_v = np.zeros((n_par, d * d), dtype=complex) if derivs_wanted else None
-    derivs = [np.zeros((n_par, d, d), dtype=complex)] if derivs_wanted else None
-
+    rho = np.empty((m + 1, d * d), dtype=complex)
+    rho[0] = vec(probe)
     for j in range(m):
-        prev_v = rho_v
-        rho_v = segs[j] @ rho_v
-        tr = np.sum(rho_v.reshape(d, d).diagonal())
-        if not np.isfinite(tr.real) or abs(tr - 1.0) > TRACE_DRIFT_ABORT:
-            raise PropagationError(
-                f"trace drifted to {tr:.6g} at step {j + 1} of {m} "
-                f"(dt={dt:.3g}); propagation aborted"
-            )
-        states.append(rho_v.reshape(d, d))
-        if derivs_wanted:
-            drho_v = drho_v @ segs[j].T + dsegs[j] @ prev_v
-            derivs.append(drho_v.reshape(n_par, d, d))
+        rho[j + 1] = segs[j] @ rho[j]
+    states = rho.reshape(m + 1, d, d)
+    tr = np.trace(states[1:], axis1=1, axis2=2)
+    drift = ~np.isfinite(tr.real) | (np.abs(tr - 1.0) > TRACE_DRIFT_ABORT)
+    if drift.any():
+        j = int(np.argmax(drift))
+        raise PropagationError(
+            f"trace drifted to {tr[j]:.6g} at step {j + 1} of {m} "
+            f"(dt={dt:.3g}); propagation aborted"
+        )
 
-    param_derivs = np.stack(derivs, axis=1) if derivs_wanted else None
+    param_derivs = None
+    if deriv_method is not None:
+        # src[j, a] = d exp(dt L_j)/dx_a rho_{j-1}: the derivative of each
+        # step's own exponential, applied to the state it acts on; a uniform
+        # grid has one step matrix for all states
+        if model.noise:
+            src = _frechet_action(gens, dt * (-1j * model.dh0_comms(x)), rho[:-1], rho[1:])
+        else:
+            du = _daleckii_krein(evals, evecs, dt, np.stack(model.dh0(x)))
+            act = du @ (states[:-1] @ np.conj(u.swapaxes(1, 2)))[:, None]
+            src = (act + np.conj(act.swapaxes(-1, -2))).reshape(m, -1, d * d)
+        n_par = src.shape[1]
+        drho = np.zeros((n_par, m + 1, d * d), dtype=complex)
+        segs_t = segs.swapaxes(1, 2)
+        for j in range(m):
+            drho[:, j + 1] = drho[:, j] @ segs_t[j] + src[j]
+        param_derivs = drho.reshape(n_par, m + 1, d, d)
     return Trajectory(
         model=model,
         x=x,

@@ -98,7 +98,7 @@ from .errors import (
     SingularContribution,
 )
 from .fisher import EPS_P, FisherMatrix, cfim, objective_f0, objective_fcle, tr_inv
-from .operators import Povm, commutator_superop, vec
+from .operators import Povm, vec
 
 __all__ = [
     "GradientContext",
@@ -217,8 +217,7 @@ class GradientContext:
         self.rvecs = np.stack(trajectory.states).reshape(m + 1, d2)
 
         self.ctrl_comms = model.control_comms
-        dh0 = model.dh0(trajectory.x)
-        self.dh0_comms = np.stack([commutator_superop(dh).mat for dh in dh0])
+        self.dh0_comms = model.dh0_comms(trajectory.x)
         # (d^2, n d^2): a row vector times it applies every [dH0_a, .] at once;
         # products stay one small matrix per step, below OpenBLAS's threading
         # threshold

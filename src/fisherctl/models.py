@@ -68,6 +68,24 @@ class ParametricModel:
         comms.flags.writeable = False
         return comms
 
+    def dh0_comms(self, x) -> np.ndarray:
+        """The (n, d^2, d^2) stack of ``ad(dH0/dx_a)`` at x, read-only.
+
+        Built once per point: the last point's stack is kept and served again
+        while x is unchanged.
+        """
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        # the (key, stack) pair is read and replaced as one object, so threads
+        # sharing the model each get their own point's stack
+        cached = self.__dict__.get("_dh0_comms")
+        if cached is None or cached[0] != key:
+            comms = np.stack([commutator_superop(dh).mat for dh in self.dh0(x)])
+            comms.flags.writeable = False
+            cached = (key, comms)
+            self.__dict__["_dh0_comms"] = cached
+        return cached[1]
+
 
 def local_control_hams() -> tuple:
     """Six local control fields: sigma_1..3 on qubit 1, then on qubit 2."""

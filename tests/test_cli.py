@@ -351,20 +351,25 @@ class TestValidate:
         assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_broken_derivative_kernel_fails(self, capsys, monkeypatch):
+        # skew the Pade derivative action that noisy steps use
         import fisherctl.dynamics as dyn
 
-        kernel = dyn.expm_stack
-
-        def skewed(a, directions=None):
-            if directions is None:
-                return kernel(a)
-            exps, frechet = kernel(a, directions)
-            return exps, 1.001 * frechet
-
-        monkeypatch.setattr(dyn, "expm_stack", skewed)
+        kernel = dyn._frechet_action
+        monkeypatch.setattr(dyn, "_frechet_action", lambda *args: 1.001 * kernel(*args))
         assert run(["validate"]) != 0
         out = capsys.readouterr().out
         assert "[FAIL] exact state derivatives vs finite differences" in out
+
+    def test_broken_noiseless_derivative_fails(self, capsys, monkeypatch):
+        # skew the Daleckii-Krein derivatives that noiseless steps use
+        import fisherctl.dynamics as dyn
+
+        kernel = dyn._daleckii_krein
+        monkeypatch.setattr(dyn, "_daleckii_krein", lambda *args: 1.001 * kernel(*args))
+        assert run(["validate"]) != 0
+        out = capsys.readouterr().out
+        assert "[FAIL] exact state derivatives vs finite differences" in out
+        assert "noise=False" in out
 
 
 class TestEntryPoint:

@@ -20,7 +20,7 @@ from fisherctl.dynamics import expm_stack
 from fisherctl.models import bell_povm, pm_povm
 from fisherctl.operators import I2, SX, SZ, kron
 
-from conftest import uncontrolled_trajectory, zero_controls
+from conftest import random_density, random_hermitian, uncontrolled_trajectory, zero_controls
 
 
 def magfield_evolved_ket(b, theta, phi, t):
@@ -276,20 +276,17 @@ class TestExpmStack:
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_frechet_matches_scipy(self, rng, norm, dim, count):
+        # the Frechet derivative of the Pade approximant applied to vectors,
+        # L(A_i, E_a) w_i, against scipy's Frechet matrix times w_i
         a = _scaled_stack(rng, 2 * dyn.EXPM_CHUNK + 3, dim, norm)
         e = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
-        _, frechet = expm_stack(a, e)
-        assert frechet.shape == (len(a), count, dim, dim)
-        for blocks, x in zip(frechet, a):
-            for block, direction in zip(blocks, e):
-                ref = scipy.linalg.expm_frechet(x, direction, compute_expm=False)
-                assert _rel(block, ref) <= 1e-13
-
-    @pytest.mark.parametrize("norm", [1e-3, 0.5, 4.0, 200.0])
-    def test_directions_leave_the_exponentials_unchanged(self, rng, norm):
-        a = _scaled_stack(rng, 2 * dyn.EXPM_CHUNK + 3, 16, norm)
-        e = rng.normal(size=(3, 16, 16)) + 1j * rng.normal(size=(3, 16, 16))
-        assert np.array_equal(expm_stack(a, e)[0], expm_stack(a))
+        w = rng.normal(size=(len(a), dim)) + 1j * rng.normal(size=(len(a), dim))
+        got = dyn._frechet_action(a, e, w, (expm_stack(a) @ w[..., None])[..., 0])
+        assert got.shape == (len(a), count, dim)
+        for acts, x, v in zip(got, a, w):
+            for act, direction in zip(acts, e):
+                ref = scipy.linalg.expm_frechet(x, direction, compute_expm=False) @ v
+                assert _rel(act, ref) <= 1e-13
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_noisy_propagation_identical_with_and_without_derivatives(self, rng, name):
@@ -304,6 +301,10 @@ class TestExpmStack:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @pytest.mark.parametrize("noise", [True, False])
     def test_derivative_blocks_match_augmented_scipy(self, rng, name, noise):
+        # each step's derivative L(dt L_j, dt dL_a) applied to a state: the
+        # Pade action for noisy steps, dU rho U^+ + U rho dU^+ from
+        # Daleckii-Krein for noiseless ones, against the top-right block of
+        # the augmented exponential
         model = get_model(name, noise=noise)
         x = model.true_values
         p = len(model.control_hams)
@@ -311,13 +312,36 @@ class TestExpmStack:
         dt = grid.dt
         gens = step_liouvillians(model, x, grid)
         dls = np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
-        _, blocks = expm_stack(dt * gens, dt * dls)
+        d = model.dim
+        rhos = np.stack([random_density(rng, d) for _ in gens])
+        if noise:
+            w = rhos.reshape(len(gens), d * d, 1)
+            acts = dyn._frechet_action(dt * gens, dt * dls, w[..., 0],
+                                       (expm_stack(dt * gens) @ w)[..., 0])
+        else:
+            u, evals, evecs = dyn._unitaries(dyn.step_hamiltonians(model, x, grid), dt)
+            du = dyn._daleckii_krein(evals, evecs, dt, np.stack(model.dh0(x)))
+            acts = du @ (rhos @ np.conj(u.swapaxes(1, 2)))[:, None]
+            acts = (acts + np.conj(acts.swapaxes(-1, -2))).reshape(len(gens), -1, d * d)
         d2 = gens.shape[1]
         zero = np.zeros((d2, d2))
         for j, gen in enumerate(gens):
             for a, dl in enumerate(dls):
                 ref = scipy.linalg.expm(dt * np.block([[gen, dl], [zero, gen]]))
-                assert _rel(blocks[j, a], ref[:d2, d2:]) <= 1e-13
+                assert _rel(acts[j, a], ref[:d2, d2:] @ rhos[j].reshape(-1)) <= 1e-13
+
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_uniform_grid_longer_than_one_action_pass(self, monkeypatch, noise):
+        # a uniform grid's states are the columns of one derivative action,
+        # taken in blocks
+        model = get_model("magfield-xyz", noise=noise)
+        p = len(model.control_hams)
+        m = 2 * dyn.EXPM_CHUNK**2 + 5
+        grid = ControlGrid(p, m, 3.0, np.full((p, m), -0.2))
+        short = propagate(model, model.true_values, grid)
+        monkeypatch.setattr(dyn, "_distinct_steps", lambda controls: controls)
+        full = propagate(model, model.true_values, grid)
+        assert _rel(short.param_derivs, full.param_derivs) <= 1e-13
 
     def test_hot_path_does_not_call_scipy_expm(self, monkeypatch, rng):
         from fisherctl import GrapeConfig, optimize
@@ -426,3 +450,186 @@ class TestDerivativeDiscretization:
         d1 = propagate(model, model.true_values, zero_controls(t, 50)).final_derivs
         d2 = propagate(model, model.true_values, zero_controls(t, 100)).final_derivs
         assert np.abs(d1 - d2).max() < 1e-12
+
+
+# -- reference: the Frechet-matrix recursion that exact propagation replaced --
+# Every step's (p, d^2, d^2) derivative matrices L(dt L_j, dt dL_a) from the
+# Frechet derivative of the Pade approximant carried through the same pass
+# (Al-Mohy & Higham 2009, Alg. 6.4), then drho_j = E_j drho_{j-1} + L_j rho_{j-1}.
+
+
+def _ref_times(x, y):
+    n = y.shape[-1]
+    return (x.reshape(x.shape[:-2] + (-1, n)) @ y).reshape(len(y), n, -1)
+
+
+def _ref_expm_frechet_chunk(a, e):
+    eta = float(np.abs(a).sum(axis=-2).max())
+    m = next((m for m, theta in dyn._PADE_THETA if eta <= theta), 13)
+    b = dyn._PADE_COEFFS[m]
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    s = 0
+    if m == 13:
+        s = max(0, int(np.ceil(np.log2(eta / dyn._PADE_THETA_13))))
+        a, e = a * 2.0**-s, e * 2.0**-s
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
+        w = a6 @ w1 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+        u = a @ w
+        z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
+        v = a6 @ z1 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+        m2 = a @ e + _ref_times(e, a)
+        m4 = a2 @ m2 + _ref_times(m2, a2)
+        m6 = a4 @ m2 + _ref_times(m4, a2)
+        lw = (a6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + _ref_times(m6, w1)
+              + b[7] * m6 + b[5] * m4 + b[3] * m2)
+        lu = a @ lw + _ref_times(e, w)
+        lv = (a6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + _ref_times(m6, z1)
+              + b[6] * m6 + b[4] * m4 + b[2] * m2)
+    else:
+        a2 = a @ a
+        power = a2
+        mpow = m2 = a @ e + _ref_times(e, a)
+        u = b[1] * eye + b[3] * a2
+        v = b[0] * eye + b[2] * a2
+        lw, lv = b[3] * m2, b[2] * m2
+        for i in range(4, m + 1, 2):
+            mpow = power @ m2 + _ref_times(mpow, a2)
+            lw = lw + b[i + 1] * mpow
+            lv = lv + b[i] * mpow
+            power = power @ a2
+            u = u + b[i + 1] * power
+            v = v + b[i] * power
+        lu = a @ lw + _ref_times(e, u)
+        u = a @ u
+    r = np.linalg.solve(v - u, v + u)
+    lmat = np.linalg.solve(v - u, (lu + lv) + _ref_times(lu - lv, r))
+    for _ in range(s):
+        lmat = r @ lmat + _ref_times(lmat, r)
+        r = r @ r
+    return r, lmat
+
+
+def _reference_param_derivs(model, x, grid):
+    dt, d2 = grid.dt, model.dim**2
+    gens = dt * step_liouvillians(model, x, grid)
+    dls = dt * np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
+    p = len(dls)
+    side = dls.transpose(1, 0, 2).reshape(d2, p * d2)
+    segs, dsegs = [], []
+    for lo in range(0, len(gens), dyn.EXPM_CHUNK):
+        r, lmat = _ref_expm_frechet_chunk(gens[lo:lo + dyn.EXPM_CHUNK], side)
+        segs.append(r)
+        dsegs.append(lmat.reshape(-1, d2, p, d2).transpose(0, 2, 1, 3))
+    segs, dsegs = np.concatenate(segs), np.concatenate(dsegs)
+    if not model.noise:  # the spectral exponentials, Pade derivatives
+        evals, evecs = np.linalg.eigh(dyn.step_hamiltonians(model, x, grid))
+        u = (evecs * np.exp(-1j * dt * evals)[:, None, :]) @ np.conj(evecs.swapaxes(1, 2))
+        segs = np.stack([np.kron(uj, np.conj(uj)) for uj in u])
+    rho = model.default_probe.reshape(-1)
+    drho = np.zeros((p, d2), dtype=complex)
+    out = [drho]
+    for seg, dseg in zip(segs, dsegs):
+        drho = drho @ seg.T + dseg @ rho
+        rho = seg @ rho
+        out.append(drho)
+    return np.stack(out, axis=1).reshape(p, len(gens) + 1, model.dim, model.dim)
+
+
+def _random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestExactDerivatives:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("t", [0.5, 2.0, 30.0])
+    def test_param_derivs_match_frechet_matrix_recursion(self, rng, name, noise, t):
+        # T = 30 on 20 steps takes the degree-13 approximant with squarings
+        model = get_model(name, noise=noise)
+        p = len(model.control_hams)
+        m = 20 if t > 10 else round(100 * t)
+        grid = ControlGrid(p, m, t, rng.uniform(-0.3, 0.3, size=(p, m)))
+        got = propagate(model, model.true_values, grid).param_derivs
+        ref = _reference_param_derivs(model, model.true_values, grid)
+        assert _rel(got, ref) <= 1e-13
+
+    @pytest.mark.parametrize("spectrum", ["zero-control", "split", "random"])
+    @pytest.mark.parametrize("tau", [0.01, 0.7, 3.0])
+    def test_daleckii_krein_matches_expm_frechet(self, rng, spectrum, tau):
+        if spectrum == "zero-control":
+            # the field models' free Hamiltonians: doubly degenerate +-B
+            hams, dhams = [], []
+            for name in ("magfield", "magfield-xyz"):
+                model = get_model(name, noise=False)
+                hams.append(model.h0(model.true_values))
+                dhams.append(np.stack(model.dh0(model.true_values)))
+        elif spectrum == "split":
+            hams, dhams = [], []
+            for split in (1e-12, 1e-10, 1e-8, 1e-6):
+                v = _random_unitary(rng, 4)
+                lam = np.array([-0.7, -0.7 + split, 1.1, 1.1 + split])
+                hams.append((v * lam) @ v.conj().T)
+                dhams.append(np.stack([random_hermitian(rng, 4) for _ in range(3)]))
+        else:
+            hams = [random_hermitian(rng, 4) for _ in range(4)]
+            dhams = [np.stack([random_hermitian(rng, 4) for _ in range(3)]) for _ in hams]
+        for h, dh in zip(hams, dhams):
+            evals, evecs = np.linalg.eigh(h[None])
+            du = dyn._daleckii_krein(evals, evecs, tau, dh)[0]
+            for got, direction in zip(du, dh):
+                ref = scipy.linalg.expm_frechet(-1j * tau * h, -1j * tau * direction,
+                                                compute_expm=False)
+                assert _rel(got, ref) <= 1e-13
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_noiseless_exact_propagation_runs_no_pade_kernel(self, monkeypatch, rng, name):
+        from fisherctl.grape import GradientContext
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Pade kernel called on a noiseless model")
+
+        monkeypatch.setattr(dyn, "expm_stack", refuse)
+        monkeypatch.setattr(dyn, "_frechet_action", refuse)
+        model = get_model(name, noise=False)
+        p = len(model.control_hams)
+        for amps in (rng.uniform(-0.2, 0.2, size=(p, 30)), np.zeros((p, 30))):
+            traj = propagate(model, model.true_values, ControlGrid(p, 30, 0.6, amps))
+            assert np.all(np.isfinite(traj.param_derivs))
+            ctx = GradientContext(traj, model.default_povm)
+            assert np.all(np.isfinite(ctx.cfim_gradient_grid()))
+
+    def test_exact_propagation_allocates_no_frechet_stack(self, rng):
+        # the parent recursion held (m, n, d^2, d^2) derivative matrices; the
+        # derivative actions must peak below one such array
+        import tracemalloc
+
+        model = get_model("magfield-xyz")
+        p, m = len(model.control_hams), 2000
+        grid = ControlGrid(p, m, 20.0, rng.uniform(-0.3, 0.3, size=(p, m)))
+        model.dh0_comms(model.true_values)
+        tracemalloc.start()
+        try:
+            traj = propagate(model, model.true_values, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.param_derivs.shape == (model.num_params, m + 1, 4, 4)
+        assert peak < m * model.num_params * 16**2 * np.dtype(complex).itemsize
+
+    def test_trace_drift_names_the_first_drifted_step(self, monkeypatch):
+        from fisherctl import PropagationError
+
+        def leaky(a):
+            out = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+            out[5:] *= 1.01
+            return out
+
+        monkeypatch.setattr(dyn, "expm_stack", leaky)
+        model = get_model("zz")
+        grid = ControlGrid(6, 10, 0.5, np.linspace(0.0, 0.1, 60).reshape(6, 10))
+        with pytest.raises(PropagationError, match="at step 6 of 10"):
+            propagate(model, model.true_values, grid)

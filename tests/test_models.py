@@ -54,6 +54,74 @@ class TestCatalog:
         assert np.array_equal(hams[5], kron(I2, SZ))
 
 
+class TestDh0Comms:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_matches_per_call_superoperators(self, name):
+        from fisherctl import commutator_superop
+
+        model = get_model(name)
+        x = model.true_values
+        ref = np.stack([commutator_superop(dh).mat for dh in model.dh0(x)])
+        comms = model.dh0_comms(x)
+        assert np.array_equal(comms, ref)
+        assert not comms.flags.writeable
+
+    def test_built_once_per_point(self, monkeypatch):
+        import fisherctl.models as models
+        from fisherctl import ControlGrid, propagate
+        from fisherctl.grape import GradientContext
+
+        model = get_model("magfield")  # its dH0 depend on x
+        model.control_comms  # built once per model, not counted here
+        calls = []
+        kernel = models.commutator_superop
+        monkeypatch.setattr(models, "commutator_superop",
+                            lambda h: calls.append(1) or kernel(h))
+        x = model.true_values
+        grid = ControlGrid(6, 20, 0.4, np.full((6, 20), 0.1))
+        traj = propagate(model, x, grid)
+        GradientContext(traj, model.default_povm)
+        assert model.dh0_comms(list(x)) is model.dh0_comms(x)
+        assert len(calls) == model.num_params
+        moved = model.dh0_comms(x + 0.1)
+        assert len(calls) == 2 * model.num_params
+        ref = np.stack([kernel(dh).mat for dh in model.dh0(x + 0.1)])
+        assert np.array_equal(moved, ref)
+
+
+    def test_threads_always_get_their_own_point(self):
+        # sweep workers share one model; a thread must never be served the
+        # stack of another thread's point
+        import sys
+        import threading
+
+        from fisherctl import commutator_superop
+
+        model = get_model("magfield")
+        points = [model.true_values + 0.05 * k for k in range(6)]
+        refs = [np.stack([commutator_superop(dh).mat for dh in model.dh0(x)])
+                for x in points]
+        errors = []
+
+        def work(k):
+            for _ in range(200):
+                if not np.array_equal(model.dh0_comms(points[k]), refs[k]):
+                    errors.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(points))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+
+
 class TestPovms:
     def test_bell_completeness(self):
         total = sum(bell_povm().effects)
