@@ -3,7 +3,7 @@ open-system dynamics, with gradient-ascent pulse synthesis.
 
 Layers
 ------
-``operators``   dense complex-matrix primitives and superoperators
+``operators``   dense complex-matrix primitives and superoperator matrices
 ``dynamics``    Liouvillian assembly and piecewise-constant propagation
 ``fisher``      classical/quantum information matrices and objectives
 ``grape``       analytic control gradients and the ascent loop
@@ -50,15 +50,7 @@ from .models import (
     model_zz,
     pm_povm,
 )
-from .operators import (
-    Povm,
-    Superoperator,
-    apply_superop,
-    commutator_superop,
-    eigh,
-    expm,
-    kron,
-)
+from .operators import Povm, commutator_superop, kron
 
 __version__ = "0.1.0"
 
@@ -76,15 +68,11 @@ __all__ = [
     "Povm",
     "PropagationError",
     "SingularContribution",
-    "Superoperator",
     "Trajectory",
-    "apply_superop",
     "bell_povm",
     "build_liouvillian",
     "cfim",
     "commutator_superop",
-    "eigh",
-    "expm",
     "get_model",
     "gradient_cfim_entry",
     "gradient_dprob",

@@ -14,18 +14,17 @@ Subcommands
 
 Exit codes: 0 success, 2 configuration error, 3 output I/O error, 4 numerical
 failure at every grid point (isolated failures are flagged in the output and
-the run continues).  ``FISHERCTL_THREADS`` caps sweep parallelism.
+the run continues).  Sweep points are evaluated one after another, in grid
+order.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -142,18 +141,6 @@ def _timestamp_line() -> str:
     import datetime
 
     return f"# generated {datetime.datetime.now().isoformat(timespec='seconds')}"
-
-
-def _threads(n_jobs: int) -> int:
-    env = os.environ.get("FISHERCTL_THREADS")
-    if env:
-        try:
-            cap = max(1, int(env))
-        except ValueError:
-            raise FisherctlError(f"FISHERCTL_THREADS={env!r} is not an integer")
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, n_jobs))
 
 
 def _model_rates(config: RunConfig):
@@ -295,25 +282,12 @@ def _write_sweep(config: RunConfig, records: list) -> None:
 
 def cmd_sweep(config: RunConfig) -> int:
     model = _model_rates(config)
-    points = list(enumerate(config.t_grid))
-    records: list = [None] * len(points)
-    if config.warm_start:
-        warm = None
-        for i, t in points:
-            records[i], warm = _sweep_point(config, model, t, i, warm)
-    else:
-        workers = _threads(len(points))
-        if workers == 1:
-            for i, t in points:
-                records[i], _ = _sweep_point(config, model, t, i, None)
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_sweep_point, config, model, t, i, None): i
-                    for i, t in points
-                }
-                for fut in concurrent.futures.as_completed(futures):
-                    records[futures[fut]] = fut.result()[0]
+    records, warm = [], None
+    for i, t in enumerate(config.t_grid):
+        record, pulse = _sweep_point(config, model, t, i, warm)
+        records.append(record)
+        if config.warm_start:
+            warm = pulse
     _write_sweep(config, records)
     if all(r.failed for r in records):
         return EXIT_NUMERICAL
@@ -634,7 +608,10 @@ def _parse_t_grid(spec: str) -> tuple:
 
 
 def _parse_rates(spec: str) -> tuple:
-    return tuple(float(v) for v in spec.split(","))
+    try:
+        return tuple(float(v) for v in spec.split(","))
+    except ValueError as exc:
+        raise FisherctlError(f"bad number list {spec!r}: {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -665,8 +642,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="precision limits over a time grid")
     common(p_sweep)
     p_sweep.add_argument("--warm-start", action="store_true",
-                         help="seed each grid point with the previous pulse, "
-                              "time-rescaled (forces sequential evaluation)")
+                         help="seed each grid point with the previous point's "
+                              "optimized pulse, time-rescaled")
 
     p_opt = sub.add_parser("optimize", help="single pulse optimization")
     common(p_opt)
@@ -708,20 +685,28 @@ def _run_config_from(args) -> RunConfig:
         raise FisherctlError("--model is required (flag or config file)")
 
     noise_spec = args.noise if args.noise is not None else file_cfg.get("noise")
-    if noise_spec is None:
-        noise, rates = True, None
-    elif isinstance(noise_spec, bool):  # before int: bool is an int subclass
-        noise, rates = noise_spec, None
-    elif isinstance(noise_spec, str):
-        rates = _parse_rates(noise_spec)
-        noise, rates = any(r > 0 for r in rates), rates if any(r > 0 for r in rates) else None
-    elif isinstance(noise_spec, (int, float)):
-        noise, rates = noise_spec > 0, ((float(noise_spec),) if noise_spec > 0 else None)
-    elif isinstance(noise_spec, (list, tuple)):
-        rates = tuple(float(r) for r in noise_spec)
-        noise, rates = any(r > 0 for r in rates), (rates if any(r > 0 for r in rates) else None)
+    if noise_spec is None or isinstance(noise_spec, bool):  # bool is an int subclass
+        noise, rates = noise_spec is not False, None
     else:
-        raise FisherctlError(f"bad noise specification {noise_spec!r}")
+        if isinstance(noise_spec, str):
+            items = noise_spec.split(",")
+        elif isinstance(noise_spec, (int, float)):
+            items = [noise_spec]
+        elif isinstance(noise_spec, list):
+            items = noise_spec
+        else:
+            raise FisherctlError(f"bad noise specification {noise_spec!r}")
+        try:
+            rates = tuple(float(r) for r in items)
+        except (TypeError, ValueError):
+            raise FisherctlError(f"bad noise specification {noise_spec!r}")
+        if not all(math.isfinite(r) and r >= 0 for r in rates):
+            raise FisherctlError(
+                f"dephasing rates must be finite and nonnegative, got {noise_spec!r}"
+            )
+        # all-zero rates select the noiseless variant
+        noise = any(r > 0 for r in rates)
+        rates = rates if noise else None
 
     t_value = getattr(args, "t", None)
     if t_value is not None:

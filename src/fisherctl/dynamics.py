@@ -39,7 +39,6 @@ from .errors import (
 )
 from .operators import (
     Povm,
-    Superoperator,
     commutator_superop,
     sandwich_superop,
     validate_density_matrix,
@@ -93,6 +92,8 @@ class NoiseSpec:
 
     def __post_init__(self):
         for a, rate in self.channels:
+            if not np.isfinite(rate):
+                raise InvariantViolation(f"non-finite dephasing rate {rate}")
             if rate < 0:
                 raise InvariantViolation(f"negative dephasing rate {rate}")
             a = validate_hermitian(a, atol=1e-10, name="jump basis")
@@ -161,7 +162,8 @@ class ControlGrid:
 class Trajectory:
     """States, per-step propagators and state derivatives along the grid.
 
-    ``states[j]`` is the state after j steps (``states[0]`` is the probe),
+    ``states`` is the read-only (m+1, d, d) stack of states: ``states[j]`` is
+    the state after j steps (``states[0]`` is the probe).
     ``segment_propagators[j-1]`` (an (m, d^2, d^2) stack, read-only) maps
     ``states[j-1]`` to ``states[j]``, and
     ``param_derivs[a][j]`` is the derivative of ``states[j]`` with respect to
@@ -171,7 +173,7 @@ class Trajectory:
     model: object
     x: np.ndarray
     controls: ControlGrid
-    states: tuple
+    states: np.ndarray
     segment_propagators: np.ndarray
     param_derivs: np.ndarray | None
     deriv_method: str | None
@@ -195,17 +197,18 @@ class Trajectory:
         return self.param_derivs[:, -1]
 
 
-def build_liouvillian(h: np.ndarray, noise: NoiseSpec) -> Superoperator:
-    """Generator ``rho -> -i[H, rho] + sum_c (gamma_c/2)(A_c rho A_c - rho)``."""
+def build_liouvillian(h: np.ndarray, noise: NoiseSpec) -> np.ndarray:
+    """The (d^2, d^2) matrix of the generator ``rho -> -i[H, rho] + sum_c
+    (gamma_c/2)(A_c rho A_c - rho)``."""
     h = validate_hermitian(h, atol=1e-10, name="Hamiltonian")
     d = h.shape[0]
-    lmat = -1j * commutator_superop(h).mat
+    lmat = -1j * commutator_superop(h)
     eye = np.eye(d * d, dtype=complex)
     for a, rate in noise.channels:
         if a.shape[0] != d:
             raise DimensionMismatch("jump basis dimension does not match Hamiltonian")
-        lmat = lmat + 0.5 * rate * (sandwich_superop(a).mat - eye)
-    return Superoperator(d, lmat)
+        lmat = lmat + 0.5 * rate * (sandwich_superop(a) - eye)
+    return lmat
 
 
 def _check_fields(model, controls: ControlGrid) -> None:
@@ -234,7 +237,7 @@ def step_liouvillians(model, x, controls: ControlGrid) -> np.ndarray:
     field k.
     """
     _check_fields(model, controls)
-    l0 = build_liouvillian(model.h0(np.asarray(x, dtype=float)), model.noise).mat
+    l0 = build_liouvillian(model.h0(np.asarray(x, dtype=float)), model.noise)
     gens = np.broadcast_to(l0, (controls.num_steps,) + l0.shape)
     for amps, ck in zip(controls.amplitudes, model.control_comms):
         gens = gens + amps[:, None, None] * (-1j * ck)
@@ -469,6 +472,7 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     rho[0] = vec(probe)
     for j in range(m):
         rho[j + 1] = segs[j] @ rho[j]
+    rho.flags.writeable = False
     states = rho.reshape(m + 1, d, d)
     tr = np.trace(states[1:], axis1=1, axis2=2)
     drift = ~np.isfinite(tr.real) | (np.abs(tr - 1.0) > TRACE_DRIFT_ABORT)
@@ -500,7 +504,7 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
         model=model,
         x=x,
         controls=controls,
-        states=tuple(states),
+        states=states,
         segment_propagators=segs,
         param_derivs=param_derivs,
         deriv_method=deriv_method,

@@ -214,7 +214,7 @@ class GradientContext:
         self.num_params = n = model.num_params
 
         self.segs = trajectory.segment_propagators
-        self.rvecs = np.stack(trajectory.states).reshape(m + 1, d2)
+        self.rvecs = trajectory.states.reshape(m + 1, d2)
 
         self.ctrl_comms = model.control_comms
         self.dh0_comms = model.dh0_comms(trajectory.x)

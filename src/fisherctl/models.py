@@ -64,7 +64,7 @@ class ParametricModel:
     @cached_property
     def control_comms(self) -> np.ndarray:
         """The (p, d^2, d^2) stack of ``ad(H_k)``, each ``H_k`` validated once."""
-        comms = np.stack([commutator_superop(hk).mat for hk in self.control_hams])
+        comms = np.stack([commutator_superop(hk) for hk in self.control_hams])
         comms.flags.writeable = False
         return comms
 
@@ -80,7 +80,7 @@ class ParametricModel:
         # sharing the model each get their own point's stack
         cached = self.__dict__.get("_dh0_comms")
         if cached is None or cached[0] != key:
-            comms = np.stack([commutator_superop(dh).mat for dh in self.dh0(x)])
+            comms = np.stack([commutator_superop(dh) for dh in self.dh0(x)])
             comms.flags.writeable = False
             cached = (key, comms)
             self.__dict__["_dh0_comms"] = cached

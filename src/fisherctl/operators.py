@@ -1,5 +1,6 @@
-"""Dense complex-matrix primitives: states, Hermitian operators, POVMs and
-superoperators acting on vectorized density matrices.
+"""Dense complex-matrix primitives: states, Hermitian operators, POVMs, and
+the (d^2, d^2) matrices of superoperators acting on vectorized density
+matrices.
 
 Vectorization convention
 ------------------------
@@ -26,15 +27,10 @@ __all__ = [
     "SZ",
     "PAULIS",
     "Povm",
-    "Superoperator",
-    "apply_superop",
     "commutator_superop",
     "dag",
-    "eigh",
-    "expm",
     "kron",
     "sandwich_superop",
-    "unvec",
     "validate_density_matrix",
     "validate_hermitian",
     "vec",
@@ -54,14 +50,6 @@ PAULIS = (SX, SY, SZ)
 def vec(x: np.ndarray) -> np.ndarray:
     """Row-major flattening of a square operator to a d^2 vector."""
     return np.asarray(x, dtype=complex).reshape(-1)
-
-
-def unvec(v: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    v = np.asarray(v)
-    if v.size != dim * dim:
-        raise DimensionMismatch(f"vector of size {v.size} is not {dim}x{dim}")
-    return v.reshape(dim, dim)
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -134,98 +122,19 @@ class Povm:
         return Povm(labels=tuple(labels), effects=effects)
 
 
-@dataclass(frozen=True)
-class Superoperator:
-    """Linear map on vectorized operators, stored as a dense d^2 x d^2 matrix."""
-
-    dim: int
-    mat: np.ndarray
-
-    def __post_init__(self):
-        d2 = self.dim * self.dim
-        if self.mat.shape != (d2, d2):
-            raise DimensionMismatch(
-                f"superoperator matrix shape {self.mat.shape} != ({d2}, {d2})"
-            )
-        if not np.all(np.isfinite(self.mat.view(float))):
-            raise InvariantViolation("superoperator contains non-finite entries")
-
-    @staticmethod
-    def identity(dim: int) -> "Superoperator":
-        return Superoperator(dim, np.eye(dim * dim, dtype=complex))
-
-    @staticmethod
-    def zero(dim: int) -> "Superoperator":
-        return Superoperator(dim, np.zeros((dim * dim, dim * dim), dtype=complex))
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        x = _as_square(x)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatch(
-                f"operator dim {x.shape[0]} != superoperator dim {self.dim}"
-            )
-        return unvec(self.mat @ vec(x), self.dim)
-
-    def __matmul__(self, other: "Superoperator") -> "Superoperator":
-        """Composition ``self after other`` (matrix product of the maps)."""
-        if self.dim != other.dim:
-            raise DimensionMismatch("composed superoperators must share dim")
-        return Superoperator(self.dim, self.mat @ other.mat)
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise DimensionMismatch("summed superoperators must share dim")
-        return Superoperator(self.dim, self.mat + other.mat)
-
-    def __mul__(self, scalar) -> "Superoperator":
-        return Superoperator(self.dim, self.mat * scalar)
-
-    __rmul__ = __mul__
-
-
-def commutator_superop(h: np.ndarray) -> Superoperator:
-    """Superoperator form of ``X -> H X - X H`` for Hermitian H."""
+def commutator_superop(h: np.ndarray) -> np.ndarray:
+    """The (d^2, d^2) matrix of ``X -> H X - X H`` for Hermitian H."""
     h = validate_hermitian(h)
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    return Superoperator(d, np.kron(h, eye) - np.kron(eye, h.T))
+    eye = np.eye(h.shape[0], dtype=complex)
+    return np.kron(h, eye) - np.kron(eye, h.T)
 
 
-def sandwich_superop(a: np.ndarray) -> Superoperator:
-    """Superoperator form of ``X -> A X A`` for Hermitian A."""
+def sandwich_superop(a: np.ndarray) -> np.ndarray:
+    """The (d^2, d^2) matrix of ``X -> A X A`` for Hermitian A."""
     a = validate_hermitian(a)
-    return Superoperator(a.shape[0], np.kron(a, a.T))
-
-
-def expm(s: Superoperator, t: float) -> Superoperator:
-    """exp(t S) as a superoperator; t = 0 short-circuits to the identity."""
-    import scipy.linalg  # only here, so that importing the package skips scipy
-
-    if not np.isfinite(t):
-        raise InvariantViolation("propagation time must be finite")
-    if t == 0.0:
-        return Superoperator.identity(s.dim)
-    out = scipy.linalg.expm(t * s.mat)
-    if not np.all(np.isfinite(out.view(float))):
-        raise InvariantViolation("matrix exponential produced non-finite entries")
-    return Superoperator(s.dim, out)
-
-
-def apply_superop(s: Superoperator, x: np.ndarray) -> np.ndarray:
-    """devec(S @ vec(X)); linear in X."""
-    return s.apply(x)
+    return np.kron(a, a.T)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product (tensor embedding of subsystem operators)."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def eigh(a: np.ndarray):
-    """Eigendecomposition of a Hermitian operator.
-
-    Returns (eigenvalues ascending, eigenvectors as orthonormal columns).
-    Raises if the input is not Hermitian.
-    """
-    a = validate_hermitian(a, atol=1e-10)
-    return np.linalg.eigh(a)

@@ -18,15 +18,13 @@ These serve as ground truth for the test suite and as the data source of the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvariantViolation
-from .fisher import FisherMatrix, tr_inv
+from .fisher import FisherMatrix
 
 __all__ = [
-    "OracleResult",
     "oracle_magfield_bell_probs",
     "oracle_magfield_cfim",
     "oracle_magfield_eigenvalues",
@@ -40,22 +38,6 @@ __all__ = [
 ]
 
 DENOM_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    """Aggregated closed-form quantities at one parameter point."""
-
-    probabilities: dict | None = None
-    cfim: FisherMatrix | None = None
-    qfim: FisherMatrix | None = None
-    tr_inv: float | None = None
-
-    def __post_init__(self):
-        if self.probabilities is not None:
-            total = sum(self.probabilities.values())
-            if abs(total - 1.0) > 1e-12:
-                raise InvariantViolation(f"oracle probabilities sum to {total!r}")
 
 
 def oracle_magfield_bell_probs(b, theta, phi, gamma, t) -> np.ndarray:

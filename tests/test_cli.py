@@ -40,17 +40,6 @@ class TestSweep:
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        args = ["sweep", "--model", "xxz", "--t-grid", "0.5,1.0",
-                "--max-iters", "6", "--steps-per-unit", "15",
-                "--seed", "3", "--reproducible"]
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        monkeypatch.setenv("FISHERCTL_THREADS", "1")
-        assert run(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("FISHERCTL_THREADS", "2")
-        assert run(args + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_timestamp_header_by_default(self, tmp_path):
         out = tmp_path / "sweep.csv"
         run(["sweep", "--model", "xxz", "--t-grid", "0.5", "--max-iters", "3",
@@ -159,6 +148,36 @@ class TestSweep:
         assert [rate for _, rate in model.noise.channels] == \
             [rate for _, rate in expected.noise.channels]
         assert bool(model.noise) is flag
+
+    @pytest.mark.parametrize("spec", ["-0.1", "nan", "inf", "nan,0.1", "0.1,-0.2", "abc"])
+    def test_bad_noise_flag_exits_2(self, tmp_path, capsys, spec):
+        # never a silent noiseless run, never a traceback
+        out = tmp_path / "x.csv"
+        code = run(["sweep", "--model", "xxz", f"--noise={spec}", "--t-grid", "0.5",
+                    "--max-iters", "2", "--steps-per-unit", "12", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", [-0.5, "nan", [0.1, -0.1], [0.1, float("nan")],
+                                      float("inf"), [0.1, "x"], {"rate": 0.1}])
+    def test_bad_noise_config_exits_2(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "xxz", "t_grid": [0.5], "noise": spec}))
+        code = run(["sweep", "--config", str(cfg), "--max-iters", "2",
+                    "--steps-per-unit", "12", "--out", str(tmp_path / "x.csv")])
+        assert code == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec, rates", [("0", None), ("0,0", None), (0.3, (0.3,)),
+                                             ([0.1, 0.0], (0.1, 0.0)), ("0.2,0.1", (0.2, 0.1))])
+    def test_good_noise_specs(self, tmp_path, spec, rates):
+        from fisherctl.cli import _build_parser, _run_config_from
+
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "xxz", "t_grid": [0.5], "noise": spec}))
+        config = _run_config_from(_build_parser().parse_args(["sweep", "--config", str(cfg)]))
+        assert config.rates == rates and config.noise is (rates is not None)
 
     def test_steps_per_unit_floor(self):
         assert run(["sweep", "--model", "xxz", "--t-grid", "0.5",
@@ -298,6 +317,13 @@ class TestOracle:
                 0.5 * (1 + math.exp(-0.2 * t)), rel=1e-10)
             assert float(row["lam_minus"]) == pytest.approx(
                 0.5 * (1 - math.exp(-0.2 * t)), rel=1e-10)
+
+    @pytest.mark.parametrize("spec", ["nan", "-0.1", "inf", "abc"])
+    def test_bad_noise_exits_2(self, tmp_path, capsys, spec):
+        code = run(["oracle", "--model", "magfield", f"--noise={spec}",
+                    "--t-grid", "0.5", "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
 
     def test_singular_row_flagged(self, tmp_path):
         # gamma = 0 at a divergence point hits the removable singularity

@@ -18,7 +18,7 @@ from fisherctl import (
 )
 from fisherctl.dynamics import expm_stack
 from fisherctl.models import bell_povm, pm_povm
-from fisherctl.operators import I2, SX, SZ, kron
+from fisherctl.operators import I2, SX, SZ, kron, vec
 
 from conftest import random_density, random_hermitian, uncontrolled_trajectory, zero_controls
 
@@ -38,6 +38,12 @@ class TestNoiseSpec:
     def test_rejects_negative_rate(self):
         with pytest.raises(InvariantViolation):
             NoiseSpec.dephasing([(SZ, -0.1)])
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf])
+    def test_rejects_non_finite_rate(self, rate):
+        # a NaN rate would otherwise read as "no noise" (nan > 0 is False)
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            NoiseSpec.dephasing([(SZ, rate)])
 
     def test_rejects_non_involutory_basis(self):
         with pytest.raises(InvariantViolation):
@@ -65,13 +71,13 @@ class TestControlGrid:
 class TestBuildLiouvillian:
     def test_zero_hamiltonian_no_noise(self):
         lind = build_liouvillian(np.zeros((2, 2)), NoiseSpec.none())
-        assert np.abs(lind.mat).max() == 0.0
+        assert np.abs(lind).max() == 0.0
 
     def test_dephasing_action_on_sigma1(self):
         gamma = 0.37
         lind = build_liouvillian(np.zeros((2, 2)), NoiseSpec.dephasing([(SZ, gamma)]))
         # (gamma/2)(Z X Z - X) = -gamma X by direct 2x2 arithmetic
-        assert np.allclose(lind.apply(SX), -gamma * SX, atol=1e-14)
+        assert np.allclose((lind @ vec(SX)).reshape(2, 2), -gamma * SX, atol=1e-14)
 
     def test_zz_coherence_decay_rates(self):
         # uncontrolled evolution must damp and rotate the (0,1) coherence as
@@ -105,7 +111,7 @@ class TestStepLiouvillians:
         grid = ControlGrid(6, 2, 1.0, amps)
         l1, l2 = step_liouvillians(model, model.true_values, grid)
         diff = l1 - l2
-        expected = (0.4 - (-0.1)) * (-1j) * commutator_superop(model.control_hams[2]).mat
+        expected = (0.4 - (-0.1)) * (-1j) * commutator_superop(model.control_hams[2])
         assert np.abs(diff - expected).max() < 1e-12
 
     def test_matches_per_step_assembly(self, rng, catalog_model):
@@ -116,7 +122,7 @@ class TestStepLiouvillians:
         for j, gen in enumerate(steps):
             h = model.h0(model.true_values) + sum(
                 grid.amplitudes[k, j] * hk for k, hk in enumerate(model.control_hams))
-            ref = build_liouvillian(h, model.noise).mat
+            ref = build_liouvillian(h, model.noise)
             assert np.abs(gen - ref).max() < 1e-13
 
     def test_field_count_mismatch(self):
@@ -177,12 +183,10 @@ class TestPropagate:
 
     def test_final_state_is_composed_propagation(self, catalog_model):
         traj = uncontrolled_trajectory(catalog_model, 0.9, 30, deriv_method=None)
-        from fisherctl.operators import vec, unvec
-
         v = vec(traj.states[0])
         for seg in traj.segment_propagators:
             v = seg @ v
-        assert np.abs(unvec(v, 4) - traj.final_state).max() < 1e-10
+        assert np.abs(v.reshape(4, 4) - traj.final_state).max() < 1e-10
 
     def test_derivatives_traceless(self, catalog_model):
         traj = uncontrolled_trajectory(catalog_model, 1.2, 60)
@@ -296,7 +300,7 @@ class TestExpmStack:
         exact = propagate(model, model.true_values, grid, deriv_method="exact")
         plain = propagate(model, model.true_values, grid, deriv_method=None)
         assert np.array_equal(exact.segment_propagators, plain.segment_propagators)
-        assert np.array_equal(np.stack(exact.states), np.stack(plain.states))
+        assert np.array_equal(exact.states, plain.states)
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @pytest.mark.parametrize("noise", [True, False])
@@ -311,7 +315,7 @@ class TestExpmStack:
         grid = ControlGrid(p, 19, 0.7, rng.uniform(-0.5, 0.5, size=(p, 19)))
         dt = grid.dt
         gens = step_liouvillians(model, x, grid)
-        dls = np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
+        dls = np.stack([-1j * commutator_superop(dh) for dh in model.dh0(x)])
         d = model.dim
         rhos = np.stack([random_density(rng, d) for _ in gens])
         if noise:
@@ -515,7 +519,7 @@ def _ref_expm_frechet_chunk(a, e):
 def _reference_param_derivs(model, x, grid):
     dt, d2 = grid.dt, model.dim**2
     gens = dt * step_liouvillians(model, x, grid)
-    dls = dt * np.stack([-1j * commutator_superop(dh).mat for dh in model.dh0(x)])
+    dls = dt * np.stack([-1j * commutator_superop(dh) for dh in model.dh0(x)])
     p = len(dls)
     side = dls.transpose(1, 0, 2).reshape(d2, p * d2)
     segs, dsegs = [], []

@@ -58,8 +58,8 @@ def einsum_reference_grids(traj, povm, insertion):
     model, dt, m = traj.model, traj.dt, traj.num_steps
     segs = traj.segment_propagators
     rvecs = np.stack([vec(s) for s in traj.states])
-    cc = np.stack([commutator_superop(hk).mat for hk in model.control_hams])
-    dh = np.stack([commutator_superop(x).mat for x in model.dh0(traj.x)])
+    cc = np.stack([commutator_superop(hk) for hk in model.control_hams])
+    dh = np.stack([commutator_superop(x) for x in model.dh0(traj.x)])
     dh_t = dh.transpose(0, 2, 1)
     n, d2 = len(dh), rvecs.shape[1]
     simpson = insertion == "simpson"

@@ -61,7 +61,7 @@ class TestDh0Comms:
 
         model = get_model(name)
         x = model.true_values
-        ref = np.stack([commutator_superop(dh).mat for dh in model.dh0(x)])
+        ref = np.stack([commutator_superop(dh) for dh in model.dh0(x)])
         comms = model.dh0_comms(x)
         assert np.array_equal(comms, ref)
         assert not comms.flags.writeable
@@ -85,12 +85,12 @@ class TestDh0Comms:
         assert len(calls) == model.num_params
         moved = model.dh0_comms(x + 0.1)
         assert len(calls) == 2 * model.num_params
-        ref = np.stack([kernel(dh).mat for dh in model.dh0(x + 0.1)])
+        ref = np.stack([kernel(dh) for dh in model.dh0(x + 0.1)])
         assert np.array_equal(moved, ref)
 
 
     def test_threads_always_get_their_own_point(self):
-        # sweep workers share one model; a thread must never be served the
+        # threads may share one model; a thread must never be served the
         # stack of another thread's point
         import sys
         import threading
@@ -99,7 +99,7 @@ class TestDh0Comms:
 
         model = get_model("magfield")
         points = [model.true_values + 0.05 * k for k in range(6)]
-        refs = [np.stack([commutator_superop(dh).mat for dh in model.dh0(x)])
+        refs = [np.stack([commutator_superop(dh) for dh in model.dh0(x)])
                 for x in points]
         errors = []
 

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from fisherctl import (
-    InvariantViolation,
     cfim,
-    eigh,
     get_model,
     measure,
     measure_derivs,
@@ -14,7 +12,6 @@ from fisherctl import (
     tr_inv,
 )
 from fisherctl.oracles import (
-    OracleResult,
     oracle_magfield_bell_probs,
     oracle_magfield_cfim,
     oracle_magfield_eigenvalues,
@@ -187,7 +184,7 @@ class TestMagfieldEigenvalues:
     def test_factorized_state_spectrum(self):
         for t in (0.5, 1.0, 2.0):
             rho = factorized_field_state(B, THETA, PHI, GAMMA_MF, t)
-            vals, _ = eigh(rho)
+            vals, _ = np.linalg.eigh(rho)
             lam_m, lam_p = oracle_magfield_eigenvalues(GAMMA_MF, t)
             assert abs(vals[-1] - lam_p) < 1e-12
             assert abs(vals[-2] - lam_m) < 1e-12
@@ -330,13 +327,3 @@ class TestDistributions:
             ):
                 assert abs(p.sum() - 1.0) < 1e-12
                 assert p.min() >= -1e-12
-
-
-class TestOracleResult:
-    def test_probability_normalization_checked(self):
-        with pytest.raises(InvariantViolation):
-            OracleResult(probabilities={"a": 0.6, "b": 0.5})
-
-    def test_accepts_valid(self):
-        r = OracleResult(probabilities={"a": 0.25, "b": 0.75}, tr_inv=1.0)
-        assert r.tr_inv == 1.0
