@@ -21,6 +21,7 @@ order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -31,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracles
-from .dynamics import ControlGrid, measure_derivs, propagate
+from .dynamics import ControlGrid, measure, measure_derivs, propagate
 from .errors import FisherctlError, InvariantViolation, PropagationError, SingularContribution
 from .fisher import cfim, qfim, tr_inv
-from .grape import GrapeConfig, GrapeResult, _objective_value, optimize
+from .grape import GrapeConfig, GrapeResult, _objective_value, num_steps, optimize
 from .models import MODEL_NAMES, get_model
 
 EXIT_OK = 0
@@ -45,13 +46,13 @@ EXIT_NUMERICAL = 4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one sweep / optimize invocation needs."""
+    """Everything one sweep / optimize invocation needs; the time grid comes
+    checked from :func:`_parse_t_grid`."""
 
     model: str
     noise: bool = True
     rates: tuple | None = None
     t_grid: tuple = ()
-    steps_per_unit: int = 100
     objective: str | None = None  # None = model default
     grape: GrapeConfig = field(default_factory=GrapeConfig)
     out: str = "-"
@@ -60,24 +61,14 @@ class RunConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        if self.model not in MODEL_NAMES:
-            raise FisherctlError(
-                f"unknown model {self.model!r}; expected one of {MODEL_NAMES}"
-            )
-        if not self.t_grid:
-            raise FisherctlError("t_grid must be nonempty")
-        grid = tuple(float(t) for t in self.t_grid)
-        if any(t <= 0 for t in grid):
-            raise FisherctlError("t_grid entries must be positive")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise FisherctlError("t_grid must be strictly increasing")
-        if self.steps_per_unit < 10:
+        if self.grape.steps_per_unit < 10:
             raise FisherctlError("steps_per_unit must be at least 10")
         if self.objective not in (None, "f0", "fcle"):
             raise FisherctlError(f"unknown objective {self.objective!r}")
         if self.format not in ("csv", "json"):
             raise FisherctlError(f"unknown format {self.format!r}")
-        object.__setattr__(self, "t_grid", grid)
+        if not isinstance(self.out, str):
+            raise FisherctlError(f"out must be a path, got {self.out!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +89,8 @@ def _fmt(value) -> str:
     """12-significant-digit float serialization; inf/nan as literals."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -124,17 +117,38 @@ def _json_safe(value):
     return value
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    try:
-        return open(path, "w", newline=""), True
-    except OSError as exc:
-        raise _OutputError(str(exc)) from exc
-
-
 class _OutputError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _output(path: str):
+    """The stream to write to: stdout for "-", else the file, closed after."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        stream = open(path, "w", newline="")
+    except OSError as exc:
+        raise _OutputError(str(exc)) from exc
+    with stream:
+        yield stream
+
+
+def _write_csv(path: str, columns, rows, reproducible: bool) -> None:
+    """A timestamp line (unless reproducible), the header, then the rows."""
+    with _output(path) as stream:
+        if not reproducible:
+            stream.write(_timestamp_line() + "\n")
+        writer = csv.writer(stream)
+        writer.writerow(columns)
+        writer.writerows([_fmt(row.get(c)) for c in columns] for row in rows)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with _output(path) as stream:
+        json.dump(payload, stream, indent=2)
+        stream.write("\n")
 
 
 def _timestamp_line() -> str:
@@ -147,75 +161,48 @@ def _model_rates(config: RunConfig):
     return get_model(config.model, noise=config.noise, rates=config.rates)
 
 
-def _steps_for(t: float, density: int) -> int:
-    return max(1, round(density * t))
-
-
-def _uncontrolled_tr_inv(model, t: float, density: int) -> float:
-    grid = ControlGrid.zeros(len(model.control_hams), _steps_for(t, density), t)
+def _uncontrolled_tr_inv(model, t: float, steps_per_unit: int) -> float:
+    grid = ControlGrid.zeros(len(model.control_hams), num_steps(t, steps_per_unit), t)
     traj = propagate(model, model.true_values, grid, deriv_method="exact")
     p, dp = measure_derivs(traj, model.default_povm)
     return tr_inv(cfim(p, dp))
 
 
-def _oracle_tr_inv(config: RunConfig, model, t: float) -> float | None:
-    gam = [g for _, g in model.noise.channels]
-    if config.model == "magfield":
-        rate = gam[0] if gam else 0.0
-        b, theta, phi = model.true_values
-        try:
-            return tr_inv(oracles.oracle_magfield_cfim(b, theta, phi, rate, t))
-        except InvariantViolation:
-            return None
-    if config.model == "xxz":
-        rates = gam if gam else [0.0, 0.0]
-        if len(set(rates)) <= 1:
-            rate = rates[0] if rates else 0.0
-            x1, x2 = model.true_values
-            try:
-                return oracles.oracle_xxz_trinv(x1, x2, rate, t)
-            except InvariantViolation:
-                return None
-    return None
-
-
 def _sweep_point(config: RunConfig, model, t: float, index: int,
                  warm_controls) -> tuple:
-    grape_cfg = dataclasses.replace(
-        config.grape,
-        steps_per_unit=config.steps_per_unit,
-        init_seed=config.grape.init_seed + index,
-    )
+    grape_cfg = dataclasses.replace(config.grape, init_seed=config.grape.init_seed + index)
     if warm_controls is not None:
-        m = _steps_for(t, config.steps_per_unit)
+        m = num_steps(t, grape_cfg.steps_per_unit)
         grape_cfg = dataclasses.replace(
             grape_cfg, init_scheme="user",
             user_controls=_rescale_pulse(warm_controls, m),
         )
+    numerical = (PropagationError, SingularContribution, InvariantViolation)
     try:
-        unc = _uncontrolled_tr_inv(model, t, config.steps_per_unit)
-    except (PropagationError, SingularContribution, InvariantViolation):
+        unc = _uncontrolled_tr_inv(model, t, grape_cfg.steps_per_unit)
+    except numerical:
         unc = math.nan
     try:
         result = optimize(model, model.true_values, None, None, t, grape_cfg,
                           objective=config.objective)
-        record = SweepRecord(
-            t=t,
-            tr_inv_uncontrolled=unc,
-            tr_inv_controlled=result.final_tr_inv,
-            tr_inv_oracle=_oracle_tr_inv(config, model, t),
-            objective=result.final_objective,
-            iters=result.iterations_used,
-            converged=result.converged,
-        )
-        return record, result.final_controls.amplitudes
-    except (PropagationError, SingularContribution, InvariantViolation):
-        record = SweepRecord(
-            t=t, tr_inv_uncontrolled=unc, tr_inv_controlled=math.nan,
-            tr_inv_oracle=_oracle_tr_inv(config, model, t),
-            objective=math.nan, iters=0, converged=False, failed=True,
-        )
-        return record, None
+    except numerical:
+        result = None
+    oracle = None
+    if model.name in ORACLE_COLUMNS:
+        row = _oracle_row(model.name, model.true_values, model.rates, t)
+        oracle = None if row["note"] else row.get("tr_inv")
+    failed = result is None
+    record = SweepRecord(
+        t=t,
+        tr_inv_uncontrolled=unc,
+        tr_inv_controlled=math.nan if failed else result.final_tr_inv,
+        tr_inv_oracle=oracle,
+        objective=math.nan if failed else result.final_objective,
+        iters=0 if failed else result.iterations_used,
+        converged=not failed and result.converged,
+        failed=failed,
+    )
+    return record, None if failed else result.final_controls.amplitudes
 
 
 def _rescale_pulse(amplitudes: np.ndarray, new_steps: int) -> np.ndarray:
@@ -233,51 +220,25 @@ SWEEP_COLUMNS = ("t", "tr_inv_uncontrolled", "tr_inv_controlled",
 
 
 def _write_sweep(config: RunConfig, records: list) -> None:
-    stream, owned = _open_out(config.out)
-    try:
-        if config.format == "csv":
-            if not config.reproducible:
-                stream.write(_timestamp_line() + "\n")
-            writer = csv.writer(stream)
-            writer.writerow(SWEEP_COLUMNS)
-            for r in records:
-                writer.writerow([
-                    _fmt(r.t), _fmt(r.tr_inv_uncontrolled),
-                    _fmt(r.tr_inv_controlled), _fmt(r.tr_inv_oracle),
-                    _fmt(r.objective), _fmt(r.iters), _fmt(r.converged),
-                ])
-        else:
-            config_echo = {
-                "model": config.model,
-                "noise": config.noise,
-                "rates": list(config.rates) if config.rates else None,
-                "t_grid": list(config.t_grid),
-                "steps_per_unit": config.steps_per_unit,
-                "objective": config.objective,
-                "seed": config.grape.init_seed,
-            }
-            if not config.reproducible:
-                config_echo["generated"] = _timestamp_line()[2:]
-            payload = {
-                "config": config_echo,
-                "records": [
-                    {
-                        "t": _json_safe(r.t),
-                        "tr_inv_uncontrolled": _json_safe(r.tr_inv_uncontrolled),
-                        "tr_inv_controlled": _json_safe(r.tr_inv_controlled),
-                        "tr_inv_oracle": _json_safe(r.tr_inv_oracle),
-                        "objective": _json_safe(r.objective),
-                        "iters": r.iters,
-                        "converged": r.converged,
-                    }
-                    for r in records
-                ],
-            }
-            json.dump(payload, stream, indent=2)
-            stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
+    rows = [dataclasses.asdict(r) for r in records]
+    if config.format == "csv":
+        _write_csv(config.out, SWEEP_COLUMNS, rows, config.reproducible)
+        return
+    config_echo = {
+        "model": config.model,
+        "noise": config.noise,
+        "rates": list(config.rates) if config.rates else None,
+        "t_grid": list(config.t_grid),
+        "steps_per_unit": config.grape.steps_per_unit,
+        "objective": config.objective,
+        "seed": config.grape.init_seed,
+    }
+    if not config.reproducible:
+        config_echo["generated"] = _timestamp_line()[2:]
+    _write_json(config.out, {
+        "config": config_echo,
+        "records": [{c: _json_safe(row[c]) for c in SWEEP_COLUMNS} for row in rows],
+    })
 
 
 def cmd_sweep(config: RunConfig) -> int:
@@ -300,8 +261,7 @@ def cmd_sweep(config: RunConfig) -> int:
 def cmd_optimize(config: RunConfig) -> int:
     model = _model_rates(config)
     t = config.t_grid[0]
-    grape_cfg = dataclasses.replace(config.grape, steps_per_unit=config.steps_per_unit)
-    result = optimize(model, model.true_values, None, None, t, grape_cfg,
+    result = optimize(model, model.true_values, None, None, t, config.grape,
                       objective=config.objective)
     payload = {
         "model": config.model,
@@ -310,7 +270,7 @@ def cmd_optimize(config: RunConfig) -> int:
         "x_true": _json_safe(model.true_values),
         "t": t,
         "steps": result.final_controls.num_steps,
-        "steps_per_unit": config.steps_per_unit,
+        "steps_per_unit": config.grape.steps_per_unit,
         "seed": config.grape.init_seed,
         "objective_name": result.objective,
         "update_rule": config.grape.update_rule,
@@ -321,13 +281,7 @@ def cmd_optimize(config: RunConfig) -> int:
         "iterations": result.iterations_used,
         "converged": result.converged,
     }
-    stream, owned = _open_out(config.out if config.out != "-" else "pulse.json")
-    try:
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
-    finally:
-        if owned:
-            stream.close()
+    _write_json(config.out if config.out != "-" else "pulse.json", payload)
     _print_summary(result)
     return EXIT_OK
 
@@ -342,18 +296,6 @@ def _print_summary(result: GrapeResult) -> None:
 
 PULSE_KEYS = ("model", "noise", "rates", "x_true", "t", "amplitudes",
               "objective_name", "final_objective")
-
-
-def _pulse_bound(payload) -> float | None:
-    """The recorded amplitude bound; files written without one have none."""
-    bound = payload.get("amplitude_bound")
-    if bound is None:
-        return None
-    if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-        raise FisherctlError(
-            f"malformed pulse file: amplitude_bound {bound!r} is not a number"
-        )
-    return float(bound)
 
 
 def _pulse_amplitudes(payload) -> np.ndarray:
@@ -388,8 +330,11 @@ def cmd_replay(pulsefile: str) -> int:
         amplitudes = _pulse_amplitudes(payload)
         model = get_model(payload["model"], noise=payload["noise"],
                           rates=payload["rates"])
-        grid = ControlGrid(amplitudes.shape[0], amplitudes.shape[1],
-                           float(payload["t"]), amplitudes, _pulse_bound(payload))
+        # files written before the bound was recorded have none
+        bound = payload.get("amplitude_bound")
+        grid = ControlGrid(amplitudes.shape[0], amplitudes.shape[1], float(payload["t"]),
+                           amplitudes, None if bound is None
+                           else _number("pulse file amplitude_bound", bound))
         x_true = np.asarray(payload["x_true"], dtype=float)
         stored_val = float(payload["final_objective"])  # also parses "inf"
     except FisherctlError:
@@ -412,79 +357,58 @@ def cmd_replay(pulsefile: str) -> int:
 # -- oracle -----------------------------------------------------------------
 
 
-def cmd_oracle(model_name: str, params, t_grid, out: str, rates=None,
-               reproducible: bool = False) -> int:
-    if model_name not in ("magfield", "zz", "xxz"):
-        raise FisherctlError(
-            f"oracle tables exist for 'magfield', 'zz' and 'xxz', not {model_name!r}"
-        )
-    model = get_model(model_name, noise=True, rates=rates) if rates is not None \
-        else get_model(model_name)
-    x = np.asarray(params, dtype=float) if params is not None else model.true_values
-    gam = [g for _, g in model.noise.channels] or [0.0]
+ORACLE_COLUMNS = {
+    "magfield": ("t", "p_phip", "p_phim", "p_psip", "p_psim", "f_bb", "f_tt", "f_pp",
+                 "f_bt", "tr_inv", "lam_minus", "lam_plus", "note"),
+    "zz": ("t", "p_pp", "p_pm", "p_mp", "p_mm", "qfim_diag", "note"),
+    "xxz": ("t", "p_pp", "p_pm", "p_mp", "p_mm", "f_diag", "f_offdiag", "tr_inv", "note"),
+}
 
-    rows = []
-    if model_name == "magfield":
-        columns = ["t", "p_phip", "p_phim", "p_psip", "p_psim",
-                   "f_bb", "f_tt", "f_pp", "f_bt", "tr_inv",
-                   "lam_minus", "lam_plus", "note"]
-        for t in t_grid:
-            row = {"t": t, "note": ""}
-            pr = oracles.oracle_magfield_bell_probs(*x, gam[0], t)
-            row.update(zip(("p_phip", "p_phim", "p_psip", "p_psim"), pr))
-            lam_m, lam_p = oracles.oracle_magfield_eigenvalues(gam[0], t)
-            row["lam_minus"], row["lam_plus"] = lam_m, lam_p
-            try:
-                f = oracles.oracle_magfield_cfim(*x, gam[0], t)
-                row["f_bb"], row["f_tt"], row["f_pp"] = np.diag(f.matrix)
-                row["f_bt"] = f.matrix[0, 1]
-                row["tr_inv"] = tr_inv(f)
-            except InvariantViolation:
-                row["note"] = "singular"
-            rows.append(row)
-    elif model_name == "zz":
-        columns = ["t", "p_pp", "p_pm", "p_mp", "p_mm",
-                   "qfim_diag", "note"]
-        for t in t_grid:
-            pr = oracles.oracle_zz_probs(*x, gam[0], gam[-1], t)
-            rows.append({
-                "t": t, "p_pp": pr[0], "p_pm": pr[1], "p_mp": pr[2],
-                "p_mm": pr[3],
-                "qfim_diag": oracles.oracle_zz_qfim_pure(0.0, 0.0, 0.0, t).matrix[0, 0],
-                "note": "",
-            })
-    else:
-        columns = ["t", "p_pp", "p_pm", "p_mp", "p_mm",
-                   "f_diag", "f_offdiag", "tr_inv", "note"]
-        equal_rates = len(set(gam)) <= 1
-        for t in t_grid:
-            row = {"t": t, "note": ""}
-            pr = oracles.oracle_xxz_probs(*x, gam[0], gam[-1], t)
-            row.update(zip(("p_pp", "p_pm", "p_mp", "p_mm"), pr))
-            if equal_rates:
-                try:
-                    f = oracles.oracle_xxz_cfim(*x, gam[0], t)
-                    row["f_diag"] = f.matrix[0, 0]
-                    row["f_offdiag"] = f.matrix[0, 1]
-                    row["tr_inv"] = oracles.oracle_xxz_trinv(*x, gam[0], t)
-                except InvariantViolation:
-                    row["note"] = "singular"
-            else:
-                row["note"] = "cfim needs equal rates"
-            rows.append(row)
 
-    stream, owned = _open_out(out)
+def _oracle_row(name: str, x, rates: tuple, t: float) -> dict:
+    """Closed-form values of an uncontrolled catalog model at time t, keyed by
+    ``ORACLE_COLUMNS[name]``.
+
+    ``rates`` are the model's dephasing rates, zeros included.  ``note`` is
+    empty exactly when every value in the row is exact; otherwise it says why
+    not: the field model's factorized forms under dephasing, unequal exchange
+    rates (no information matrix), or a singular point (no information matrix).
+    """
+    row, notes = {"t": t}, []
     try:
-        if not reproducible:
-            stream.write(_timestamp_line() + "\n")
-        writer = csv.writer(stream)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c, None)) if c != "note" else row["note"]
-                             for c in columns])
-    finally:
-        if owned:
-            stream.close()
+        if name == "magfield":
+            if rates[0]:
+                notes.append("factorized")
+            pr = oracles.oracle_magfield_bell_probs(*x, rates[0], t)
+            row.update(zip(("p_phip", "p_phim", "p_psip", "p_psim"), pr))
+            row["lam_minus"], row["lam_plus"] = oracles.oracle_magfield_eigenvalues(rates[0], t)
+            f = oracles.oracle_magfield_cfim(*x, rates[0], t)
+            row["f_bb"], row["f_tt"], row["f_pp"] = np.diag(f.matrix)
+            row["f_bt"] = f.matrix[0, 1]
+            row["tr_inv"] = tr_inv(f)
+        elif name == "zz":
+            pr = oracles.oracle_zz_probs(*x, *rates, t)
+            row.update(zip(("p_pp", "p_pm", "p_mp", "p_mm"), pr))
+            row["qfim_diag"] = oracles.oracle_zz_qfim_pure(0.0, 0.0, 0.0, t).matrix[0, 0]
+        else:
+            pr = oracles.oracle_xxz_probs(*x, *rates, t)
+            row.update(zip(("p_pp", "p_pm", "p_mp", "p_mm"), pr))
+            if rates[0] != rates[1]:
+                notes.append("cfim needs equal rates")
+            else:
+                f = oracles.oracle_xxz_cfim(*x, rates[0], t)
+                row["f_diag"], row["f_offdiag"] = f.matrix[0, 0], f.matrix[0, 1]
+                row["tr_inv"] = oracles.oracle_xxz_trinv(*x, rates[0], t)
+    except InvariantViolation:
+        notes.append("singular")
+    row["note"] = "; ".join(notes)
+    return row
+
+
+def cmd_oracle(model, x, t_grid: tuple, out: str, reproducible: bool = False) -> int:
+    columns = ORACLE_COLUMNS[model.name]
+    rows = [_oracle_row(model.name, x, model.rates, t) for t in t_grid]
+    _write_csv(out, columns, rows, reproducible)
     return EXIT_OK
 
 
@@ -506,22 +430,18 @@ def cmd_validate() -> int:
         for name in ("zz", "xxz"):
             model = get_model(name)
             for t in (0.5, 1.7):
-                grid = ControlGrid.zeros(6, _steps_for(t, 100), t)
+                grid = ControlGrid.zeros(6, num_steps(t, 100), t)
                 traj = propagate(model, model.true_values, grid, deriv_method=None)
-                from .dynamics import measure
-
                 p = measure(traj.final_state, model.default_povm)
-                if name == "zz":
-                    po = oracles.oracle_zz_probs(*model.true_values, 0.1, 0.1, t)
-                else:
-                    po = oracles.oracle_xxz_probs(*model.true_values, 0.1, 0.1, t)
+                row = _oracle_row(name, model.true_values, model.rates, t)
+                po = [row[c] for c in ORACLE_COLUMNS[name][1:5]]
                 assert np.max(np.abs(p - po)) < 1e-9, f"{name} at t={t}"
 
     def information_ordering():
         for name in MODEL_NAMES:
             model = get_model(name)
             t = 0.9
-            grid = ControlGrid.zeros(6, _steps_for(t, 100), t)
+            grid = ControlGrid.zeros(6, num_steps(t, 100), t)
             traj = propagate(model, model.true_values, grid, deriv_method="exact")
             p, dp = measure_derivs(traj, model.default_povm)
             fc = cfim(p, dp)
@@ -532,18 +452,18 @@ def cmd_validate() -> int:
     def xxz_closed_form():
         model = get_model("xxz")
         t = 1.3
-        grid = ControlGrid.zeros(6, _steps_for(t, 100), t)
+        grid = ControlGrid.zeros(6, num_steps(t, 100), t)
         traj = propagate(model, model.true_values, grid, deriv_method="exact")
         p, dp = measure_derivs(traj, model.default_povm)
         f = cfim(p, dp)
-        fo = oracles.oracle_xxz_cfim(*model.true_values, 0.1, t)
+        fo = oracles.oracle_xxz_cfim(*model.true_values, model.rates[0], t)
         rel = np.max(np.abs(f.matrix - fo.matrix)) / np.max(np.abs(fo.matrix))
         assert rel < 1e-6, f"relative deviation {rel:.2e}"
 
     def trace_preserved():
         model = get_model("magfield")
         t = 2.0
-        grid = ControlGrid.zeros(6, _steps_for(t, 50), t)
+        grid = ControlGrid.zeros(6, num_steps(t, 50), t)
         traj = propagate(model, model.true_values, grid, deriv_method=None)
         for state in traj.states:
             assert abs(np.trace(state).real - 1.0) < 1e-9
@@ -591,27 +511,87 @@ def cmd_validate() -> int:
 # -- argument plumbing --------------------------------------------------------
 
 
-def _parse_t_grid(spec: str) -> tuple:
-    """'start:stop:count' or a comma-separated list."""
+def _number(key: str, value, integer: bool = False):
+    """A flag or config value that must be a finite number, or an integer for
+    counts and seeds; bool is refused although Python counts it as an int."""
+    kinds = int if integer else (int, float)
     try:
-        if ":" in spec:
-            parts = spec.split(":")
-            if len(parts) != 3:
-                raise FisherctlError(f"bad t-grid {spec!r}; expected start:stop:count")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise FisherctlError("t-grid count must be >= 1")
-            return tuple(np.linspace(start, stop, count).tolist())
-        return tuple(float(v) for v in spec.split(","))
-    except ValueError as exc:
-        raise FisherctlError(f"bad t-grid {spec!r}: {exc}")
+        ok = (isinstance(value, kinds) and not isinstance(value, bool)
+              and (integer or math.isfinite(value)))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        kind = "an integer" if integer else "a finite number"
+        raise FisherctlError(f"{key} must be {kind}, got {value!r}")
+    return value if integer else float(value)
 
 
-def _parse_rates(spec: str) -> tuple:
+def _floats(items, what: str) -> tuple:
     try:
-        return tuple(float(v) for v in spec.split(","))
-    except ValueError as exc:
-        raise FisherctlError(f"bad number list {spec!r}: {exc}")
+        return tuple(float(v) for v in items)
+    except (TypeError, ValueError):
+        raise FisherctlError(f"bad {what}")
+
+
+def _parse_t_grid(spec) -> tuple:
+    """Measurement times from 'start:stop:count', a comma-separated string or
+    a list; every time finite and positive, the grid strictly increasing."""
+    if isinstance(spec, str):
+        try:
+            if ":" in spec:
+                parts = spec.split(":")
+                if len(parts) != 3:
+                    raise FisherctlError(f"bad t-grid {spec!r}; expected start:stop:count")
+                start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+                if count < 1:
+                    raise FisherctlError("t-grid count must be >= 1")
+                with np.errstate(invalid="ignore"):  # non-finite ends are refused below
+                    grid = tuple(np.linspace(start, stop, count).tolist())
+            else:
+                grid = tuple(float(v) for v in spec.split(","))
+        except ValueError as exc:
+            raise FisherctlError(f"bad t-grid {spec!r}: {exc}")
+    elif isinstance(spec, list):
+        grid = tuple(_number("t_grid entry", t) for t in spec)
+    else:
+        raise FisherctlError(f"t_grid must be a string or a list of times, got {spec!r}")
+    if not grid:
+        raise FisherctlError("t_grid must be nonempty")
+    if not all(math.isfinite(t) and t > 0 for t in grid):
+        raise FisherctlError(f"t_grid entries must be finite and positive, got {spec!r}")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise FisherctlError("t_grid must be strictly increasing")
+    return grid
+
+
+def _parse_noise(spec) -> tuple:
+    """``(noise, rates)`` for :func:`get_model` from a flag or config value:
+    absent or true keeps the model's default rates, false or all-zero rates
+    select the noiseless variant, else a number, a list or a comma-separated
+    string of finite nonnegative rates."""
+    if spec is None or isinstance(spec, bool):  # bool is an int subclass
+        return spec is not False, None
+    if isinstance(spec, str):
+        rates = _floats(spec.split(","), f"noise specification {spec!r}")
+    elif isinstance(spec, (int, float, list)):
+        rates = tuple(_number("dephasing rate", r)
+                      for r in (spec if isinstance(spec, list) else [spec]))
+    else:
+        raise FisherctlError(f"bad noise specification {spec!r}")
+    if not all(math.isfinite(r) and r >= 0 for r in rates):
+        raise FisherctlError(f"dephasing rates must be finite and nonnegative, got {spec!r}")
+    noise = any(r > 0 for r in rates)
+    return noise, rates if noise else None
+
+
+def _parse_params(spec: str, model) -> np.ndarray:
+    x = _floats(spec.split(","), f"parameter list {spec!r}")
+    if len(x) != model.num_params or not all(map(math.isfinite, x)):
+        raise FisherctlError(
+            f"model {model.name!r} takes {model.num_params} finite parameter values, "
+            f"got {spec!r}"
+        )
+    return np.asarray(x)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -652,7 +632,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="re-evaluate a stored pulse instead of optimizing")
 
     p_oracle = sub.add_parser("oracle", help="closed-form reference tables")
-    p_oracle.add_argument("--model", required=True, choices=("magfield", "zz", "xxz"))
+    p_oracle.add_argument("--model", required=True, choices=tuple(ORACLE_COLUMNS))
     p_oracle.add_argument("--params", help="comma-separated parameter values "
                                            "(default: reference values)")
     p_oracle.add_argument("--noise", help="dephasing rate(s), comma separated")
@@ -667,15 +647,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            file_cfg = json.load(fh)
     except OSError as exc:
         raise FisherctlError(f"cannot read config file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, undecodable bytes
         raise FisherctlError(f"config file is not valid JSON: {exc}")
+    if not isinstance(file_cfg, dict):
+        raise FisherctlError("config file must hold a JSON object")
+    return file_cfg
 
 
 def _run_config_from(args) -> RunConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
+    grape_file = file_cfg.get("grape", {})
+    if not isinstance(grape_file, dict):
+        raise FisherctlError("config key 'grape' must hold a JSON object")
 
     def pick(flag, key, default=None):
         return flag if flag is not None else file_cfg.get(key, default)
@@ -683,63 +669,35 @@ def _run_config_from(args) -> RunConfig:
     model = pick(args.model, "model")
     if model is None:
         raise FisherctlError("--model is required (flag or config file)")
-
-    noise_spec = args.noise if args.noise is not None else file_cfg.get("noise")
-    if noise_spec is None or isinstance(noise_spec, bool):  # bool is an int subclass
-        noise, rates = noise_spec is not False, None
-    else:
-        if isinstance(noise_spec, str):
-            items = noise_spec.split(",")
-        elif isinstance(noise_spec, (int, float)):
-            items = [noise_spec]
-        elif isinstance(noise_spec, list):
-            items = noise_spec
-        else:
-            raise FisherctlError(f"bad noise specification {noise_spec!r}")
-        try:
-            rates = tuple(float(r) for r in items)
-        except (TypeError, ValueError):
-            raise FisherctlError(f"bad noise specification {noise_spec!r}")
-        if not all(math.isfinite(r) and r >= 0 for r in rates):
-            raise FisherctlError(
-                f"dephasing rates must be finite and nonnegative, got {noise_spec!r}"
-            )
-        # all-zero rates select the noiseless variant
-        noise = any(r > 0 for r in rates)
-        rates = rates if noise else None
+    noise, rates = _parse_noise(pick(args.noise, "noise"))
 
     t_value = getattr(args, "t", None)
-    if t_value is not None:
-        t_grid = (float(t_value),)
-    else:
-        grid_spec = pick(args.t_grid, "t_grid")
-        if grid_spec is None:
-            raise FisherctlError("--t-grid is required (flag or config file)")
-        t_grid = _parse_t_grid(grid_spec) if isinstance(grid_spec, str) \
-            else tuple(float(t) for t in grid_spec)
+    grid_spec = [t_value] if t_value is not None else pick(args.t_grid, "t_grid")
+    if grid_spec is None:
+        raise FisherctlError("--t-grid is required (flag or config file)")
 
-    grape_file = file_cfg.get("grape", {})
+    bound = pick(args.amplitude_bound, "amplitude_bound", grape_file.get("amplitude_bound"))
     grape = GrapeConfig(
-        step_size=grape_file.get("step_size", 0.01),
-        max_iters=pick(args.max_iters, "max_iters",
-                       grape_file.get("max_iters", 1000)),
-        convergence_tol=grape_file.get("convergence_tol", 1e-6),
+        step_size=_number("step_size", grape_file.get("step_size", 0.01)),
+        max_iters=_number("max_iters", pick(args.max_iters, "max_iters",
+                                            grape_file.get("max_iters", 1000)), integer=True),
+        convergence_tol=_number("convergence_tol", grape_file.get("convergence_tol", 1e-6)),
         init_scheme=pick(args.init, "init", grape_file.get("init_scheme", "random")),
-        init_seed=pick(args.seed, "seed", grape_file.get("init_seed", 0)),
-        init_amplitude=grape_file.get("init_amplitude", 0.1),
-        update_rule=pick(args.update, "update",
-                         grape_file.get("update_rule", "bfgs")),
-        amplitude_bound=pick(args.amplitude_bound, "amplitude_bound",
-                             grape_file.get("amplitude_bound")),
+        init_seed=_number("seed", pick(args.seed, "seed", grape_file.get("init_seed", 0)),
+                          integer=True),
+        init_amplitude=_number("init_amplitude", grape_file.get("init_amplitude", 0.1)),
+        update_rule=pick(args.update, "update", grape_file.get("update_rule", "bfgs")),
+        amplitude_bound=None if bound is None else _number("amplitude_bound", bound),
         fixed_step=grape_file.get("fixed_step", False),
+        steps_per_unit=_number("steps_per_unit",
+                               pick(args.steps_per_unit, "steps_per_unit", 100), integer=True),
     )
 
     return RunConfig(
         model=model,
         noise=noise,
         rates=rates,
-        t_grid=t_grid,
-        steps_per_unit=pick(args.steps_per_unit, "steps_per_unit", 100),
+        t_grid=_parse_t_grid(grid_spec),
         objective=pick(args.objective, "objective"),
         grape=grape,
         out=pick(args.out, "out", "-"),
@@ -757,11 +715,10 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate()
         if args.command == "oracle":
-            t_grid = _parse_t_grid(args.t_grid)
-            params = _parse_rates(args.params) if args.params else None
-            rates = _parse_rates(args.noise) if args.noise else None
-            return cmd_oracle(args.model, params, t_grid, args.out,
-                              rates=rates, reproducible=args.reproducible)
+            model = get_model(args.model, *_parse_noise(args.noise))
+            x = model.true_values if args.params is None else _parse_params(args.params, model)
+            return cmd_oracle(model, x, _parse_t_grid(args.t_grid), args.out,
+                              reproducible=args.reproducible)
         if args.command == "optimize" and args.replay:
             return cmd_replay(args.replay)
         config = _run_config_from(args)

@@ -108,6 +108,7 @@ __all__ = [
     "gradient_dprob",
     "gradient_objective",
     "gradient_prob",
+    "num_steps",
     "optimize",
 ]
 
@@ -146,6 +147,14 @@ class GrapeConfig:
             raise InvariantViolation("step_size must be positive")
         if self.max_iters < 1:
             raise InvariantViolation("max_iters must be >= 1")
+        if self.steps_per_unit < 1:
+            raise InvariantViolation("steps_per_unit must be >= 1")
+        if self.init_seed < 0:
+            raise InvariantViolation("init_seed must be nonnegative")
+        if self.amplitude_bound is not None and not 0 < self.amplitude_bound < math.inf:
+            raise InvariantViolation(
+                f"amplitude_bound must be positive and finite, got {self.amplitude_bound}"
+            )
         if not self.convergence_tol > 0:
             raise InvariantViolation("convergence_tol must be positive")
         if self.init_scheme not in ("zeros", "random", "user"):
@@ -154,6 +163,11 @@ class GrapeConfig:
             raise InvariantViolation(f"unknown update_rule {self.update_rule!r}")
         if self.init_scheme == "user" and self.user_controls is None:
             raise InvariantViolation("init_scheme 'user' requires user_controls")
+
+
+def num_steps(t: float, steps_per_unit: int) -> int:
+    """Control steps of a grid of duration t at the given density."""
+    return max(1, round(steps_per_unit * t))
 
 
 @dataclass(frozen=True)
@@ -523,7 +537,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
     if objective is None:
         objective = model.default_objective
     x_true = np.asarray(x_true, dtype=float)
-    m = max(1, round(config.steps_per_unit * t))
+    m = num_steps(t, config.steps_per_unit)
     controls = _initial_controls(model, t, m, config)
 
     evaluations = 0

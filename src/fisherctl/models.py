@@ -43,6 +43,9 @@ class ParametricModel:
     ``h0`` maps a parameter vector to the free Hamiltonian and ``dh0`` maps it
     to the list of partial derivatives of the free Hamiltonian (constant
     operators for the coupling models, point-dependent for the field model).
+    ``rates`` holds the dephasing rates the model was built with, one per
+    qubit that can dephase, zeros included; ``noise`` keeps only the nonzero
+    channels.
     """
 
     name: str
@@ -56,6 +59,7 @@ class ParametricModel:
     default_povm: Povm
     true_values: np.ndarray
     default_objective: str = "f0"
+    rates: tuple = ()
 
     @property
     def num_params(self) -> int:
@@ -156,6 +160,7 @@ def model_magnetic_field(dephasing_rate: float = 0.2) -> ParametricModel:
         default_povm=bell_povm(),
         true_values=np.array([1.0, np.pi / 4, np.pi / 4]),
         default_objective="f0",
+        rates=(float(dephasing_rate),),
     )
 
 
@@ -198,6 +203,7 @@ def model_magnetic_field_cartesian(dephasing_rate: float = 0.2) -> ParametricMod
         default_povm=bell_povm(),
         true_values=true_values,
         default_objective="f0",
+        rates=(float(dephasing_rate),),
     )
 
 
@@ -235,6 +241,7 @@ def model_zz(dephasing_rates=(0.1, 0.1)) -> ParametricModel:
         default_povm=pm_povm(),
         true_values=np.array([1.0, 1.2, 0.1]),
         default_objective="f0",
+        rates=(float(g1), float(g2)),
     )
 
 
@@ -273,6 +280,7 @@ def model_xxz(dephasing_rates=(0.1, 0.1)) -> ParametricModel:
         default_povm=pm_povm(),
         true_values=np.array([1.0, 1.2]),
         default_objective="fcle",
+        rates=(float(g1), float(g2)),
     )
 
 

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from fisherctl import ControlGrid, get_model, measure, propagate, tr_inv
 from fisherctl.cli import EXIT_CONFIG, EXIT_IO, SWEEP_COLUMNS, main
 
 
@@ -160,7 +161,8 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("spec", [-0.5, "nan", [0.1, -0.1], [0.1, float("nan")],
-                                      float("inf"), [0.1, "x"], {"rate": 0.1}])
+                                      float("inf"), [0.1, "x"], {"rate": 0.1},
+                                      [True, 0.1], ["0.1", "0.1"]])
     def test_bad_noise_config_exits_2(self, tmp_path, capsys, spec):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": "xxz", "t_grid": [0.5], "noise": spec}))
@@ -182,6 +184,32 @@ class TestSweep:
     def test_steps_per_unit_floor(self):
         assert run(["sweep", "--model", "xxz", "--t-grid", "0.5",
                     "--steps-per-unit", "5"]) == EXIT_CONFIG
+
+    def test_zero_rate_leaves_oracle_column_empty(self, tmp_path):
+        # the exchange-model information matrix has a closed form only at
+        # equal rates; (0.1, 0) used to read back as (0.1, 0.1)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--model", "xxz", "--noise", "0.1,0", "--t-grid", "1.0",
+                    "--max-iters", "2", "--steps-per-unit", "12",
+                    "--out", str(out), "--reproducible"]) == 0
+        assert read_csv(out)[0]["tr_inv_oracle"] == ""
+
+    @pytest.mark.parametrize("noise, filled", [("0.2", False), ("0", True)])
+    def test_field_oracle_column_only_where_exact(self, tmp_path, noise, filled):
+        # the noisy field-model closed form is the factorized approximation
+        from fisherctl.oracles import oracle_magfield_cfim
+
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--model", "magfield", "--noise", noise, "--t-grid", "0.5,1.0",
+                    "--max-iters", "2", "--steps-per-unit", "12",
+                    "--out", str(out), "--reproducible"]) == 0
+        for row in read_csv(out):
+            if filled:
+                expected = tr_inv(oracle_magfield_cfim(1.0, math.pi / 4, math.pi / 4, 0.0,
+                                                       float(row["t"])))
+                assert float(row["tr_inv_oracle"]) == pytest.approx(expected, rel=1e-11)
+            else:
+                assert row["tr_inv_oracle"] == ""
 
 
 class TestOptimize:
@@ -334,6 +362,114 @@ class TestOracle:
                     "--reproducible"])
         assert code == 0
         assert read_csv(out)[0]["note"] == "singular"
+
+
+    def test_zero_rate_honoured(self, tmp_path):
+        # engine propagation at rates (0.1, 0), not (0.1, 0.1)
+        out = tmp_path / "oracle.csv"
+        assert run(["oracle", "--model", "zz", "--noise", "0.1,0", "--t-grid", "0.5,1.0",
+                    "--out", str(out), "--reproducible"]) == 0
+        model = get_model("zz", rates=(0.1, 0.0))
+        for row in read_csv(out):
+            t = float(row["t"])
+            traj = propagate(model, model.true_values, ControlGrid.zeros(6, 100, t),
+                             deriv_method=None)
+            engine = measure(traj.final_state, model.default_povm)
+            table = [float(row[k]) for k in ("p_pp", "p_pm", "p_mp", "p_mm")]
+            assert np.max(np.abs(engine - table)) < 1e-9
+
+    def test_noisy_field_rows_marked_factorized(self, tmp_path):
+        out = tmp_path / "oracle.csv"
+        for noise, note in (("0.2", "factorized"), ("0", "")):
+            assert run(["oracle", "--model", "magfield", "--noise", noise,
+                        "--t-grid", "0.5,1.0", "--out", str(out), "--reproducible"]) == 0
+            rows = read_csv(out)
+            assert [row["note"] for row in rows] == [note, note]
+            assert all(float(row["tr_inv"]) > 0 for row in rows)
+
+    @pytest.mark.parametrize("params", ["1,2", "1,2,3,4", "1,nan,0.5", "1,inf,0.5", "1,x,2"])
+    def test_bad_params_exit_2(self, tmp_path, capsys, params):
+        out = tmp_path / "o.csv"
+        code = run(["oracle", "--model", "magfield", f"--params={params}",
+                    "--t-grid", "0.5", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestInputChecks:
+    """Malformed input ends in exit 2 with a message, never in a traceback or
+    a run on values that make no sense."""
+
+    @pytest.mark.parametrize("command", ["sweep", "oracle"])
+    @pytest.mark.parametrize("grid", ["0.5,nan", "0.5,inf", "-1", "0", "0.5:inf:3",
+                                      "nan:1:2", "1.0,0.5", "0.5,0.5"])
+    def test_bad_times_exit_2(self, tmp_path, capsys, command, grid):
+        out = tmp_path / "x.csv"
+        argv = [command, "--model", "xxz", f"--t-grid={grid}", "--out", str(out)]
+        if command == "sweep":
+            argv += ["--max-iters", "2", "--steps-per-unit", "12"]
+        assert run(argv) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-0.5", "0"])
+    def test_bad_optimize_time_exits_2(self, tmp_path, capsys, t):
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", f"--t={t}", "--max-iters", "1",
+                    "--out", str(out)]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload", [
+        pytest.param([1, 2], id="list-file"),
+        pytest.param({"model": "heisenberg"}, id="model-unknown"),
+        pytest.param({"grape": [1]}, id="grape-list"),
+        pytest.param({"grape": {"max_iters": "abc"}}, id="max-iters-text"),
+        pytest.param({"grape": {"max_iters": 2.5}}, id="max-iters-real"),
+        pytest.param({"max_iters": True}, id="max-iters-bool"),
+        pytest.param({"steps_per_unit": "x"}, id="steps-text"),
+        pytest.param({"steps_per_unit": 20.0}, id="steps-real"),
+        pytest.param({"t_grid": 5}, id="t-grid-number"),
+        pytest.param({"t_grid": [0.5, "1.0"]}, id="t-grid-text-entry"),
+        pytest.param({"t_grid": []}, id="t-grid-empty"),
+        pytest.param({"seed": 1.5}, id="seed-real"),
+        pytest.param({"seed": False}, id="seed-bool"),
+        pytest.param({"seed": -1}, id="seed-negative"),
+        pytest.param({"grape": {"step_size": "big"}}, id="step-size-text"),
+        pytest.param({"grape": {"convergence_tol": [1e-6]}}, id="tol-list"),
+        pytest.param({"grape": {"init_amplitude": None}}, id="init-amplitude-null"),
+        pytest.param({"amplitude_bound": "wide"}, id="bound-text"),
+        pytest.param({"amplitude_bound": -1}, id="bound-negative"),
+        pytest.param({"grape": {"amplitude_bound": 0}}, id="bound-zero"),
+        pytest.param({"out": 5}, id="out-number"),
+        pytest.param({"grape": {"step_size": 10 ** 400}}, id="step-size-huge"),
+    ])
+    def test_malformed_config_exits_2(self, tmp_path, capsys, payload):
+        if isinstance(payload, dict):
+            payload = dict({"model": "xxz", "t_grid": [0.5], "steps_per_unit": 12,
+                            "grape": {"max_iters": 2}, "out": str(tmp_path / "x.csv")},
+                           **payload)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(payload))
+        assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b"\xff\xfe{")
+        assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", ["-1", "0", "nan", "inf"])
+    def test_bad_amplitude_bound_flag_exits_2(self, tmp_path, capsys, bound):
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.5", "--max-iters", "1",
+                    f"--amplitude-bound={bound}", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "amplitude_bound must be" in err and "exceed" not in err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -598,6 +598,15 @@ class TestOptimize:
             GrapeConfig(init_scheme="user")
         with pytest.raises(InvariantViolation):
             GrapeConfig(update_rule="newton")
+        with pytest.raises(InvariantViolation):
+            GrapeConfig(steps_per_unit=0)
+        with pytest.raises(InvariantViolation):
+            GrapeConfig(init_seed=-1)
+
+    @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf")])
+    def test_amplitude_bound_must_be_positive_and_finite(self, bound):
+        with pytest.raises(InvariantViolation, match="amplitude_bound must be positive"):
+            GrapeConfig(amplitude_bound=bound)
 
 
 class TestBfgsDirection:

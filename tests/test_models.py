@@ -47,6 +47,19 @@ class TestCatalog:
         for name in MODEL_NAMES:
             assert not get_model(name, noise=False).noise
 
+    @pytest.mark.parametrize("name, rates", [("magfield", (0.0,)), ("zz", (0.1, 0.0)),
+                                             ("xxz", (0.0, 0.3)), ("zz", (0.2, 0.2))])
+    def test_rates_kept_with_zeros(self, name, rates):
+        # noise keeps only the nonzero channels; rates keeps what was asked for
+        model = get_model(name, rates=rates)
+        assert model.rates == rates
+        assert [g for _, g in model.noise.channels] == [g for g in rates if g]
+
+    def test_default_and_noiseless_rates(self):
+        assert get_model("xxz").rates == (0.1, 0.1)
+        assert get_model("magfield").rates == (0.2,)
+        assert get_model("zz", noise=False).rates == (0.0, 0.0)
+
     def test_six_local_fields(self):
         hams = local_control_hams()
         assert len(hams) == 6
