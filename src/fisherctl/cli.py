@@ -35,7 +35,7 @@ from . import oracles
 from .dynamics import ControlGrid, measure, measure_derivs, propagate
 from .errors import FisherctlError, InvariantViolation, PropagationError, SingularContribution
 from .fisher import cfim, qfim, tr_inv
-from .grape import GrapeConfig, GrapeResult, _objective_value, num_steps, optimize
+from .grape import OBJECTIVES, GrapeConfig, GrapeResult, _objective_value, num_steps, optimize
 from .models import MODEL_NAMES, get_model
 
 EXIT_OK = 0
@@ -63,7 +63,7 @@ class RunConfig:
     def __post_init__(self):
         if self.grape.steps_per_unit < 10:
             raise FisherctlError("steps_per_unit must be at least 10")
-        if self.objective not in (None, "f0", "fcle"):
+        if self.objective is not None and self.objective not in OBJECTIVES:
             raise FisherctlError(f"unknown objective {self.objective!r}")
         if self.format not in ("csv", "json"):
             raise FisherctlError(f"unknown format {self.format!r}")
@@ -608,7 +608,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--noise", help="dephasing rate(s), comma separated; 0 disables")
         p.add_argument("--t-grid", help="start:stop:count or comma-separated times")
         p.add_argument("--steps-per-unit", type=int)
-        p.add_argument("--objective", choices=("f0", "fcle"))
+        p.add_argument("--objective", choices=OBJECTIVES)
         p.add_argument("--seed", type=int)
         p.add_argument("--init", choices=("zeros", "random"))
         p.add_argument("--update", choices=("gradient", "bfgs"))

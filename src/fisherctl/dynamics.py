@@ -113,6 +113,20 @@ class NoiseSpec:
         return any(rate > 0 for _, rate in self.channels)
 
 
+def check_probe(probe, dim: int) -> np.ndarray:
+    """Check a probe state: a density matrix of dimension ``dim``."""
+    probe = validate_density_matrix(probe, name="probe")
+    if probe.shape[0] != dim:
+        raise DimensionMismatch("probe dimension does not match the model")
+    return probe
+
+
+def check_amplitude_bound(bound: float | None) -> None:
+    """Refuse an amplitude bound that is not None, positive and finite."""
+    if bound is not None and not 0 < bound < np.inf:
+        raise InvariantViolation(f"amplitude_bound must be positive and finite, got {bound}")
+
+
 @dataclass(frozen=True)
 class ControlGrid:
     """Piecewise-constant control amplitudes: ``num_fields`` x ``num_steps``."""
@@ -135,6 +149,7 @@ class ControlGrid:
             )
         if not np.all(np.isfinite(amps)):
             raise InvariantViolation("control amplitudes must be finite")
+        check_amplitude_bound(self.amplitude_bound)
         if self.amplitude_bound is not None and np.max(np.abs(amps)) > self.amplitude_bound:
             raise InvariantViolation(
                 f"amplitudes exceed the configured bound {self.amplitude_bound}"
@@ -176,7 +191,6 @@ class Trajectory:
     states: np.ndarray
     segment_propagators: np.ndarray
     param_derivs: np.ndarray | None
-    deriv_method: str | None
     dt: float = field(init=False)
 
     def __post_init__(self):
@@ -200,9 +214,8 @@ class Trajectory:
 def build_liouvillian(h: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     """The (d^2, d^2) matrix of the generator ``rho -> -i[H, rho] + sum_c
     (gamma_c/2)(A_c rho A_c - rho)``."""
-    h = validate_hermitian(h, atol=1e-10, name="Hamiltonian")
-    d = h.shape[0]
-    lmat = -1j * commutator_superop(h)
+    lmat = -1j * commutator_superop(h)  # which checks that H is Hermitian
+    d = np.shape(h)[0]
     eye = np.eye(d * d, dtype=complex)
     for a, rate in noise.channels:
         if a.shape[0] != d:
@@ -211,37 +224,30 @@ def build_liouvillian(h: np.ndarray, noise: NoiseSpec) -> np.ndarray:
     return lmat
 
 
-def _check_fields(model, controls: ControlGrid) -> None:
-    if controls.num_fields != len(model.control_hams):
+def _step_stack(free: np.ndarray, directions: np.ndarray, controls: ControlGrid) -> np.ndarray:
+    """``free + sum_k V_k(j) directions_k`` for every step j as one (m, ...) stack."""
+    if controls.num_fields != len(directions):
         raise DimensionMismatch(
-            f"{controls.num_fields} control fields vs "
-            f"{len(model.control_hams)} control Hamiltonians"
+            f"{controls.num_fields} control fields vs {len(directions)} control Hamiltonians"
         )
+    stack = np.broadcast_to(free, (controls.num_steps,) + free.shape)
+    for amps, direction in zip(controls.amplitudes, directions):
+        stack = stack + amps[:, None, None] * direction
+    return stack
 
 
 def step_hamiltonians(model, x, controls: ControlGrid) -> np.ndarray:
     """Total Hamiltonians ``H0(x) + sum_k V_k(j) H_k`` as one (m, d, d) stack."""
-    _check_fields(model, controls)
-    h0 = model.h0(np.asarray(x, dtype=float))
-    hams = np.broadcast_to(h0, (controls.num_steps,) + h0.shape)
-    for amps, hk in zip(controls.amplitudes, model.control_hams):
-        hams = hams + amps[:, None, None] * hk
-    return hams
+    return _step_stack(model.at(x).h0, model.control_stack, controls)
 
 
 def step_liouvillians(model, x, controls: ControlGrid) -> np.ndarray:
     """Step generators ``L_j = L0(x) + sum_k V_k(j) C_k`` as one (m, d^2, d^2) stack.
 
-    ``L0(x)`` is :func:`build_liouvillian` of the free Hamiltonian, built (and
-    validated) once per call; ``C_k = -i ad(H_k)`` is the direction of control
-    field k.
+    ``L0(x)`` is :func:`build_liouvillian` of the free Hamiltonian, kept by the
+    model per point; ``C_k = -i ad(H_k)`` is the direction of control field k.
     """
-    _check_fields(model, controls)
-    l0 = build_liouvillian(model.h0(np.asarray(x, dtype=float)), model.noise)
-    gens = np.broadcast_to(l0, (controls.num_steps,) + l0.shape)
-    for amps, ck in zip(controls.amplitudes, model.control_comms):
-        gens = gens + amps[:, None, None] * (-1j * ck)
-    return gens
+    return _step_stack(model.at(x).l0, -1j * model.control_comms, controls)
 
 
 def _pade_order(a: np.ndarray):
@@ -434,12 +440,13 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     Parameters
     ----------
     model : ParametricModel
-        Supplies ``h0``, ``dh0``, ``control_hams`` and ``noise``.
+        Supplies its checked operators at x (:meth:`ParametricModel.at`), its
+        control stacks and ``noise``.
     x : array_like
         Parameter point at which the dynamics is linearized.
     controls : ControlGrid
     probe : ndarray, optional
-        Initial state; defaults to the model's probe.
+        Initial state; defaults to the model's probe, checked once per model.
     deriv_method : {"exact", None}
         Whether parameter derivatives of the state are propagated (None skips
         them entirely).
@@ -447,11 +454,7 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     if deriv_method not in ("exact", None):
         raise InvariantViolation(f"unknown deriv_method {deriv_method!r}")
     x = np.asarray(x, dtype=float)
-    if probe is None:
-        probe = model.default_probe
-    probe = validate_density_matrix(probe, name="probe")
-    if probe.shape[0] != model.dim:
-        raise DimensionMismatch("probe dimension does not match the model")
+    probe = model.probe if probe is None else check_probe(probe, model.dim)
 
     d = model.dim
     dt = controls.dt
@@ -491,7 +494,7 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
         if model.noise:
             src = _frechet_action(gens, dt * (-1j * model.dh0_comms(x)), rho[:-1], rho[1:])
         else:
-            du = _daleckii_krein(evals, evecs, dt, np.stack(model.dh0(x)))
+            du = _daleckii_krein(evals, evecs, dt, model.at(x).dh0)
             act = du @ (states[:-1] @ np.conj(u.swapaxes(1, 2)))[:, None]
             src = (act + np.conj(act.swapaxes(-1, -2))).reshape(m, -1, d * d)
         n_par = src.shape[1]
@@ -507,7 +510,6 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
         states=states,
         segment_propagators=segs,
         param_derivs=param_derivs,
-        deriv_method=deriv_method,
     )
 
 

@@ -62,6 +62,15 @@ matters; bias is second order).  The textbook end-point form of these
 gradients is first order in dt and misses finite-difference checks at
 practical grid densities, which is why the refined quadratures are used.
 
+Ascent loop
+-----------
+Every iteration runs one trial-step loop along its ascent direction: clip the
+step to the amplitude bound, evaluate the trial point, then accept or halve.
+A fixed step is one trial accepted without a test; backtracking gradient
+ascent starts at twice the last accepted step, BFGS at unit step.  A trial's
+:class:`GradientContext` builds its information matrix once and, when
+accepted, supplies the next gradient.
+
 Quasi-Newton update
 -------------------
 The "bfgs" rule never forms the (p m) x (p m) inverse Hessian.  It keeps the
@@ -86,6 +95,7 @@ from .dynamics import (
     Trajectory,
     _distinct_steps,
     _step_propagators,
+    check_amplitude_bound,
     measure,
     measure_derivs,
     propagate,
@@ -114,6 +124,8 @@ __all__ = [
 
 OBJECTIVES = ("f0", "fcle")
 MAX_BACKTRACKS = 30
+# iterations over which the relative objective change is tested for convergence
+CONVERGENCE_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -132,7 +144,6 @@ class GrapeConfig:
     step_size: float = 0.01
     max_iters: int = 1000
     convergence_tol: float = 1e-6
-    convergence_window: int = 5
     init_scheme: str = "random"
     init_seed: int = 0
     init_amplitude: float = 0.1
@@ -151,10 +162,7 @@ class GrapeConfig:
             raise InvariantViolation("steps_per_unit must be >= 1")
         if self.init_seed < 0:
             raise InvariantViolation("init_seed must be nonnegative")
-        if self.amplitude_bound is not None and not 0 < self.amplitude_bound < math.inf:
-            raise InvariantViolation(
-                f"amplitude_bound must be positive and finite, got {self.amplitude_bound}"
-            )
+        check_amplitude_bound(self.amplitude_bound)
         if not self.convergence_tol > 0:
             raise InvariantViolation("convergence_tol must be positive")
         if self.init_scheme not in ("zeros", "random", "user"):
@@ -275,7 +283,7 @@ class GradientContext:
         self.dp = np.real(self.effect_vecs @ drho_flat.T).T
 
         self._active = self.p > EPS_P
-        self._backward = self._grids = None
+        self._backward = self._grids = self._cfim = None
 
     # -- backward costate sweep -----------------------------------------------
 
@@ -430,7 +438,10 @@ class GradientContext:
         return self._contract(*self._costates(weights[None]))[0]
 
     def current_cfim(self) -> FisherMatrix:
-        return cfim(self.p, self.dp)
+        """The classical information matrix of the final state, built once."""
+        if self._cfim is None:
+            self._cfim = cfim(self.p, self.dp)
+        return self._cfim
 
 
 def gradient_prob(trajectory: Trajectory, povm: Povm, k: int, j: int) -> np.ndarray:
@@ -489,6 +500,10 @@ def gradient_objective(trajectory: Trajectory, povm: Povm, objective: str) -> np
 # -- ascent loop ----------------------------------------------------------------------
 
 
+def _clip(amps: np.ndarray, bound: float | None) -> np.ndarray:
+    return amps if bound is None else np.clip(amps, -bound, bound)
+
+
 def _initial_controls(model, t: float, m: int, config: GrapeConfig) -> ControlGrid:
     p = len(model.control_hams)
     if config.init_scheme == "zeros":
@@ -500,9 +515,7 @@ def _initial_controls(model, t: float, m: int, config: GrapeConfig) -> ControlGr
         amps = np.asarray(config.user_controls, dtype=float)
         if amps.shape != (p, m):
             raise DimensionMismatch(f"user controls shape {amps.shape} != ({p}, {m})")
-    if config.amplitude_bound is not None:
-        amps = np.clip(amps, -config.amplitude_bound, config.amplitude_bound)
-    return ControlGrid(p, m, t, amps, config.amplitude_bound)
+    return ControlGrid(p, m, t, _clip(amps, config.amplitude_bound), config.amplitude_bound)
 
 
 def _bfgs_direction(pairs: list, g: np.ndarray) -> np.ndarray:
@@ -525,13 +538,12 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
 
     Iterates propagate -> objective -> gradient -> update until the relative
     objective change stays below ``config.convergence_tol`` over
-    ``config.convergence_window`` iterations or ``config.max_iters`` is hit.
+    :data:`CONVERGENCE_WINDOW` iterations or ``config.max_iters`` is hit.
     With backtracking enabled (the default) the recorded objective history is
     non-decreasing.  The reported information matrix and precision limit are
     re-evaluated at the final controls with exact state derivatives.
+    ``probe``, ``povm`` and ``objective`` default to the model's (None).
     """
-    if probe is None:
-        probe = model.default_probe
     if povm is None:
         povm = model.default_povm
     if objective is None:
@@ -558,6 +570,8 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
     grad_flat = ctx.objective_gradient(objective).reshape(-1)
     termination = "max_iters"
     iterations = 0
+    # a fixed step is one trial, accepted without an ascent test
+    fixed = config.fixed_step and config.update_rule == "gradient"
     step_memory = config.step_size  # grows/shrinks with accepted steps
 
     for iterations in range(1, config.max_iters + 1):
@@ -565,52 +579,33 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
             direction = _bfgs_direction(pairs, grad_flat)
             if float(direction @ grad_flat) <= 0:
                 pairs.clear()  # reset a non-ascent approximation
-                direction = grad_flat.copy()
-            step0 = 1.0
+                direction = grad_flat
+            step = 1.0
         else:
             direction = grad_flat
-            step0 = 2.0 * step_memory
+            step = config.step_size if fixed else 2.0 * step_memory
+        direction = direction.reshape(controls.num_fields, m)
 
-        if config.fixed_step and config.update_rule == "gradient":
-            new_amps = controls.amplitudes + config.step_size * direction.reshape(
-                controls.num_fields, m
-            )
-            if config.amplitude_bound is not None:
-                new_amps = np.clip(new_amps, -config.amplitude_bound, config.amplitude_bound)
-            candidate = controls.with_amplitudes(new_amps)
+        # the line search: halve the step until a trial point ascends
+        accepted = evaluated = False
+        for _ in range(1 if fixed else MAX_BACKTRACKS + 1):
+            candidate = controls.with_amplitudes(
+                _clip(controls.amplitudes + step * direction, config.amplitude_bound))
             try:
                 new_obj, new_ctx = evaluate(candidate)
             except (PropagationError, SingularContribution):
-                termination = "numerical_failure"
-                break
-        else:
-            accepted = evaluated = False
-            step = step0
-            for _ in range(MAX_BACKTRACKS + 1):
-                new_amps = controls.amplitudes + step * direction.reshape(
-                    controls.num_fields, m
-                )
-                if config.amplitude_bound is not None:
-                    new_amps = np.clip(
-                        new_amps, -config.amplitude_bound, config.amplitude_bound
-                    )
-                candidate = controls.with_amplitudes(new_amps)
-                try:
-                    new_obj, new_ctx = evaluate(candidate)
-                except (PropagationError, SingularContribution):
-                    step *= 0.5
-                    continue
-                evaluated = True
-                if new_obj > obj:
-                    accepted = True
-                    break
                 step *= 0.5
-            if not accepted:
-                # no ascent at line-search resolution
-                termination = "line_search_stall" if evaluated else "numerical_failure"
+                continue
+            evaluated = True
+            if fixed or new_obj > obj:
+                accepted = True
                 break
-            if config.update_rule == "gradient":
-                step_memory = step
+            step *= 0.5
+        if not accepted:
+            # no ascent at line-search resolution
+            termination = "line_search_stall" if evaluated else "numerical_failure"
+            break
+        step_memory = step
 
         new_grad = new_ctx.objective_gradient(objective).reshape(-1)
         if config.update_rule == "bfgs":
@@ -624,9 +619,8 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         controls, obj, grad_flat = candidate, new_obj, new_grad
         history.append(obj)
 
-        w = config.convergence_window
-        if len(history) > w:
-            change = abs(history[-1] - history[-1 - w])
+        if len(history) > CONVERGENCE_WINDOW:
+            change = abs(history[-1] - history[-1 - CONVERGENCE_WINDOW])
             if change <= config.convergence_tol * max(abs(history[-1]), 1e-30):
                 termination = "converged"
                 break

@@ -5,23 +5,31 @@ reference parameter values used throughout the test grid.
 Basis ordering is fixed to {|00>, |01>, |10>, |11>}; every serialized matrix
 uses it.  All three systems share the six local control fields (the three
 Pauli operators on each qubit).
+
+A :class:`ParametricModel` owns its checked operators.  The probe, the control
+Hamiltonians and their commutator superoperators are checked once per model;
+H0(x), dH0(x), their commutator superoperators and the free generator L0(x)
+once per parameter point (:meth:`ParametricModel.at`).  Propagation and the
+gradients read only these, so every path refuses the same malformed model and
+repeated propagation at one point builds no superoperator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import NoiseSpec
-from .errors import FisherctlError
-from .operators import I2, SX, SY, SZ, Povm, commutator_superop, kron
+from .dynamics import NoiseSpec, build_liouvillian, check_probe
+from .errors import DimensionMismatch, FisherctlError
+from .operators import I2, SX, SY, SZ, Povm, commutator_superop, kron, validate_hermitian
 
 __all__ = [
     "MODEL_NAMES",
     "ParametricModel",
+    "PointOperators",
     "bell_povm",
     "get_model",
     "local_control_hams",
@@ -36,6 +44,30 @@ SX1, SY1, SZ1 = (kron(s, I2) for s in (SX, SY, SZ))
 SX2, SY2, SZ2 = (kron(I2, s) for s in (SX, SY, SZ))
 
 
+class PointOperators(NamedTuple):
+    """A model's operators at one point x, read-only: H0(x), the (n, d, d)
+    stack of dH0/dx_a, the (n, d^2, d^2) stack of ``ad(dH0/dx_a)`` and
+    ``l0 = build_liouvillian(H0(x), noise)``."""
+
+    key: bytes
+    h0: np.ndarray
+    dh0: np.ndarray
+    dh0_comms: np.ndarray
+    l0: np.ndarray
+
+
+def _checked(h, dim: int, name: str) -> np.ndarray:
+    h = validate_hermitian(h, name=name)
+    if h.shape != (dim, dim):
+        raise DimensionMismatch(f"{name} has shape {h.shape}, not ({dim}, {dim})")
+    return h
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class ParametricModel:
     """Bundle describing one parametric estimation system.
@@ -45,7 +77,8 @@ class ParametricModel:
     operators for the coupling models, point-dependent for the field model).
     ``rates`` holds the dephasing rates the model was built with, one per
     qubit that can dephase, zeros included; ``noise`` keeps only the nonzero
-    channels.
+    channels.  The checked operators are :attr:`probe`, :attr:`control_stack`,
+    :attr:`control_comms` and, per point, :meth:`at`.
     """
 
     name: str
@@ -66,29 +99,46 @@ class ParametricModel:
         return len(self.param_names)
 
     @cached_property
+    def probe(self) -> np.ndarray:
+        """``default_probe``, checked once: a density matrix of the model's
+        dimension.  A read-only copy, so what was checked is what is used."""
+        return _read_only(check_probe(self.default_probe, self.dim).copy())
+
+    @cached_property
+    def control_stack(self) -> np.ndarray:
+        """The (p, d, d) stack of control Hamiltonians, read-only, each checked
+        once: Hermitian and of the model's dimension."""
+        return _read_only(np.stack([_checked(hk, self.dim, f"control Hamiltonian {k}")
+                                    for k, hk in enumerate(self.control_hams)]))
+
+    @cached_property
     def control_comms(self) -> np.ndarray:
-        """The (p, d^2, d^2) stack of ``ad(H_k)``, each ``H_k`` validated once."""
-        comms = np.stack([commutator_superop(hk) for hk in self.control_hams])
-        comms.flags.writeable = False
-        return comms
+        """The (p, d^2, d^2) stack of ``ad(H_k)``, read-only."""
+        return _read_only(np.stack([commutator_superop(hk) for hk in self.control_stack]))
 
-    def dh0_comms(self, x) -> np.ndarray:
-        """The (n, d^2, d^2) stack of ``ad(dH0/dx_a)`` at x, read-only.
-
-        Built once per point: the last point's stack is kept and served again
-        while x is unchanged.
-        """
+    def at(self, x) -> PointOperators:
+        """The checked operators at x, built once per point: the last point's
+        entry is kept and served again while x is unchanged."""
         x = np.asarray(x, dtype=float)
         key = x.tobytes()
-        # the (key, stack) pair is read and replaced as one object, so threads
-        # sharing the model each get their own point's stack
-        cached = self.__dict__.get("_dh0_comms")
-        if cached is None or cached[0] != key:
-            comms = np.stack([commutator_superop(dh) for dh in self.dh0(x)])
-            comms.flags.writeable = False
-            cached = (key, comms)
-            self.__dict__["_dh0_comms"] = cached
-        return cached[1]
+        # the entry is read and replaced as one object, so threads sharing the
+        # model each get their own point's operators
+        entry = self.__dict__.get("_point")
+        if entry is None or entry.key != key:
+            h0 = _checked(self.h0(x), self.dim, "free Hamiltonian")
+            dh0 = np.stack([_checked(dh, self.dim, f"dH0/dx_{a}")
+                            for a, dh in enumerate(self.dh0(x))])
+            comms = np.stack([commutator_superop(dh) for dh in dh0])
+            # h0 may be the caller's own array: the entry keeps a copy
+            entry = PointOperators(key, _read_only(h0.copy()), _read_only(dh0),
+                                   _read_only(comms),
+                                   _read_only(build_liouvillian(h0, self.noise)))
+            self.__dict__["_point"] = entry
+        return entry
+
+    def dh0_comms(self, x) -> np.ndarray:
+        """The (n, d^2, d^2) stack of ``ad(dH0/dx_a)`` at x, read-only."""
+        return self.at(x).dh0_comms
 
 
 def local_control_hams() -> tuple:
@@ -120,6 +170,39 @@ def pm_povm() -> Povm:
     return Povm.projective(("++", "+-", "-+", "--"), states)
 
 
+def _pure(ket: np.ndarray) -> np.ndarray:
+    return np.outer(ket, ket.conj())
+
+
+def _linear(generators: list):
+    """``h0`` and ``dh0`` of ``H0 = sum_a x_a G_a``, summed left to right."""
+
+    def h0(x: np.ndarray) -> np.ndarray:
+        h = x[0] * generators[0]
+        for xa, ga in zip(x[1:], generators[1:]):
+            h = h + xa * ga
+        return h
+
+    def dh0(x: np.ndarray) -> list:
+        return list(generators)
+
+    return h0, dh0
+
+
+def _catalog_model(name, param_names, h0, dh0, rates, probe, povm, true_values,
+                   objective="f0") -> ParametricModel:
+    """A catalog model: two qubits, the six local control fields and sigma_3
+    dephasing on qubit k at ``rates[k]`` (channels at rate 0 left out)."""
+    rates = tuple(float(g) for g in rates)
+    noise = NoiseSpec.dephasing([(a, g) for a, g in zip((SZ1, SZ2), rates) if g])
+    return ParametricModel(
+        name=name, dim=4, param_names=param_names, h0=h0, dh0=dh0,
+        control_hams=local_control_hams(), noise=noise, default_probe=probe,
+        default_povm=povm, true_values=true_values, default_objective=objective,
+        rates=rates,
+    )
+
+
 def model_magnetic_field(dephasing_rate: float = 0.2) -> ParametricModel:
     """Field-sensing qubit plus ancilla.
 
@@ -146,22 +229,9 @@ def model_magnetic_field(dephasing_rate: float = 0.2) -> ParametricModel:
         d_phi = b * st * (-sp * SX1 + cp * SY1)
         return [d_b, d_theta, d_phi]
 
-    probe = np.outer(_ket([1, 0, 0, 1]), _ket([1, 0, 0, 1]).conj())
-    noise = NoiseSpec.dephasing([(SZ1, dephasing_rate)]) if dephasing_rate else NoiseSpec.none()
-    return ParametricModel(
-        name="magfield",
-        dim=4,
-        param_names=("B", "theta", "phi"),
-        h0=h0,
-        dh0=dh0,
-        control_hams=local_control_hams(),
-        noise=noise,
-        default_probe=probe,
-        default_povm=bell_povm(),
-        true_values=np.array([1.0, np.pi / 4, np.pi / 4]),
-        default_objective="f0",
-        rates=(float(dephasing_rate),),
-    )
+    return _catalog_model("magfield", ("B", "theta", "phi"), h0, dh0, (dephasing_rate,),
+                          _pure(_ket([1, 0, 0, 1])), bell_povm(),
+                          np.array([1.0, np.pi / 4, np.pi / 4]))
 
 
 def model_magnetic_field_cartesian(dephasing_rate: float = 0.2) -> ParametricModel:
@@ -175,36 +245,15 @@ def model_magnetic_field_cartesian(dephasing_rate: float = 0.2) -> ParametricMod
     spherical coordinates the angle generators have smaller spread and the
     optimum differs by the Jacobian.
     """
-    generators = [SX1, SY1, SZ1]
-
-    def h0(x: np.ndarray) -> np.ndarray:
-        return x[0] * generators[0] + x[1] * generators[1] + x[2] * generators[2]
-
-    def dh0(x: np.ndarray) -> list:
-        return list(generators)
-
-    probe = np.outer(_ket([1, 0, 0, 1]), _ket([1, 0, 0, 1]).conj())
-    noise = NoiseSpec.dephasing([(SZ1, dephasing_rate)]) if dephasing_rate else NoiseSpec.none()
     b, theta, phi = 1.0, np.pi / 4, np.pi / 4
     true_values = np.array([
         b * np.sin(theta) * np.cos(phi),
         b * np.sin(theta) * np.sin(phi),
         b * np.cos(theta),
     ])
-    return ParametricModel(
-        name="magfield-xyz",
-        dim=4,
-        param_names=("B1", "B2", "B3"),
-        h0=h0,
-        dh0=dh0,
-        control_hams=local_control_hams(),
-        noise=noise,
-        default_probe=probe,
-        default_povm=bell_povm(),
-        true_values=true_values,
-        default_objective="f0",
-        rates=(float(dephasing_rate),),
-    )
+    return _catalog_model("magfield-xyz", ("B1", "B2", "B3"), *_linear([SX1, SY1, SZ1]),
+                          (dephasing_rate,), _pure(_ket([1, 0, 0, 1])), bell_povm(),
+                          true_values)
 
 
 def model_zz(dephasing_rates=(0.1, 0.1)) -> ParametricModel:
@@ -214,35 +263,11 @@ def model_zz(dephasing_rates=(0.1, 0.1)) -> ParametricModel:
     three generators commute.  Probe |++>, local |+->-basis measurement,
     dephasing on both qubits.
     """
-    generators = [SZ1, SZ2, SZ1 @ SZ2]
-
-    def h0(x: np.ndarray) -> np.ndarray:
-        return x[0] * generators[0] + x[1] * generators[1] + x[2] * generators[2]
-
-    def dh0(x: np.ndarray) -> list:
-        return list(generators)
-
     plus = _ket([1, 1])
-    probe_ket = np.kron(plus, plus)
-    probe = np.outer(probe_ket, probe_ket.conj())
     g1, g2 = dephasing_rates
-    pairs = [(SZ1, g1), (SZ2, g2)]
-    noise = NoiseSpec.dephasing([(a, g) for a, g in pairs if g]) if any(dephasing_rates) \
-        else NoiseSpec.none()
-    return ParametricModel(
-        name="zz",
-        dim=4,
-        param_names=("omega1", "omega2", "g"),
-        h0=h0,
-        dh0=dh0,
-        control_hams=local_control_hams(),
-        noise=noise,
-        default_probe=probe,
-        default_povm=pm_povm(),
-        true_values=np.array([1.0, 1.2, 0.1]),
-        default_objective="f0",
-        rates=(float(g1), float(g2)),
-    )
+    return _catalog_model("zz", ("omega1", "omega2", "g"), *_linear([SZ1, SZ2, SZ1 @ SZ2]),
+                          (g1, g2), _pure(np.kron(plus, plus)), pm_povm(),
+                          np.array([1.0, 1.2, 0.1]))
 
 
 def model_xxz(dephasing_rates=(0.1, 0.1)) -> ParametricModel:
@@ -252,36 +277,11 @@ def model_xxz(dephasing_rates=(0.1, 0.1)) -> ParametricModel:
     two generators commute.  Probe ``|0>(|0> + i|1>)/sqrt(2)``, local
     |+->-basis measurement, dephasing on both qubits.
     """
-    gen_xy = -(SX1 @ SX2 + SY1 @ SY2)
-    gen_zz = -(SZ1 @ SZ2)
-    generators = [gen_xy, gen_zz]
-
-    def h0(x: np.ndarray) -> np.ndarray:
-        return x[0] * generators[0] + x[1] * generators[1]
-
-    def dh0(x: np.ndarray) -> list:
-        return list(generators)
-
-    probe_ket = _ket([1, 1j, 0, 0])
-    probe = np.outer(probe_ket, probe_ket.conj())
     g1, g2 = dephasing_rates
-    pairs = [(SZ1, g1), (SZ2, g2)]
-    noise = NoiseSpec.dephasing([(a, g) for a, g in pairs if g]) if any(dephasing_rates) \
-        else NoiseSpec.none()
-    return ParametricModel(
-        name="xxz",
-        dim=4,
-        param_names=("x1", "x2"),
-        h0=h0,
-        dh0=dh0,
-        control_hams=local_control_hams(),
-        noise=noise,
-        default_probe=probe,
-        default_povm=pm_povm(),
-        true_values=np.array([1.0, 1.2]),
-        default_objective="fcle",
-        rates=(float(g1), float(g2)),
-    )
+    return _catalog_model("xxz", ("x1", "x2"),
+                          *_linear([-(SX1 @ SX2 + SY1 @ SY2), -(SZ1 @ SZ2)]), (g1, g2),
+                          _pure(_ket([1, 1j, 0, 0])), pm_povm(), np.array([1.0, 1.2]),
+                          objective="fcle")
 
 
 MODEL_NAMES = ("magfield", "magfield-xyz", "zz", "xxz")

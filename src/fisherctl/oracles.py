@@ -187,12 +187,14 @@ def oracle_xxz_probs(x1, x2, gamma1, gamma2, t) -> np.ndarray:
 
 
 def _delta_pm(x1, x2, gamma, t, sign) -> float:
+    # c^2 / (e^{2 gamma t} - s^2), written with e^{-2 gamma t} so that it
+    # cannot overflow at long times
     arg = 2 * t * (x1 + sign * x2)
-    c2 = math.cos(arg) ** 2
-    den = math.exp(2 * gamma * t) - math.sin(arg) ** 2
+    e = math.exp(-2 * gamma * t)
+    den = 1 - math.sin(arg) ** 2 * e
     if den <= DENOM_FLOOR:
         raise InvariantViolation("exchange-model denominator hit zero")
-    return c2 / den
+    return math.cos(arg) ** 2 * e / den
 
 
 def oracle_xxz_cfim(x1, x2, gamma, t) -> FisherMatrix:

@@ -303,6 +303,18 @@ class TestOptimize:
         assert run(["optimize", "--replay", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("bound", [-1, 0])
+    def test_replay_refuses_a_bad_bound_by_name(self, tmp_path, capsys, bound):
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.2", "--max-iters", "1",
+                    "--init", "zeros", "--steps-per-unit", "20", "--out", str(out)]) == 0
+        out.write_text(json.dumps(dict(json.loads(out.read_text()), amplitude_bound=bound)))
+        capsys.readouterr()
+        assert run(["optimize", "--replay", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"amplitude_bound must be positive and finite, got {float(bound)}" in err
+        assert "exceed" not in err
+
     def test_band_for_noiseless_exchange_model(self, tmp_path, capsys):
         # below the uncontrolled 1/(2T^2), at or above the probe-optimal
         # 3/(8T^2) less a small synthesis slack
@@ -318,6 +330,14 @@ class TestOptimize:
 
 
 class TestOracle:
+    def test_exchange_row_at_long_time(self, tmp_path):
+        # e^{2 gamma t} would overflow here; the information has decayed away
+        out = tmp_path / "oracle.csv"
+        assert run(["oracle", "--model", "xxz", "--t-grid", "4000",
+                    "--out", str(out), "--reproducible"]) == 0
+        (row,) = read_csv(out)
+        assert row["tr_inv"] == "inf"
+
     def test_exchange_noiseless_trinv_column(self, tmp_path):
         out = tmp_path / "oracle.csv"
         code = run(["oracle", "--model", "xxz", "--noise", "0,0",

@@ -507,6 +507,19 @@ class TestOptimize:
             assert res.evaluations >= res.iterations_used + 1
             assert res.evaluations == len(trials)
 
+    def test_each_evaluation_builds_one_cfim(self, monkeypatch):
+        # the value and the gradient of an accepted iterate share one matrix
+        import fisherctl.grape as grape_mod
+
+        calls = []
+        real_cfim = grape_mod.cfim
+        monkeypatch.setattr(grape_mod, "cfim", lambda *a: calls.append(1) or real_cfim(*a))
+        model = get_model("xxz")
+        res = optimize(model, model.true_values, None, None, 0.6, GrapeConfig(
+            max_iters=6, init_seed=3, steps_per_unit=20, update_rule="bfgs"))
+        assert res.iterations_used == 6
+        assert len(calls) == res.evaluations + 1  # and the final exact one
+
     def test_termination_reasons(self):
         model = get_model("xxz")
         common = dict(init_seed=3, steps_per_unit=20)

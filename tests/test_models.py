@@ -1,7 +1,18 @@
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
-from fisherctl import FisherctlError, get_model
+from fisherctl import (
+    ControlGrid,
+    DimensionMismatch,
+    FisherctlError,
+    InvariantViolation,
+    build_liouvillian,
+    get_model,
+    propagate,
+)
 from fisherctl.models import (
     MODEL_NAMES,
     bell_povm,
@@ -133,6 +144,73 @@ class TestDh0Comms:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not errors
+
+
+class TestCheckedOperators:
+    """The model checks its operators once, and every propagation path reads
+    the checked ones."""
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_non_hermitian_free_hamiltonian_raises(self, noise):
+        base = get_model("magfield-xyz", noise=noise)
+        bad = dataclasses.replace(base, h0=lambda x: base.h0(x) + 0.1j * kron(SX, I2))
+        grid = ControlGrid.zeros(6, 10, 0.5)
+        with pytest.raises(InvariantViolation, match="free Hamiltonian"):
+            propagate(bad, bad.true_values, grid)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_non_hermitian_control_hamiltonian_raises(self, noise):
+        base = get_model("magfield-xyz", noise=noise)
+        bad = dataclasses.replace(
+            base, control_hams=(1j * kron(SX, I2),) + base.control_hams[1:])
+        grid = ControlGrid.zeros(6, 10, 0.5)
+        with pytest.raises(InvariantViolation, match="control Hamiltonian 0"):
+            propagate(bad, bad.true_values, grid)
+
+    def test_control_hamiltonian_dimension_checked(self):
+        base = get_model("zz", noise=False)
+        bad = dataclasses.replace(base, control_hams=base.control_hams[:5] + (SZ,))
+        with pytest.raises(DimensionMismatch, match="control Hamiltonian 5"):
+            propagate(bad, bad.true_values, ControlGrid.zeros(6, 10, 0.5))
+
+    def test_point_entry_holds_the_checked_operators(self):
+        model = get_model("magfield")
+        x = model.true_values
+        ops = model.at(x)
+        assert np.array_equal(ops.h0, model.h0(x))
+        assert np.array_equal(ops.dh0, np.stack(model.dh0(x)))
+        assert np.array_equal(ops.l0, build_liouvillian(model.h0(x), model.noise))
+        assert ops.dh0_comms is model.dh0_comms(x)
+        assert not any(a.flags.writeable for a in (ops.h0, ops.dh0, ops.l0))
+
+    def test_cached_point_builds_no_generator(self, monkeypatch):
+        # a second noisy propagation at the same point, and its gradient
+        # context, assemble no superoperator
+        import fisherctl.dynamics as dynamics
+        import fisherctl.operators as operators
+        from fisherctl.grape import GradientContext
+
+        model = get_model("magfield")
+        x = model.true_values
+        grid = ControlGrid(6, 20, 0.4, np.full((6, 20), 0.1))
+        propagate(model, x, grid)
+        calls = []
+        for original in (dynamics.build_liouvillian, operators.commutator_superop,
+                         operators.sandwich_superop):
+            def counting(*args, _original=original, **kwargs):
+                calls.append(_original.__name__)
+                return _original(*args, **kwargs)
+
+            for name, module in list(sys.modules.items()):
+                if name.startswith("fisherctl"):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counting)
+        traj = propagate(model, x, grid)
+        GradientContext(traj, model.default_povm)
+        assert calls == []
+        model.at(x + 0.1)  # a new point builds its generator, and is counted
+        assert {"build_liouvillian", "commutator_superop", "sandwich_superop"} <= set(calls)
 
 
 class TestPovms:
