@@ -677,6 +677,9 @@ def _run_config_from(args) -> RunConfig:
         raise FisherctlError("--t-grid is required (flag or config file)")
 
     bound = pick(args.amplitude_bound, "amplitude_bound", grape_file.get("amplitude_bound"))
+    fixed_step = grape_file.get("fixed_step", False)
+    if not isinstance(fixed_step, bool):
+        raise FisherctlError(f"grape.fixed_step must be true or false, got {fixed_step!r}")
     grape = GrapeConfig(
         step_size=_number("step_size", grape_file.get("step_size", 0.01)),
         max_iters=_number("max_iters", pick(args.max_iters, "max_iters",
@@ -688,7 +691,7 @@ def _run_config_from(args) -> RunConfig:
         init_amplitude=_number("init_amplitude", grape_file.get("init_amplitude", 0.1)),
         update_rule=pick(args.update, "update", grape_file.get("update_rule", "bfgs")),
         amplitude_bound=None if bound is None else _number("amplitude_bound", bound),
-        fixed_step=grape_file.get("fixed_step", False),
+        fixed_step=fixed_step,
         steps_per_unit=_number("steps_per_unit",
                                pick(args.steps_per_unit, "steps_per_unit", 100), integer=True),
     )

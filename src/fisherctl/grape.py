@@ -44,13 +44,23 @@ grids ``dprob[y, k, j]`` and ``ddprob[y, a, k, j]``; every public
 per-index gradient is a slice of them, and the information-matrix grid is
 their score-weighted sum over outcomes.
 
-Each term of a response is ``L A_k R``: a costate covector ``L`` and a
-forward vector ``R`` of step j around ``A_k = ad(H_k)``, the commutator
-superoperator of control k.  The pairs of one step are summed into ``S_j =
-sum_t L_t^T R_t`` (d^2 x d^2), and the weighted gradient is ``Re sum(A_k *
+Each term of a response is ``L C_k R``: a costate covector ``L`` and a
+forward vector ``R`` of step j around ``C_k = -i ad(H_k)``, the generator
+direction of control k.  The pairs of one step are summed into ``S_j =
+sum_t L_t^T R_t`` (d^2 x d^2), and the weighted gradient is ``sum(C_k *
 S_j)``, so every contraction is a batched matrix product over the steps,
 each product small enough to stay on one thread: O(r n m d^4) flops for r
 weight rows, with no p x n x m x d^2 intermediate.
+
+Real coordinates
+----------------
+All of it runs in the real coordinates of the Hermitian basis that
+:func:`~fisherctl.dynamics.propagate` uses
+(:func:`~fisherctl.operators.hermitian_basis`): the propagators, the
+directions ``C_k`` and ``D_a = -i ad(dH0_a)``, the states, the effect
+covectors ``e_y`` (``p_y = e_y . rho``) and hence every costate, forward sum
+and grid are float64, with the ``-i`` of each insertion inside its direction
+and the quadrature weights real.
 
 Quadrature
 ----------
@@ -108,7 +118,7 @@ from .errors import (
     SingularContribution,
 )
 from .fisher import EPS_P, FisherMatrix, cfim, objective_f0, objective_fcle, tr_inv
-from .operators import Povm, vec
+from .operators import Povm, basis_coords
 
 __all__ = [
     "GradientContext",
@@ -171,6 +181,8 @@ class GrapeConfig:
             raise InvariantViolation(f"unknown update_rule {self.update_rule!r}")
         if self.init_scheme == "user" and self.user_controls is None:
             raise InvariantViolation("init_scheme 'user' requires user_controls")
+        if self.fixed_step and self.update_rule != "gradient":
+            raise InvariantViolation("fixed_step needs update_rule 'gradient'")
 
 
 def num_steps(t: float, steps_per_unit: int) -> int:
@@ -236,35 +248,35 @@ class GradientContext:
         self.num_params = n = model.num_params
 
         self.segs = trajectory.segment_propagators
-        self.rvecs = trajectory.states.reshape(m + 1, d2)
+        self.rvecs = trajectory.coords
 
-        self.ctrl_comms = model.control_comms
-        self.dh0_comms = model.dh0_comms(trajectory.x)
-        # (d^2, n d^2): a row vector times it applies every [dH0_a, .] at once;
-        # products stay one small matrix per step, below OpenBLAS's threading
-        # threshold
-        dh_cols = self.dh0_comms.transpose(2, 0, 1).reshape(d2, n * d2)
-        dhr = (self.rvecs[:, None] @ dh_cols).reshape(m + 1, n, d2)  # [dH0_a, rho_j]
+        self.ctrl_dirs = model.control_dirs
+        self.dh0_dirs = model.at(trajectory.x).dh0_dirs
+        # (d^2, n d^2): a row vector times it applies every direction D_a =
+        # -i[dH0_a, .] at once; products stay one small matrix per step, below
+        # OpenBLAS's threading threshold
+        dh_cols = self.dh0_dirs.transpose(2, 0, 1).reshape(d2, n * d2)
+        dhr = (self.rvecs[:, None] @ dh_cols).reshape(m + 1, n, d2)  # D_a rho_j
 
         # Forward insertion sums w[j, a] = sum_{i<=j} D_{i+1}^j J_a(i) rho_{i-1}
-        # obey w_j = E_j z_j + src_j with z_j = w_{j-1} + coef [dH0_a, rho_{j-1}];
+        # obey w_j = E_j z_j + src_j with z_j = w_{j-1} + coef D_a rho_{j-1};
         # z and ez = E_j z_j are what the gradients read.
         if insertion == "simpson":
-            self._coef = -1j * dt / 6.0
+            self._coef = dt / 6.0
             self.halves = _half_step_propagators(trajectory)
-            # hvecs[j-1] = exp(dt/2 L_j) rho_{j-1}, dhh[j-1, a] = [dH0_a, hvecs[j-1]]
+            # hvecs[j-1] = exp(dt/2 L_j) rho_{j-1}, dhh[j-1, a] = D_a hvecs[j-1]
             # and hdhh[j-1, a] = exp(dt/2 L_j) dhh[j-1, a]
             self.hvecs = (self.halves @ self.rvecs[:-1, :, None])[..., 0]
             self._dhh = (self.hvecs[:, None] @ dh_cols).reshape(m, n, d2)
             self._hdhh = self._dhh @ self.halves.swapaxes(1, 2)
             src = self._coef * (dhr[1:] + 4.0 * self._hdhh)
         else:
-            self._coef = -0.5j * dt
+            self._coef = 0.5 * dt
             self.halves = self.hvecs = None
             src = self._coef * dhr[1:]
         cjd = self._coef * dhr[:-1]
-        w = np.zeros((m + 1, n, d2), dtype=complex)
-        ez = np.empty((m, n, d2), dtype=complex)
+        w = np.zeros((m + 1, n, d2))
+        ez = np.empty((m, n, d2))
         segs_t = self.segs.swapaxes(1, 2)
         for j in range(m):
             ez[j] = (w[j] + cjd[j]) @ segs_t[j]
@@ -275,12 +287,10 @@ class GradientContext:
         # Measurement data.  Derivatives follow the trajectory when present;
         # otherwise w[m] is the discretized derivative of the final state.
         self.p = measure(trajectory.final_state, povm)
-        if trajectory.param_derivs is not None:
-            drho_flat = trajectory.final_derivs.reshape(n, -1)
-        else:
-            drho_flat = w[m]
-        self.effect_vecs = np.stack([np.conj(vec(e)) for e in povm.effects])
-        self.dp = np.real(self.effect_vecs @ drho_flat.T).T
+        drho = w[m] if trajectory.deriv_coords is None else trajectory.deriv_coords[:, -1]
+        # p_y = e_y . rho in coordinates
+        self.effect_coords = basis_coords(np.stack(povm.effects))
+        self.dp = drho @ self.effect_coords.T
 
         self._active = self.p > EPS_P
         self._backward = self._grids = self._cfim = None
@@ -294,17 +304,17 @@ class GradientContext:
         ``dp_y/dV`` for b = n.  Returns ``lam[j, r, b] = (sum_y weights[r, b, y]
         e_y) D_{j+1}^m`` and ``mu[j, r]``, indexed by step j = 0..m, followed by
         the products the contraction reuses: ``ld[j, r] = sum_b lam[j, r, b]
-        [dH0_b, .]`` and, for simpson (else None), ``lamh = lam_b
-        exp(dt/2 L_j)``, ``lhd = sum_b lamh_b [dH0_b, .]`` and ``lhdh = lhd
-        exp(dt/2 L_j)`` for j = 1..m.
+        D_b`` and, for simpson (else None), ``lamh = lam_b exp(dt/2 L_j)``,
+        ``lhd = sum_b lamh_b D_b`` and ``lhdh = lhd exp(dt/2 L_j)`` for j =
+        1..m, with ``D_b = -i[dH0_b, .]``.
         """
         m, n = self.num_steps, self.num_params
         segs, halves = self.segs, self.halves
         rows, d2 = weights.shape[0], segs.shape[-1]
-        dh = self.dh0_comms.reshape(n * d2, d2)
+        dh = self.dh0_dirs.reshape(n * d2, d2)
 
-        lam = np.empty((m + 1, rows * (n + 1), d2), dtype=complex)
-        lam[m] = (weights @ self.effect_vecs).reshape(-1, d2)
+        lam = np.empty((m + 1, rows * (n + 1), d2))
+        lam[m] = (weights @ self.effect_coords).reshape(-1, d2)
         for j in range(m, 0, -1):
             lam[j - 1] = lam[j] @ segs[j - 1]
         lam = lam.reshape(m + 1, rows, n + 1, d2)
@@ -321,7 +331,7 @@ class GradientContext:
             ins += 4.0 * lhdh
         ins *= self._coef
 
-        mu = np.zeros((m + 1, rows, d2), dtype=complex)
+        mu = np.zeros((m + 1, rows, d2))
         for j in range(m, 0, -1):
             mu[j - 1] = mu[j] @ segs[j - 1] + ins[j - 1]
         return lam, mu, ld, lamh, lhd, lhdh
@@ -331,7 +341,7 @@ class GradientContext:
         ``dp_y`` and per (parameter, outcome) pair for ``d_a p_y``, as the
         per-outcome grids read them."""
         if self._backward is None:
-            n, n_out = self.num_params, len(self.effect_vecs)
+            n, n_out = self.num_params, len(self.effect_coords)
             rows = (n + 1) * n_out
             self._backward = self._costates(np.eye(rows).reshape(rows, n + 1, n_out))
         return self._backward
@@ -348,7 +358,7 @@ class GradientContext:
         """``grid[r, k, j-1]``: the weighted response sums of weight row r.
 
         Each step pairs the costates (left) with forward vectors (right);
-        ``S_j = sum_t L_t^T R_t`` and ``grid[r, k, j-1] = Re sum(A_k * S_j)``.
+        ``S_j = sum_t L_t^T R_t`` and ``grid[r, k, j-1] = sum(C_k * S_j)``.
         """
         m, n = self.num_steps, self.num_params
         coef, segs, rvecs = self._coef, self.segs, self.rvecs
@@ -359,7 +369,7 @@ class GradientContext:
         shared = mu[1:] + lam[1:, :, n] + coef * ld[1:]
         shared_e = shared @ segs
         if self.insertion == "simpson":
-            c4 = -0.25j * self.dt  # trapezoid insert over the half step
+            c4 = 0.25 * self.dt  # trapezoid insert over the half step
             shared_e += 4.0 * c4 * lhdh
             shared_h = shared @ self.halves + c4 * lhd
             left = [shared[:, :, None], shared_e[:, :, None], shared_h[:, :, None],
@@ -376,15 +386,15 @@ class GradientContext:
         pairs_l = np.concatenate(left, axis=2)  # (m, rows, T, d^2)
         pairs_r = np.concatenate(right, axis=1)  # (m, T, d^2)
         s = pairs_l.swapaxes(2, 3) @ pairs_r[:, None]  # (m, rows, d^2, d^2)
-        ctrl = self.ctrl_comms.reshape(len(self.ctrl_comms), d2 * d2)
+        ctrl = self.ctrl_dirs.reshape(len(self.ctrl_dirs), d2 * d2)
         grid = s.reshape(m, rows, d2 * d2) @ ctrl.T  # (m, rows, p)
-        return np.real(grid).transpose(1, 2, 0)
+        return grid.transpose(1, 2, 0)
 
     def _gradient_grids(self) -> tuple[np.ndarray, np.ndarray]:
         """Cached ``dprob[y, k, j-1] = dp_y/dV_k(j)`` and
         ``ddprob[y, a, k, j-1] = d(d_a p_y)/dV_k(j)``."""
         if self._grids is None:
-            n, n_out = self.num_params, len(self.effect_vecs)
+            n, n_out = self.num_params, len(self.effect_coords)
             grid = self._contract(*self._ensure_backward())
             grid = grid.reshape(n + 1, n_out, self.num_fields, self.num_steps)
             self._grids = grid[n], grid[:n].swapaxes(0, 1)
@@ -571,7 +581,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
     termination = "max_iters"
     iterations = 0
     # a fixed step is one trial, accepted without an ascent test
-    fixed = config.fixed_step and config.update_rule == "gradient"
+    fixed = config.fixed_step
     step_memory = config.step_size  # grows/shrinks with accepted steps
 
     for iterations in range(1, config.max_iters + 1):

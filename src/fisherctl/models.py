@@ -6,12 +6,16 @@ Basis ordering is fixed to {|00>, |01>, |10>, |11>}; every serialized matrix
 uses it.  All three systems share the six local control fields (the three
 Pauli operators on each qubit).
 
-A :class:`ParametricModel` owns its checked operators.  The probe, the control
-Hamiltonians and their commutator superoperators are checked once per model;
-H0(x), dH0(x), their commutator superoperators and the free generator L0(x)
-once per parameter point (:meth:`ParametricModel.at`).  Propagation and the
-gradients read only these, so every path refuses the same malformed model and
-repeated propagation at one point builds no superoperator.
+A :class:`ParametricModel` owns its checked operators.  The probe and the
+control Hamiltonians are checked once per model, and their generator
+directions ``-i ad(H_k)`` built once; H0(x) and dH0(x) are checked once per
+parameter point, and their directions ``-i ad(dH0/dx_a)`` and the free
+generator L0(x) built once (:meth:`ParametricModel.at`).  The directions and
+L0 are real matrices in the Hermitian basis of
+:func:`~fisherctl.operators.hermitian_basis`, each changed to it by one
+``T^dagger M T`` product.  Propagation and the gradients read only these, so
+every path refuses the same malformed model and repeated propagation at one
+point builds no superoperator.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import NoiseSpec, build_liouvillian, check_probe
+from .dynamics import NoiseSpec, _liouvillian, check_probe
 from .errors import DimensionMismatch, FisherctlError
-from .operators import I2, SX, SY, SZ, Povm, commutator_superop, kron, validate_hermitian
+from .operators import I2, SX, SY, SZ, Povm, _ad, basis_superop, kron, validate_hermitian
 
 __all__ = [
     "MODEL_NAMES",
@@ -46,13 +50,14 @@ SX2, SY2, SZ2 = (kron(I2, s) for s in (SX, SY, SZ))
 
 class PointOperators(NamedTuple):
     """A model's operators at one point x, read-only: H0(x), the (n, d, d)
-    stack of dH0/dx_a, the (n, d^2, d^2) stack of ``ad(dH0/dx_a)`` and
-    ``l0 = build_liouvillian(H0(x), noise)``."""
+    stack of dH0/dx_a, and in the Hermitian basis the real (n, d^2, d^2)
+    stack of directions ``-i ad(dH0/dx_a)`` and the real generator ``l0`` of
+    ``build_liouvillian(H0(x), noise)``."""
 
     key: bytes
     h0: np.ndarray
     dh0: np.ndarray
-    dh0_comms: np.ndarray
+    dh0_dirs: np.ndarray
     l0: np.ndarray
 
 
@@ -68,6 +73,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _directions(hams: np.ndarray) -> np.ndarray:
+    # -i ad(H) of every checked H of a stack, in the Hermitian basis
+    return basis_superop(-1j * np.stack([_ad(h) for h in hams]))
+
+
 @dataclass(frozen=True)
 class ParametricModel:
     """Bundle describing one parametric estimation system.
@@ -78,7 +88,7 @@ class ParametricModel:
     ``rates`` holds the dephasing rates the model was built with, one per
     qubit that can dephase, zeros included; ``noise`` keeps only the nonzero
     channels.  The checked operators are :attr:`probe`, :attr:`control_stack`,
-    :attr:`control_comms` and, per point, :meth:`at`.
+    :attr:`control_dirs` and, per point, :meth:`at`.
     """
 
     name: str
@@ -112,9 +122,10 @@ class ParametricModel:
                                     for k, hk in enumerate(self.control_hams)]))
 
     @cached_property
-    def control_comms(self) -> np.ndarray:
-        """The (p, d^2, d^2) stack of ``ad(H_k)``, read-only."""
-        return _read_only(np.stack([commutator_superop(hk) for hk in self.control_stack]))
+    def control_dirs(self) -> np.ndarray:
+        """The real (p, d^2, d^2) stack of control directions ``-i ad(H_k)``
+        in the Hermitian basis, read-only."""
+        return _read_only(_directions(self.control_stack))
 
     def at(self, x) -> PointOperators:
         """The checked operators at x, built once per point: the last point's
@@ -128,17 +139,12 @@ class ParametricModel:
             h0 = _checked(self.h0(x), self.dim, "free Hamiltonian")
             dh0 = np.stack([_checked(dh, self.dim, f"dH0/dx_{a}")
                             for a, dh in enumerate(self.dh0(x))])
-            comms = np.stack([commutator_superop(dh) for dh in dh0])
             # h0 may be the caller's own array: the entry keeps a copy
             entry = PointOperators(key, _read_only(h0.copy()), _read_only(dh0),
-                                   _read_only(comms),
-                                   _read_only(build_liouvillian(h0, self.noise)))
+                                   _read_only(_directions(dh0)),
+                                   _read_only(basis_superop(_liouvillian(h0, self.noise))))
             self.__dict__["_point"] = entry
         return entry
-
-    def dh0_comms(self, x) -> np.ndarray:
-        """The (n, d^2, d^2) stack of ``ad(dH0/dx_a)`` at x, read-only."""
-        return self.at(x).dh0_comms
 
 
 def local_control_hams() -> tuple:

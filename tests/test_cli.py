@@ -464,6 +464,10 @@ class TestInputChecks:
         pytest.param({"grape": {"amplitude_bound": 0}}, id="bound-zero"),
         pytest.param({"out": 5}, id="out-number"),
         pytest.param({"grape": {"step_size": 10 ** 400}}, id="step-size-huge"),
+        # a string is truthy: "no" would turn fixed steps on
+        pytest.param({"update": "gradient", "grape": {"fixed_step": "no"}},
+                     id="fixed-step-string"),
+        pytest.param({"grape": {"fixed_step": True}}, id="fixed-step-under-bfgs"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload):
         if isinstance(payload, dict):

@@ -18,7 +18,16 @@ from fisherctl import (
 )
 from fisherctl.dynamics import expm_stack
 from fisherctl.models import bell_povm, pm_povm
-from fisherctl.operators import I2, SX, SZ, kron, vec
+from fisherctl.operators import (
+    I2,
+    SX,
+    SZ,
+    basis_coords,
+    basis_operators,
+    basis_superop,
+    kron,
+    vec,
+)
 
 from conftest import random_density, random_hermitian, uncontrolled_trajectory, zero_controls
 
@@ -116,7 +125,8 @@ class TestStepLiouvillians:
         grid = ControlGrid(6, 2, 1.0, amps)
         l1, l2 = step_liouvillians(model, model.true_values, grid)
         diff = l1 - l2
-        expected = (0.4 - (-0.1)) * (-1j) * commutator_superop(model.control_hams[2])
+        expected = basis_superop((0.4 - (-0.1)) * (-1j)
+                                 * commutator_superop(model.control_hams[2]))
         assert np.abs(diff - expected).max() < 1e-12
 
     def test_matches_per_step_assembly(self, rng, catalog_model):
@@ -127,7 +137,7 @@ class TestStepLiouvillians:
         for j, gen in enumerate(steps):
             h = model.h0(model.true_values) + sum(
                 grid.amplitudes[k, j] * hk for k, hk in enumerate(model.control_hams))
-            ref = build_liouvillian(h, model.noise)
+            ref = basis_superop(build_liouvillian(h, model.noise))
             assert np.abs(gen - ref).max() < 1e-13
 
     def test_field_count_mismatch(self):
@@ -188,10 +198,10 @@ class TestPropagate:
 
     def test_final_state_is_composed_propagation(self, catalog_model):
         traj = uncontrolled_trajectory(catalog_model, 0.9, 30, deriv_method=None)
-        v = vec(traj.states[0])
+        v = basis_coords(traj.states[0])
         for seg in traj.segment_propagators:
             v = seg @ v
-        assert np.abs(v.reshape(4, 4) - traj.final_state).max() < 1e-10
+        assert np.abs(basis_operators(v) - traj.final_state).max() < 1e-10
 
     def test_derivatives_traceless(self, catalog_model):
         traj = uncontrolled_trajectory(catalog_model, 1.2, 60)
@@ -215,6 +225,19 @@ class TestPropagate:
             t2 = uncontrolled_trajectory(zeroed, 1.5, 40, deriv_method=None)
             assert np.abs(t1.final_state - t2.final_state).max() < 1e-10
 
+    def test_noisy_propagation_runs_on_real_stacks(self, monkeypatch, rng):
+        kernel = dyn.expm_stack
+        seen = []
+        monkeypatch.setattr(dyn, "expm_stack", lambda a: seen.append(a.dtype) or kernel(a))
+        model = get_model("magfield")
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 20, 0.4, rng.uniform(-0.3, 0.3, size=(p, 20)))
+        traj = propagate(model, model.true_values, grid)
+        assert seen == [np.float64]
+        for a in (traj.coords, traj.segment_propagators, traj.deriv_coords):
+            assert a.dtype == np.float64
+        assert traj.states.dtype == traj.param_derivs.dtype == np.complex128
+
     def test_trace_drift_aborts(self, monkeypatch):
         # every valid dephasing generator is trace-preserving, so fault-inject
         # a broken exponential to exercise the guard
@@ -222,7 +245,7 @@ class TestPropagate:
         import fisherctl.dynamics as dyn
 
         monkeypatch.setattr(dyn, "expm_stack", lambda a: 1.01 * np.broadcast_to(
-            np.eye(a.shape[-1], dtype=complex), a.shape))
+            np.eye(a.shape[-1], dtype=a.dtype), a.shape))
         model = get_model("zz")
         with pytest.raises(PropagationError, match="trace drifted"):
             propagate(model, model.true_values, zero_controls(0.5, 10),
@@ -320,24 +343,24 @@ class TestExpmStack:
         grid = ControlGrid(p, 19, 0.7, rng.uniform(-0.5, 0.5, size=(p, 19)))
         dt = grid.dt
         gens = step_liouvillians(model, x, grid)
-        dls = np.stack([-1j * commutator_superop(dh) for dh in model.dh0(x)])
+        dls = basis_superop(np.stack([-1j * commutator_superop(dh) for dh in model.dh0(x)]))
         d = model.dim
         rhos = np.stack([random_density(rng, d) for _ in gens])
+        w = basis_coords(rhos)
         if noise:
-            w = rhos.reshape(len(gens), d * d, 1)
-            acts = dyn._frechet_action(dt * gens, dt * dls, w[..., 0],
-                                       (expm_stack(dt * gens) @ w)[..., 0])
+            acts = dyn._frechet_action(dt * gens, dt * dls, w,
+                                       (expm_stack(dt * gens) @ w[..., None])[..., 0])
         else:
             u, evals, evecs = dyn._unitaries(dyn.step_hamiltonians(model, x, grid), dt)
             du = dyn._daleckii_krein(evals, evecs, dt, np.stack(model.dh0(x)))
             acts = du @ (rhos @ np.conj(u.swapaxes(1, 2)))[:, None]
-            acts = (acts + np.conj(acts.swapaxes(-1, -2))).reshape(len(gens), -1, d * d)
+            acts = basis_coords(acts + np.conj(acts.swapaxes(-1, -2)))
         d2 = gens.shape[1]
         zero = np.zeros((d2, d2))
         for j, gen in enumerate(gens):
             for a, dl in enumerate(dls):
                 ref = scipy.linalg.expm(dt * np.block([[gen, dl], [zero, gen]]))
-                assert _rel(acts[j, a], ref[:d2, d2:] @ rhos[j].reshape(-1)) <= 1e-13
+                assert _rel(acts[j, a], ref[:d2, d2:] @ w[j]) <= 1e-13
 
     @pytest.mark.parametrize("noise", [True, False])
     def test_uniform_grid_longer_than_one_action_pass(self, monkeypatch, noise):
@@ -424,6 +447,31 @@ class TestMeasure:
 
         with pytest.raises(DimensionMismatch):
             measure(np.eye(2, dtype=complex) / 2, bell_povm())
+
+    @pytest.mark.parametrize("angle", [1e-6, 1e-5, 1e-3])
+    def test_small_probability_of_a_pure_state_is_relatively_accurate(self, angle):
+        # controls cancel the field but for a sigma_1 rotation of qubit 1 by
+        # `angle`, which sends Phi+ to Psi+ with probability sin^2(angle);
+        # the state's rounding is ~1e-16 absolute, so a trace against the
+        # effect would miss p = 1e-12 by ~1e-4 relative
+        model = get_model("magfield-xyz", noise=False)
+        t, m = 0.5, 50
+        amps = np.zeros((6, m))
+        amps[:3] = -model.true_values[:, None]
+        amps[0] += angle / t
+        traj = propagate(model, model.true_values, ControlGrid(6, m, t, amps),
+                         deriv_method=None)
+        p = measure(traj.final_state, model.default_povm)
+        expected = np.array([np.cos(angle) ** 2, 0.0, np.sin(angle) ** 2, 0.0])
+        assert abs(p[2] - expected[2]) <= 1e-8 * expected[2]
+        assert np.abs(p - expected).max() <= 1e-13
+
+    def test_non_positive_state_raises(self):
+        from fisherctl import PropagationError
+
+        rho = np.diag([0.5, 0.5, 1e-3, -1e-3]).astype(complex)
+        with pytest.raises(PropagationError, match="below clamp floor"):
+            measure(rho, bell_povm())
 
     def test_derivs_sum_to_zero(self, catalog_model):
         traj = uncontrolled_trajectory(catalog_model, 1.0, 80)
@@ -524,7 +572,7 @@ def _ref_expm_frechet_chunk(a, e):
 def _reference_param_derivs(model, x, grid):
     dt, d2 = grid.dt, model.dim**2
     gens = dt * step_liouvillians(model, x, grid)
-    dls = dt * np.stack([-1j * commutator_superop(dh) for dh in model.dh0(x)])
+    dls = dt * basis_superop(np.stack([-1j * commutator_superop(dh) for dh in model.dh0(x)]))
     p = len(dls)
     side = dls.transpose(1, 0, 2).reshape(d2, p * d2)
     segs, dsegs = [], []
@@ -536,15 +584,15 @@ def _reference_param_derivs(model, x, grid):
     if not model.noise:  # the spectral exponentials, Pade derivatives
         evals, evecs = np.linalg.eigh(dyn.step_hamiltonians(model, x, grid))
         u = (evecs * np.exp(-1j * dt * evals)[:, None, :]) @ np.conj(evecs.swapaxes(1, 2))
-        segs = np.stack([np.kron(uj, np.conj(uj)) for uj in u])
-    rho = model.default_probe.reshape(-1)
-    drho = np.zeros((p, d2), dtype=complex)
+        segs = basis_superop(np.stack([np.kron(uj, np.conj(uj)) for uj in u]))
+    rho = basis_coords(model.default_probe)
+    drho = np.zeros((p, d2))
     out = [drho]
     for seg, dseg in zip(segs, dsegs):
         drho = drho @ seg.T + dseg @ rho
         rho = seg @ rho
         out.append(drho)
-    return np.stack(out, axis=1).reshape(p, len(gens) + 1, model.dim, model.dim)
+    return basis_operators(np.stack(out, axis=1))
 
 
 def _random_unitary(rng, d):
@@ -619,7 +667,7 @@ class TestExactDerivatives:
         model = get_model("magfield-xyz")
         p, m = len(model.control_hams), 2000
         grid = ControlGrid(p, m, 20.0, rng.uniform(-0.3, 0.3, size=(p, m)))
-        model.dh0_comms(model.true_values)
+        model.at(model.true_values)
         tracemalloc.start()
         try:
             traj = propagate(model, model.true_values, grid)
@@ -633,7 +681,7 @@ class TestExactDerivatives:
         from fisherctl import PropagationError
 
         def leaky(a):
-            out = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+            out = np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape).copy()
             out[5:] *= 1.01
             return out
 

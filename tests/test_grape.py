@@ -53,10 +53,12 @@ def einsum_reference_grids(traj, povm, insertion):
     time; the batched-matmul contraction in ``GradientContext`` must
     reproduce it to rounding."""
     from fisherctl.grape import _half_step_propagators
-    from fisherctl.operators import commutator_superop, vec
+    from fisherctl.operators import commutator_superop, hermitian_basis, vec
 
     model, dt, m = traj.model, traj.dt, traj.num_steps
-    segs = traj.segment_propagators
+    # the propagators back from basis coordinates to row-major vec: T R T^dagger
+    t_mat = hermitian_basis(model.dim).reshape(model.dim**2, -1).T
+    segs = t_mat @ traj.segment_propagators @ t_mat.conj().T
     rvecs = np.stack([vec(s) for s in traj.states])
     cc = np.stack([commutator_superop(hk) for hk in model.control_hams])
     dh = np.stack([commutator_superop(x) for x in model.dh0(traj.x)])
@@ -64,7 +66,7 @@ def einsum_reference_grids(traj, povm, insertion):
     n, d2 = len(dh), rvecs.shape[1]
     simpson = insertion == "simpson"
     coef = -1j * dt / 6.0 if simpson else -0.5j * dt
-    halves = _half_step_propagators(traj) if simpson else None
+    halves = t_mat @ _half_step_propagators(traj) @ t_mat.conj().T if simpson else None
     hvecs = np.einsum("jrs,js->jr", halves, rvecs[:-1]) if simpson else None
 
     wsum = np.zeros((n, m + 1, d2), dtype=complex)
@@ -131,6 +133,24 @@ def einsum_reference_grids(traj, povm, insertion):
         future += 4.0 * np.einsum("jyas,kjs->yakj", mu_h, hhv)
     resp = np.einsum("jys,akjs->yakj", lam[1:], ins_past + ins_cross)
     return dprob, np.real(resp + coef * future)
+
+
+class TestRealCoordinates:
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("insertion", ["simpson", "trapezoid"])
+    def test_workspace_is_float64(self, rng, noise, insertion):
+        model = get_model("magfield", noise=noise)
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 12, 0.3, rng.uniform(-0.3, 0.3, size=(p, 12)))
+        traj = propagate(model, model.true_values, grid, deriv_method=None)
+        ctx = GradientContext(traj, model.default_povm, insertion=insertion)
+        arrays = [ctx.segs, ctx.rvecs, ctx.effect_coords, ctx.dp, ctx._z, ctx._ez]
+        arrays += [a for a in ctx._ensure_backward() if a is not None]
+        arrays += list(ctx._gradient_grids())
+        arrays.append(ctx.objective_gradient(model.default_objective))
+        if insertion == "simpson":
+            arrays += [ctx.halves, ctx.hvecs]
+        assert all(a.dtype == np.float64 for a in arrays)
 
 
 def dense_bfgs_update(hinv, s, y):
@@ -482,6 +502,18 @@ class TestOptimize:
             <= 0.02 * max(res_b.final_objective, res_g.final_objective)
         assert res_b.iterations_used < res_g.iterations_used
 
+    @pytest.mark.parametrize("rule,seed", [("gradient", 1), ("bfgs", 9), ("bfgs", 13),
+                                           ("gradient", 13)])
+    def test_noiseless_ascent_never_beats_the_quantum_limit(self, rule, seed):
+        # runs that once climbed onto the rounding of a vanishing outcome
+        # probability and ended below 3/(4 T^2), with CFIM > QFIM
+        model = get_model("magfield-xyz", noise=False)
+        res = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
+            update_rule=rule, max_iters=400 if rule == "bfgs" else 2000,
+            init_scheme="random", init_seed=seed, init_amplitude=0.1,
+            convergence_tol=1e-8, steps_per_unit=50))
+        assert res.final_tr_inv >= 3.0 * (1 - 1e-9)
+
     def test_evaluations_count_every_trial_point(self, monkeypatch):
         import fisherctl.grape as grape_mod
 
@@ -615,6 +647,11 @@ class TestOptimize:
             GrapeConfig(steps_per_unit=0)
         with pytest.raises(InvariantViolation):
             GrapeConfig(init_seed=-1)
+
+    def test_fixed_step_refused_under_bfgs(self):
+        # BFGS always line-searches; a fixed step there would be ignored
+        with pytest.raises(InvariantViolation, match="fixed_step needs update_rule"):
+            GrapeConfig(update_rule="bfgs", fixed_step=True)
 
     @pytest.mark.parametrize("bound", [0.0, -1.0, float("nan"), float("inf")])
     def test_amplitude_bound_must_be_positive_and_finite(self, bound):

@@ -27,6 +27,7 @@ from fisherctl.operators import (
     SX,
     SY,
     SZ,
+    basis_superop,
     kron,
     validate_density_matrix,
 )
@@ -78,17 +79,20 @@ class TestCatalog:
         assert np.array_equal(hams[5], kron(I2, SZ))
 
 
-class TestDh0Comms:
+def _dirs_ref(hams):
+    from fisherctl import commutator_superop
+
+    return basis_superop(np.stack([-1j * commutator_superop(h) for h in hams]))
+
+
+class TestDh0Dirs:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_matches_per_call_superoperators(self, name):
-        from fisherctl import commutator_superop
-
         model = get_model(name)
         x = model.true_values
-        ref = np.stack([commutator_superop(dh) for dh in model.dh0(x)])
-        comms = model.dh0_comms(x)
-        assert np.array_equal(comms, ref)
-        assert not comms.flags.writeable
+        dirs = model.at(x).dh0_dirs
+        assert np.array_equal(dirs, _dirs_ref(model.dh0(x)))
+        assert not dirs.flags.writeable
 
     def test_built_once_per_point(self, monkeypatch):
         import fisherctl.models as models
@@ -96,22 +100,19 @@ class TestDh0Comms:
         from fisherctl.grape import GradientContext
 
         model = get_model("magfield")  # its dH0 depend on x
-        model.control_comms  # built once per model, not counted here
+        model.control_dirs  # built once per model, not counted here
         calls = []
-        kernel = models.commutator_superop
-        monkeypatch.setattr(models, "commutator_superop",
-                            lambda h: calls.append(1) or kernel(h))
+        kernel = models._ad
+        monkeypatch.setattr(models, "_ad", lambda h: calls.append(1) or kernel(h))
         x = model.true_values
         grid = ControlGrid(6, 20, 0.4, np.full((6, 20), 0.1))
         traj = propagate(model, x, grid)
         GradientContext(traj, model.default_povm)
-        assert model.dh0_comms(list(x)) is model.dh0_comms(x)
+        assert model.at(list(x)).dh0_dirs is model.at(x).dh0_dirs
         assert len(calls) == model.num_params
-        moved = model.dh0_comms(x + 0.1)
+        moved = model.at(x + 0.1).dh0_dirs
         assert len(calls) == 2 * model.num_params
-        ref = np.stack([kernel(dh) for dh in model.dh0(x + 0.1)])
-        assert np.array_equal(moved, ref)
-
+        assert np.array_equal(moved, _dirs_ref(model.dh0(x + 0.1)))
 
     def test_threads_always_get_their_own_point(self):
         # threads may share one model; a thread must never be served the
@@ -119,17 +120,14 @@ class TestDh0Comms:
         import sys
         import threading
 
-        from fisherctl import commutator_superop
-
         model = get_model("magfield")
         points = [model.true_values + 0.05 * k for k in range(6)]
-        refs = [np.stack([commutator_superop(dh) for dh in model.dh0(x)])
-                for x in points]
+        refs = [_dirs_ref(model.dh0(x)) for x in points]
         errors = []
 
         def work(k):
             for _ in range(200):
-                if not np.array_equal(model.dh0_comms(points[k]), refs[k]):
+                if not np.array_equal(model.at(points[k]).dh0_dirs, refs[k]):
                     errors.append(k)
 
         interval = sys.getswitchinterval()
@@ -179,13 +177,15 @@ class TestCheckedOperators:
         ops = model.at(x)
         assert np.array_equal(ops.h0, model.h0(x))
         assert np.array_equal(ops.dh0, np.stack(model.dh0(x)))
-        assert np.array_equal(ops.l0, build_liouvillian(model.h0(x), model.noise))
-        assert ops.dh0_comms is model.dh0_comms(x)
-        assert not any(a.flags.writeable for a in (ops.h0, ops.dh0, ops.l0))
+        assert np.array_equal(ops.l0, basis_superop(build_liouvillian(model.h0(x), model.noise)))
+        assert ops.dh0_dirs is model.at(x).dh0_dirs
+        assert not any(a.flags.writeable for a in (ops.h0, ops.dh0, ops.dh0_dirs, ops.l0))
 
     def test_cached_point_builds_no_generator(self, monkeypatch):
         # a second noisy propagation at the same point, and its gradient
-        # context, assemble no superoperator
+        # context, assemble no superoperator and check no operator; a new
+        # point checks H0 and each dH0 once and builds its generator from them
+        # without checking them again
         import fisherctl.dynamics as dynamics
         import fisherctl.operators as operators
         from fisherctl.grape import GradientContext
@@ -195,8 +195,9 @@ class TestCheckedOperators:
         grid = ControlGrid(6, 20, 0.4, np.full((6, 20), 0.1))
         propagate(model, x, grid)
         calls = []
-        for original in (dynamics.build_liouvillian, operators.commutator_superop,
-                         operators.sandwich_superop):
+        for original in (dynamics.build_liouvillian, dynamics._liouvillian,
+                         operators.commutator_superop, operators._ad,
+                         operators.validate_hermitian):
             def counting(*args, _original=original, **kwargs):
                 calls.append(_original.__name__)
                 return _original(*args, **kwargs)
@@ -210,7 +211,51 @@ class TestCheckedOperators:
         GradientContext(traj, model.default_povm)
         assert calls == []
         model.at(x + 0.1)  # a new point builds its generator, and is counted
-        assert {"build_liouvillian", "commutator_superop", "sandwich_superop"} <= set(calls)
+        assert calls.count("validate_hermitian") == 1 + model.num_params == 4
+        assert calls.count("_liouvillian") == 1
+        assert calls.count("_ad") == 1 + model.num_params
+        assert not {"build_liouvillian", "commutator_superop"} & set(calls)
+
+
+class TestBasisRepresentation:
+    """Every model operator that propagation reads is a real matrix in the
+    Hermitian basis, the basis change of its row-major vec form."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_operators_are_real_basis_changes(self, name, noise):
+        from fisherctl import commutator_superop
+        from fisherctl.operators import hermitian_basis
+
+        model = get_model(name, noise=noise)
+        x = model.true_values
+        d2 = model.dim**2
+        t_mat = hermitian_basis(model.dim).reshape(d2, d2).T
+        ops = model.at(x)
+        pairs = [(ops.l0, build_liouvillian(model.h0(x), model.noise)),
+                 (model.control_dirs,
+                  np.stack([-1j * commutator_superop(h) for h in model.control_hams])),
+                 (ops.dh0_dirs, np.stack([-1j * commutator_superop(h) for h in model.dh0(x)]))]
+        for got, vec_form in pairs:
+            assert got.dtype == np.float64
+            ref = t_mat.conj().T @ vec_form @ t_mat
+            assert np.abs(ref.imag).max() <= 1e-15
+            assert np.abs(got - ref.real).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_step_transfer_matrices_preserve_the_trace(self, rng, name, noise):
+        # row 0 of a trace-preserving map in the basis is e_0
+        from fisherctl.grape import _half_step_propagators
+
+        model = get_model(name, noise=noise)
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 25, 0.8, rng.uniform(-1.0, 1.0, size=(p, 25)))
+        traj = propagate(model, model.true_values, grid, deriv_method=None)
+        e0 = np.eye(model.dim**2)[0]
+        for segs in (traj.segment_propagators, _half_step_propagators(traj)):
+            assert segs.dtype == np.float64
+            assert np.abs(segs[:, 0] - e0).max() <= 1e-14
 
 
 class TestPovms:

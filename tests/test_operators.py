@@ -9,7 +9,18 @@ import scipy.linalg
 
 from fisherctl import InvariantViolation, Povm, commutator_superop, kron
 from fisherctl.dynamics import NoiseSpec, build_liouvillian, expm_stack
-from fisherctl.operators import I2, SX, SY, SZ, validate_density_matrix, vec
+from fisherctl.operators import (
+    I2,
+    SX,
+    SY,
+    SZ,
+    basis_coords,
+    basis_operators,
+    basis_superop,
+    hermitian_basis,
+    validate_density_matrix,
+    vec,
+)
 
 from conftest import random_hermitian
 
@@ -166,3 +177,41 @@ class TestValidation:
         e2 = np.diag([-0.2, 1.0]).astype(complex)
         with pytest.raises(InvariantViolation):
             Povm(labels=("a", "b"), effects=(e1, e2))
+
+
+class TestHermitianBasis:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_orthonormal_hermitian_identity_first(self, d):
+        basis = hermitian_basis(d)
+        assert basis.shape == (d * d, d, d)
+        assert not basis.flags.writeable
+        assert np.abs(basis - basis.conj().transpose(0, 2, 1)).max() == 0.0
+        gram = np.einsum("iab,jba->ij", basis, basis)
+        assert np.abs(gram - np.eye(d * d)).max() <= 1e-15
+        assert np.abs(basis[0] - np.eye(d) / np.sqrt(d)).max() <= 1e-16
+
+    def test_two_qubit_basis_is_exactly_unitary(self):
+        # Pauli products over 2: every entry exact, so T^dagger T = 1 exactly
+        t_mat = hermitian_basis(4).reshape(16, 16).T
+        assert np.array_equal(t_mat.conj().T @ t_mat, np.eye(16))
+        assert np.array_equal(hermitian_basis(4)[5], kron(SX, SX) / 2)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_coordinates_round_trip(self, rng, d):
+        from conftest import random_density
+
+        rho = random_density(rng, d)
+        r = basis_coords(rho)
+        assert r.dtype == np.float64
+        assert r[0] * np.sqrt(d) == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(basis_operators(r) - rho).max() <= 1e-15
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_superoperator_acts_on_coordinates(self, rng, d):
+        h = random_hermitian(rng, d)
+        lind = build_liouvillian(h, NoiseSpec.dephasing([(np.diag([1.0, -1.0] * (d // 2)), 0.3)]))
+        gen = basis_superop(lind)
+        assert gen.dtype == np.float64
+        assert np.abs(gen[0]).max() <= 1e-15  # trace-preserving: row 0 vanishes
+        x = random_hermitian(rng, d)
+        assert np.abs(basis_operators(gen @ basis_coords(x)) - apply(lind, x)).max() <= 1e-13
