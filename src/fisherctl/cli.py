@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -69,20 +70,6 @@ class RunConfig:
             raise FisherctlError(f"unknown format {self.format!r}")
         if not isinstance(self.out, str):
             raise FisherctlError(f"out must be a path, got {self.out!r}")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    """One row of sweep output (one abscissa of the precision-vs-time curve)."""
-
-    t: float
-    tr_inv_uncontrolled: float
-    tr_inv_controlled: float
-    tr_inv_oracle: float | None
-    objective: float
-    iters: int
-    converged: bool
-    failed: bool = False
 
 
 def _fmt(value) -> str:
@@ -170,6 +157,9 @@ def _uncontrolled_tr_inv(model, t: float, steps_per_unit: int) -> float:
 
 def _sweep_point(config: RunConfig, model, t: float, index: int,
                  warm_controls) -> tuple:
+    """One abscissa of the precision-vs-time curve: its output row, keyed by
+    :data:`SWEEP_COLUMNS` plus ``failed`` (the optimization raised), and the
+    optimized pulse (None when it failed)."""
     grape_cfg = dataclasses.replace(config.grape, init_seed=config.grape.init_seed + index)
     if warm_controls is not None:
         m = num_steps(t, grape_cfg.steps_per_unit)
@@ -192,17 +182,17 @@ def _sweep_point(config: RunConfig, model, t: float, index: int,
         row = _oracle_row(model.name, model.true_values, model.rates, t)
         oracle = None if row["note"] else row.get("tr_inv")
     failed = result is None
-    record = SweepRecord(
-        t=t,
-        tr_inv_uncontrolled=unc,
-        tr_inv_controlled=math.nan if failed else result.final_tr_inv,
-        tr_inv_oracle=oracle,
-        objective=math.nan if failed else result.final_objective,
-        iters=0 if failed else result.iterations_used,
-        converged=not failed and result.converged,
-        failed=failed,
-    )
-    return record, None if failed else result.final_controls.amplitudes
+    row = {
+        "t": t,
+        "tr_inv_uncontrolled": unc,
+        "tr_inv_controlled": math.nan if failed else result.final_tr_inv,
+        "tr_inv_oracle": oracle,
+        "objective": math.nan if failed else result.final_objective,
+        "iters": 0 if failed else result.iterations_used,
+        "converged": not failed and result.converged,
+        "failed": failed,
+    }
+    return row, None if failed else result.final_controls.amplitudes
 
 
 def _rescale_pulse(amplitudes: np.ndarray, new_steps: int) -> np.ndarray:
@@ -219,8 +209,7 @@ SWEEP_COLUMNS = ("t", "tr_inv_uncontrolled", "tr_inv_controlled",
                  "tr_inv_oracle", "objective", "iters", "converged")
 
 
-def _write_sweep(config: RunConfig, records: list) -> None:
-    rows = [dataclasses.asdict(r) for r in records]
+def _write_sweep(config: RunConfig, rows: list) -> None:
     if config.format == "csv":
         _write_csv(config.out, SWEEP_COLUMNS, rows, config.reproducible)
         return
@@ -243,14 +232,14 @@ def _write_sweep(config: RunConfig, records: list) -> None:
 
 def cmd_sweep(config: RunConfig) -> int:
     model = _model_rates(config)
-    records, warm = [], None
+    rows, warm = [], None
     for i, t in enumerate(config.t_grid):
-        record, pulse = _sweep_point(config, model, t, i, warm)
-        records.append(record)
+        row, pulse = _sweep_point(config, model, t, i, warm)
+        rows.append(row)
         if config.warm_start:
             warm = pulse
-    _write_sweep(config, records)
-    if all(r.failed for r in records):
+    _write_sweep(config, rows)
+    if all(row["failed"] for row in rows):
         return EXIT_NUMERICAL
     return EXIT_OK
 
@@ -526,6 +515,14 @@ def _number(key: str, value, integer: bool = False):
     return value if integer else float(value)
 
 
+def _flag(key: str, value) -> bool:
+    """A config value that must be a JSON boolean: a string such as "no" is
+    truthy and would turn the option on."""
+    if not isinstance(value, bool):
+        raise FisherctlError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
 def _floats(items, what: str) -> tuple:
     try:
         return tuple(float(v) for v in items)
@@ -676,10 +673,9 @@ def _run_config_from(args) -> RunConfig:
     if grid_spec is None:
         raise FisherctlError("--t-grid is required (flag or config file)")
 
+    reproducible = _flag("reproducible", file_cfg.get("reproducible", False))
+    warm_start = _flag("warm_start", file_cfg.get("warm_start", False))
     bound = pick(args.amplitude_bound, "amplitude_bound", grape_file.get("amplitude_bound"))
-    fixed_step = grape_file.get("fixed_step", False)
-    if not isinstance(fixed_step, bool):
-        raise FisherctlError(f"grape.fixed_step must be true or false, got {fixed_step!r}")
     grape = GrapeConfig(
         step_size=_number("step_size", grape_file.get("step_size", 0.01)),
         max_iters=_number("max_iters", pick(args.max_iters, "max_iters",
@@ -691,7 +687,7 @@ def _run_config_from(args) -> RunConfig:
         init_amplitude=_number("init_amplitude", grape_file.get("init_amplitude", 0.1)),
         update_rule=pick(args.update, "update", grape_file.get("update_rule", "bfgs")),
         amplitude_bound=None if bound is None else _number("amplitude_bound", bound),
-        fixed_step=fixed_step,
+        fixed_step=_flag("grape.fixed_step", grape_file.get("fixed_step", False)),
         steps_per_unit=_number("steps_per_unit",
                                pick(args.steps_per_unit, "steps_per_unit", 100), integer=True),
     )
@@ -705,33 +701,41 @@ def _run_config_from(args) -> RunConfig:
         grape=grape,
         out=pick(args.out, "out", "-"),
         format=pick(args.format, "format", "csv"),
-        reproducible=bool(args.reproducible or file_cfg.get("reproducible", False)),
-        warm_start=bool(getattr(args, "warm_start", False)
-                        or file_cfg.get("warm_start", False)),
+        reproducible=args.reproducible or reproducible,
+        warm_start=getattr(args, "warm_start", False) or warm_start,
     )
 
 
+def _dispatch(args) -> int:
+    if args.command == "validate":
+        return cmd_validate()
+    if args.command == "oracle":
+        model = get_model(args.model, *_parse_noise(args.noise))
+        x = model.true_values if args.params is None else _parse_params(args.params, model)
+        return cmd_oracle(model, x, _parse_t_grid(args.t_grid), args.out,
+                          reproducible=args.reproducible)
+    if args.command == "optimize" and args.replay:
+        return cmd_replay(args.replay)
+    config = _run_config_from(args)
+    if args.command == "sweep":
+        return cmd_sweep(config)
+    return cmd_optimize(config)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "validate":
-            return cmd_validate()
-        if args.command == "oracle":
-            model = get_model(args.model, *_parse_noise(args.noise))
-            x = model.true_values if args.params is None else _parse_params(args.params, model)
-            return cmd_oracle(model, x, _parse_t_grid(args.t_grid), args.out,
-                              reproducible=args.reproducible)
-        if args.command == "optimize" and args.replay:
-            return cmd_replay(args.replay)
-        config = _run_config_from(args)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        return cmd_optimize(config)
+        code = _dispatch(args)
+        sys.stdout.flush()  # a reader gone from the pipe shows here, not at exit
+        return code
     except (FisherctlError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _OutputError as exc:
+    except (_OutputError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # stdout's reader has gone: what is still buffered goes nowhere,
+            # so the interpreter's final flush does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -7,10 +7,11 @@ with ``L0(x)`` the generator of the free Hamiltonian and ``C_k = -i ad(H_k)``.
 
 Propagation runs in the real coordinates of the orthonormal Hermitian basis
 of :func:`~fisherctl.operators.hermitian_basis`: every generator, propagator
-and state below is a real array, and only :func:`build_liouvillian` (public,
-row-major ``vec``) and the ``states``/``param_derivs`` of a
-:class:`Trajectory` are complex.  All m step generators are built as one
-real ``(m, d^2, d^2)`` stack (:func:`step_liouvillians`) and exponentiated
+and state below is a real array, and a :class:`Trajectory` stores only these.
+Its complex ``states`` and ``param_derivs`` are built from the coordinates
+when read, as is the public row-major ``vec`` matrix of
+:func:`build_liouvillian`.  All m step generators are built as one real
+``(m, d^2, d^2)`` stack (:func:`step_liouvillians`) and exponentiated
 together by :func:`expm_stack`, the scaling-and-squaring Pade method of
 Higham (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) over fixed-size chunks of
 the stack.  Noiseless steps take the spectral form ``exp(dt L) = U kron
@@ -21,20 +22,21 @@ The state is advanced step by step as ``rho_j = exp(dt L_j) rho_{j-1}``, and
 the parameter derivatives of the state are carried along exactly as
 ``drho_j = exp(dt L_j) drho_{j-1} + f_j``.  The source ``f_j`` is the
 derivative of step j's exponential in direction ``dt dL_a`` applied to
-``rho_{j-1}``; it is computed as an action on the stored states, never as a
-per-step derivative matrix.  Noisy steps apply the Frechet derivative of the
-same Pade approximant (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
-(2009)) to the states (:func:`_frechet_action`).  Noiseless steps
+``rho_{j-1}``; it is computed as an action on the state coordinates, never as
+a per-step derivative matrix.  Noisy steps apply the Frechet derivative of
+the same Pade approximant (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30,
+1639 (2009)) to the states (:func:`_frechet_action`).  Noiseless steps
 differentiate ``U = exp(-i dt H)`` by the Daleckii-Krein formula on the
 spectral decomposition that already gives U (:func:`_daleckii_krein`).  Both
 are exact to machine precision for piecewise-constant generators, and the
 finite-difference gradient checks (acceptance criterion C3) compare against
-them.
+them.  Outcome probabilities derive in the same coordinates: ``dp_y = e_y .
+drho`` with ``e_y`` the coordinates of effect y (:attr:`Povm.coords`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,7 +189,8 @@ class ControlGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States, per-step propagators and state derivatives along the grid.
+    """State coordinates, per-step propagators and state derivatives along the
+    grid.
 
     ``coords`` is the read-only (m+1, d^2) real stack of state coordinates in
     the Hermitian basis (:func:`~fisherctl.operators.hermitian_basis`):
@@ -195,9 +198,10 @@ class Trajectory:
     ``segment_propagators[j-1]`` (an (m, d^2, d^2) real stack, read-only) maps
     ``coords[j-1]`` to ``coords[j]``, and ``deriv_coords[a][j]`` is the
     derivative of ``coords[j]`` with respect to the a-th model parameter
-    (None when derivatives were not requested).  ``states`` and
-    ``param_derivs`` are the same as read-only (..., d, d) complex Hermitian
-    matrices, built from the coordinates by one product each.
+    (None when derivatives were not requested).  These are all it stores.
+    ``states``, ``param_derivs`` and their last slices ``final_state`` and
+    ``final_derivs`` are the same as (..., d, d) complex Hermitian matrices,
+    converted from the coordinates on every read.
     """
 
     model: object
@@ -206,26 +210,38 @@ class Trajectory:
     coords: np.ndarray
     segment_propagators: np.ndarray
     deriv_coords: np.ndarray | None
-    states: np.ndarray
-    param_derivs: np.ndarray | None
-    dt: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "dt", self.controls.dt)
+    @property
+    def dt(self) -> float:
+        return self.controls.dt
 
     @property
     def num_steps(self) -> int:
         return len(self.segment_propagators)
 
+    def _derivs(self) -> np.ndarray:
+        if self.deriv_coords is None:
+            raise InvariantViolation("trajectory was propagated without derivatives")
+        return self.deriv_coords
+
+    @property
+    def states(self) -> np.ndarray:
+        return basis_operators(self.coords)
+
+    @property
+    def param_derivs(self) -> np.ndarray | None:
+        return None if self.deriv_coords is None else basis_operators(self.deriv_coords)
+
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        # from the last two rows: a one-row product takes BLAS's matrix-vector
+        # kernel, whose rounding differs from the stack's, and an objective
+        # near a vanishing probability amplifies that to ~1e-12
+        return basis_operators(self.coords[-2:])[-1]
 
     @property
     def final_derivs(self) -> np.ndarray:
-        if self.param_derivs is None:
-            raise InvariantViolation("trajectory was propagated without derivatives")
-        return self.param_derivs[:, -1]
+        return basis_operators(self._derivs()[:, -1])
 
 
 def build_liouvillian(h: np.ndarray, noise: NoiseSpec) -> np.ndarray:
@@ -296,19 +312,12 @@ def _pade_order(a: np.ndarray):
 def _pade(a: np.ndarray, m: int, s: int):
     # Numerator parts of the degree-m approximant of a (k, n, n) stack scaled
     # by 2^-s: returns (b, scaled a, u, v) with r(a) = (v - u)^-1 (v + u)
-    # and exp(A_i) ~ r(a_i)^(2^s).
+    # and exp(A_i) ~ r(a_i)^(2^s).  One loop over the even powers for every
+    # degree: at 13 it takes one product more than Higham's grouped form.
     b = _PADE_COEFFS[m]
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
-    if m == 13:
+    if s:
         a = a * 2.0**-s
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        w1 = b[13] * a6 + b[11] * a4 + b[9] * a2
-        u = a @ (a6 @ w1 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-        z1 = b[12] * a6 + b[10] * a4 + b[8] * a2
-        v = a6 @ z1 + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-        return b, a, u, v
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
     a2 = a @ a
     power = a2
     u = b[1] * eye + b[3] * a2
@@ -536,10 +545,8 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
             f"trace drifted to {tr[j]:.6g} at step {j + 1} of {m} "
             f"(dt={dt:.3g}); propagation aborted"
         )
-    states = basis_operators(r)
-    states.flags.writeable = False
 
-    drho = param_derivs = None
+    drho = None
     if deriv_method is not None:
         # src[j, a] = d exp(dt L_j)/dx_a rho_{j-1}: the derivative of each
         # step's own exponential, applied to the state it acts on; a uniform
@@ -548,24 +555,15 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
             src = _frechet_action(gens, dt * model.at(x).dh0_dirs, r[:-1], r[1:])
         else:
             du = _daleckii_krein(evals, evecs, dt, model.at(x).dh0)
-            act = du @ (states[:-1] @ np.conj(u.swapaxes(1, 2)))[:, None]
+            act = du @ (basis_operators(r[:-1]) @ np.conj(u.swapaxes(1, 2)))[:, None]
             src = 2.0 * basis_coords(act)  # the coordinates of act + act^dagger
         drho = np.zeros((src.shape[1], m + 1, d * d))
         segs_t = segs.swapaxes(1, 2)
         for j in range(m):
             drho[:, j + 1] = drho[:, j] @ segs_t[j] + src[j]
-        param_derivs = basis_operators(drho)
-        drho.flags.writeable = param_derivs.flags.writeable = False
-    return Trajectory(
-        model=model,
-        x=x,
-        controls=controls,
-        coords=r,
-        segment_propagators=segs,
-        deriv_coords=drho,
-        states=states,
-        param_derivs=param_derivs,
-    )
+        drho.flags.writeable = False
+    return Trajectory(model=model, x=x, controls=controls, coords=r,
+                      segment_propagators=segs, deriv_coords=drho)
 
 
 def measure(rho: np.ndarray, povm: Povm) -> np.ndarray:
@@ -597,11 +595,12 @@ def measure(rho: np.ndarray, povm: Povm) -> np.ndarray:
 def measure_derivs(trajectory: Trajectory, povm: Povm):
     """Final-state probabilities and their parameter derivatives.
 
-    Returns ``(p, dp)`` with ``dp[a, y] = Tr(drho_a E_y)``.
+    Returns ``(p, dp)`` with ``dp[a, y] = Tr(drho_a E_y)``, the product of the
+    final derivative coordinates with the effect coordinates
+    (:attr:`Povm.coords`).
     """
     p = measure(trajectory.final_state, povm)
-    drho = trajectory.final_derivs
-    dp = np.array([[np.trace(dr @ e).real for e in povm.effects] for dr in drho])
+    dp = trajectory._derivs()[:, -1] @ povm.coords.T
     if np.max(np.abs(dp.sum(axis=1))) > 1e-8:
         raise InvariantViolation("probability derivatives do not sum to zero")
     return p, dp

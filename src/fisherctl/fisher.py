@@ -39,14 +39,11 @@ class FisherMatrix:
     """Real symmetric PSD information matrix, classical or quantum."""
 
     matrix: np.ndarray
-    kind: str = "classical"
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"information matrix must be square, got {mat.shape}")
-        if self.kind not in ("classical", "quantum"):
-            raise InvariantViolation(f"unknown kind {self.kind!r}")
         if np.max(np.abs(mat - mat.T)) > 1e-10:
             raise InvariantViolation("information matrix is not symmetric")
         if mat.shape[0] and np.min(np.linalg.eigvalsh(mat)) < -1e-8:
@@ -91,7 +88,7 @@ def cfim(p: np.ndarray, dp: np.ndarray) -> FisherMatrix:
                 f"outcome {y} has probability {p[y]:.3e} but derivative "
                 f"{np.max(np.abs(dp[:, y])):.3e}; its Fisher contribution diverges"
             )
-    return FisherMatrix(0.5 * (f + f.T), "classical")
+    return FisherMatrix(0.5 * (f + f.T))
 
 
 def qfim(rho: np.ndarray, drho) -> FisherMatrix:
@@ -125,7 +122,7 @@ def qfim(rho: np.ndarray, drho) -> FisherMatrix:
         for b in range(a, n_par):
             anti = slds[a] @ slds[b] + slds[b] @ slds[a]
             f[a, b] = f[b, a] = 0.5 * np.sum(lam * anti.diagonal()).real
-    return FisherMatrix(f, "quantum")
+    return FisherMatrix(f)
 
 
 def _eig_floor(values: np.ndarray) -> float:

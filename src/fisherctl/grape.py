@@ -118,7 +118,7 @@ from .errors import (
     SingularContribution,
 )
 from .fisher import EPS_P, FisherMatrix, cfim, objective_f0, objective_fcle, tr_inv
-from .operators import Povm, basis_coords
+from .operators import Povm
 
 __all__ = [
     "GradientContext",
@@ -226,8 +226,10 @@ class GradientContext:
     The forward insertion sums (enough for probabilities, their parameter
     derivatives and hence the objective value) are built eagerly; the
     backward sweeps needed for control gradients are built on first use.
-    Step indices ``j`` are 1-based, matching control grid columns
-    ``amplitudes[:, j-1]``.
+    It reads the trajectory's coordinates and propagators and the POVM's
+    effect coordinates (:attr:`Povm.coords`, the array ``measure_derivs``
+    reads) and keeps neither object.  Step indices ``j`` are 1-based,
+    matching control grid columns ``amplitudes[:, j-1]``.
     """
 
     def __init__(self, trajectory: Trajectory, povm: Povm, insertion: str = "simpson"):
@@ -236,11 +238,8 @@ class GradientContext:
             raise DimensionMismatch("POVM dimension does not match the model")
         if insertion not in ("simpson", "trapezoid"):
             raise InvariantViolation(f"unknown insertion rule {insertion!r}")
-        self.trajectory = trajectory
-        self.povm = povm
         self.insertion = insertion
-        dt = trajectory.dt
-        self.dt = dt
+        self.dt = dt = trajectory.dt
         m = trajectory.num_steps
         d2 = model.dim**2
         self.num_steps = m
@@ -288,8 +287,8 @@ class GradientContext:
         # otherwise w[m] is the discretized derivative of the final state.
         self.p = measure(trajectory.final_state, povm)
         drho = w[m] if trajectory.deriv_coords is None else trajectory.deriv_coords[:, -1]
-        # p_y = e_y . rho in coordinates
-        self.effect_coords = basis_coords(np.stack(povm.effects))
+        # p_y = e_y . rho in coordinates, as in measure_derivs
+        self.effect_coords = povm.coords
         self.dp = drho @ self.effect_coords.T
 
         self._active = self.p > EPS_P

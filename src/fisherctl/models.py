@@ -291,13 +291,8 @@ def model_xxz(dephasing_rates=(0.1, 0.1)) -> ParametricModel:
 
 
 MODEL_NAMES = ("magfield", "magfield-xyz", "zz", "xxz")
-
-_DEFAULT_RATES = {
-    "magfield": (0.2,),
-    "magfield-xyz": (0.2,),
-    "zz": (0.1, 0.1),
-    "xxz": (0.1, 0.1),
-}
+_BUILDERS = dict(zip(MODEL_NAMES, (model_magnetic_field, model_magnetic_field_cartesian,
+                                   model_zz, model_xxz)))
 
 
 def get_model(name: str, noise: bool = True, rates=None) -> ParametricModel:
@@ -305,24 +300,19 @@ def get_model(name: str, noise: bool = True, rates=None) -> ParametricModel:
 
     ``noise=False`` builds the noiseless variant; ``rates`` overrides the
     default dephasing rates (one value for "magfield", two for the others).
+    The defaults are those of the model's constructor: the model built with
+    them is returned as is, or tells how many rates an override takes.
     """
     if name not in MODEL_NAMES:
         raise FisherctlError(f"unknown model {name!r}; expected one of {MODEL_NAMES}")
-    if not noise:
-        rates = tuple(0.0 for _ in _DEFAULT_RATES[name])
-    elif rates is None:
-        rates = _DEFAULT_RATES[name]
-    else:
-        rates = tuple(float(r) for r in rates)
-        if len(rates) != len(_DEFAULT_RATES[name]):
-            raise FisherctlError(
-                f"model {name!r} takes {len(_DEFAULT_RATES[name])} dephasing rate(s), "
-                f"got {len(rates)}"
-            )
-    if name == "magfield":
-        return model_magnetic_field(rates[0])
-    if name == "magfield-xyz":
-        return model_magnetic_field_cartesian(rates[0])
-    if name == "zz":
-        return model_zz(rates)
-    return model_xxz(rates)
+    build = _BUILDERS[name]
+    model = build()
+    if noise and rates is None:
+        return model
+    count = len(model.rates)
+    rates = (0.0,) * count if not noise else tuple(float(r) for r in rates)
+    if len(rates) != count:
+        raise FisherctlError(
+            f"model {name!r} takes {count} dephasing rate(s), got {len(rates)}"
+        )
+    return build(rates[0] if count == 1 else rates)

@@ -134,6 +134,15 @@ class Povm:
         mu, w = np.linalg.eigh(np.stack(self.effects))
         return np.sqrt(np.clip(mu, 0.0, None))[..., None] * np.conj(w.swapaxes(1, 2))
 
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """The read-only (n, d^2) real coordinates ``e_y`` of the effects in
+        :func:`hermitian_basis`, so that ``p_y = e_y . r`` for a state of
+        coordinates r."""
+        coords = basis_coords(np.stack(self.effects))
+        coords.flags.writeable = False
+        return coords
+
     def __len__(self) -> int:
         return len(self.effects)
 

@@ -103,7 +103,7 @@ def oracle_magfield_cfim(b, theta, phi, gamma, t) -> FisherMatrix:
         [f_bt, f_tt, 0.0],
         [0.0, 0.0, f_pp],
     ])
-    return FisherMatrix(mat, "classical")
+    return FisherMatrix(mat)
 
 
 def oracle_magfield_qfim(b, theta, phi, gamma, t) -> FisherMatrix:
@@ -123,7 +123,7 @@ def oracle_magfield_qfim(b, theta, phi, gamma, t) -> FisherMatrix:
         [f_bt, f_tt, f_tp],
         [f_bp, f_tp, f_pp],
     ])
-    return FisherMatrix(mat, "quantum")
+    return FisherMatrix(mat)
 
 
 def oracle_magfield_eigenvalues(gamma, t) -> tuple:
@@ -165,7 +165,7 @@ def oracle_zz_qfim_pure(z1, z2, zz, t) -> FisherMatrix:
         [zz - z1 * z2, 1 - z2 * z2, z1 - z2 * zz],
         [z2 - z1 * zz, z1 - z2 * zz, 1 - zz * zz],
     ])
-    return FisherMatrix(mat, "quantum")
+    return FisherMatrix(mat)
 
 
 def oracle_xxz_probs(x1, x2, gamma1, gamma2, t) -> np.ndarray:
@@ -205,7 +205,7 @@ def oracle_xxz_cfim(x1, x2, gamma, t) -> FisherMatrix:
     dm = _delta_pm(x1, x2, gamma, t, -1)
     t2 = 2 * t * t
     mat = t2 * np.array([[dp + dm, dp - dm], [dp - dm, dp + dm]])
-    return FisherMatrix(mat, "classical")
+    return FisherMatrix(mat)
 
 
 def oracle_xxz_trinv(x1, x2, gamma, t) -> float:
@@ -227,4 +227,4 @@ def oracle_xxz_qfim_pure(zz, xy, t) -> FisherMatrix:
     f11 = t2 * (2 - 2 * zz - xy * xy)
     f22 = t2 * (1 - zz * zz)
     f12 = -t2 * xy * (1 + zz)
-    return FisherMatrix(np.array([[f11, f12], [f12, f22]]), "quantum")
+    return FisherMatrix(np.array([[f11, f12], [f12, f22]]))

@@ -317,6 +317,48 @@ class TestCriterion4FieldOptimum:
                f"({100 * dev:.2f}%), {res.iterations_used} iters, {elapsed:.0f}s")
 
 
+class TestC4PulseReference:
+    """The optimized C4 pulse at T = 2 against a 40-digit ket propagation of
+    the same pulse: every probability, hence every ``dp^2 / p`` term of the
+    classical matrix, and the bounds that rounding once broke there (a
+    diagonal above 4T^2, C7)."""
+
+    def test_c4_pulse_against_40_digit_kets(self):
+        import mpmath
+
+        t = 2.0
+        model = get_model("magfield-xyz", noise=False)
+        cfg = GrapeConfig(update_rule="bfgs", max_iters=800, init_scheme="random",
+                          init_seed=5, init_amplitude=0.1, convergence_tol=1e-9,
+                          steps_per_unit=100)
+        grid = optimize(model, model.true_values, None, None, t, cfg,
+                        objective="f0").final_controls
+        traj = propagate(model, model.true_values, grid, deriv_method="exact")
+        p, dp = measure_derivs(traj, model.default_povm)
+
+        mp = mpmath.mp
+        with mpmath.workdps(40):
+            # every operator entry and every float input is exact in binary
+            gens = [mp.matrix(g.tolist()) for g in model.dh0(model.true_values)]
+            ctrls = [mp.matrix(h.tolist()) for h in model.control_stack]
+            h0 = sum((mp.mpf(xa) * g for xa, g in zip(model.true_values, gens)),
+                     mp.zeros(4, 4))
+            r2 = 1 / mp.sqrt(2)
+            ket = mp.matrix([r2, 0, 0, r2])
+            for amps in grid.amplitudes.T:
+                h = h0 + sum((mp.mpf(v) * c for v, c in zip(amps, ctrls)), mp.zeros(4, 4))
+                ket = mp.expm(-1j * mp.mpf(grid.dt) * h) * ket
+            bell = [(0, 3, 1), (0, 3, -1), (1, 2, 1), (1, 2, -1)]  # Phi+-, Psi+-
+            ref = np.array([float(abs(r2 * (ket[i] + sign * ket[j])) ** 2)
+                            for i, j, sign in bell])
+
+        assert np.all(np.abs(p - ref) <= 1e-9 * ref)
+        f_cl = cfim(p, dp)
+        assert np.all(np.diag(f_cl.matrix) <= 4 * t * t * (1 + 1e-9))
+        f_q = qfim(traj.final_state, list(traj.final_derivs))
+        assert np.linalg.eigvalsh(f_q.matrix - f_cl.matrix).min() >= -1e-7
+
+
 class TestCriterion5ExchangeOptimum:
     """Pulse optimization under the local measurement reaches the
     probe-optimal 3/(8T^2) within 10%, beating the uncontrolled 1/(2T^2)."""

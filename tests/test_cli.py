@@ -468,6 +468,11 @@ class TestInputChecks:
         pytest.param({"update": "gradient", "grape": {"fixed_step": "no"}},
                      id="fixed-step-string"),
         pytest.param({"grape": {"fixed_step": True}}, id="fixed-step-under-bfgs"),
+        # a string is truthy: "no" would turn the mode on
+        pytest.param({"reproducible": "no"}, id="reproducible-string"),
+        pytest.param({"reproducible": None}, id="reproducible-null"),
+        pytest.param({"warm_start": 1}, id="warm-start-number"),
+        pytest.param({"warm_start": "false"}, id="warm-start-string"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload):
         if isinstance(payload, dict):
@@ -479,6 +484,17 @@ class TestInputChecks:
         assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"reproducible": "no"}, "reproducible"),
+        ({"warm_start": 0}, "warm_start"),
+        ({"update": "gradient", "grape": {"fixed_step": "yes"}}, "grape.fixed_step"),
+    ])
+    def test_config_boolean_error_names_its_key(self, tmp_path, capsys, payload, key):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(dict({"model": "xxz", "t_grid": [0.5]}, **payload)))
+        assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {key} must be true or false")
 
     def test_undecodable_config_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
@@ -567,6 +583,20 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0].startswith("t,")
+
+    def test_closed_pipe_exits_3_without_traceback(self):
+        # the reader takes one line of a table far larger than the pipe
+        # buffer and closes its end
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fisherctl", "oracle", "--model", "xxz",
+             "--t-grid", "0.5:2:2000", "--reproducible"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline().startswith("t,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == EXIT_IO
+        assert err.startswith("output error:") and len(err.splitlines()) == 1
 
     def test_console_script(self):
         proc = subprocess.run(["fisherctl", "--help"], capture_output=True,

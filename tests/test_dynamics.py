@@ -238,6 +238,36 @@ class TestPropagate:
             assert a.dtype == np.float64
         assert traj.states.dtype == traj.param_derivs.dtype == np.complex128
 
+    def test_trajectory_stores_coordinates_only(self):
+        import dataclasses
+
+        from fisherctl import Trajectory
+
+        assert [f.name for f in dataclasses.fields(Trajectory)] == [
+            "model", "x", "controls", "coords", "segment_propagators", "deriv_coords"]
+        model = get_model("zz")
+        traj = uncontrolled_trajectory(model, 0.3, deriv_method=None)
+        assert traj.dt == traj.controls.dt and traj.param_derivs is None
+        with pytest.raises(InvariantViolation, match="without derivatives"):
+            traj.final_derivs
+        with pytest.raises(InvariantViolation, match="without derivatives"):
+            measure_derivs(traj, model.default_povm)
+
+    @pytest.mark.parametrize("name", ["magfield", "xxz"])
+    def test_noisy_propagation_builds_no_complex_stack(self, monkeypatch, rng, name):
+        # the complex forms are built on read, the final ones from the last
+        # rows alone
+        kernel = dyn.basis_operators
+        shapes = []
+        monkeypatch.setattr(dyn, "basis_operators", lambda r: shapes.append(r.shape) or kernel(r))
+        model = get_model(name)
+        p, n = len(model.control_hams), model.num_params
+        grid = ControlGrid(p, 20, 0.4, rng.uniform(-0.3, 0.3, size=(p, 20)))
+        traj = propagate(model, model.true_values, grid, deriv_method="exact")
+        assert shapes == []
+        assert traj.final_state.shape == (4, 4) and traj.final_derivs.shape == (n, 4, 4)
+        assert shapes == [(2, 16), (n, 16)]
+
     def test_trace_drift_aborts(self, monkeypatch):
         # every valid dephasing generator is trace-preserving, so fault-inject
         # a broken exponential to exercise the guard
@@ -472,6 +502,16 @@ class TestMeasure:
         rho = np.diag([0.5, 0.5, 1e-3, -1e-3]).astype(complex)
         with pytest.raises(PropagationError, match="below clamp floor"):
             measure(rho, bell_povm())
+
+    def test_derivs_are_effect_traces(self, catalog_model, rng):
+        # the per-effect trace loop that the coordinate product replaced
+        p = len(catalog_model.control_hams)
+        grid = ControlGrid(p, 30, 0.6, rng.uniform(-0.3, 0.3, size=(p, 30)))
+        traj = propagate(catalog_model, catalog_model.true_values, grid)
+        povm = catalog_model.default_povm
+        _, dp = measure_derivs(traj, povm)
+        ref = [[np.trace(dr @ e).real for e in povm.effects] for dr in traj.final_derivs]
+        assert np.abs(dp - ref).max() <= 1e-14
 
     def test_derivs_sum_to_zero(self, catalog_model):
         traj = uncontrolled_trajectory(catalog_model, 1.0, 80)

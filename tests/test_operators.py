@@ -178,6 +178,16 @@ class TestValidation:
         with pytest.raises(InvariantViolation):
             Povm(labels=("a", "b"), effects=(e1, e2))
 
+    def test_povm_effect_coordinates_are_cached_and_read_only(self):
+        from fisherctl.models import bell_povm
+
+        povm = bell_povm()
+        coords = povm.coords
+        assert coords is povm.coords
+        assert not coords.flags.writeable
+        assert coords.shape == (4, 16) and coords.dtype == np.float64
+        assert np.array_equal(coords, basis_coords(np.stack(povm.effects)))
+
 
 class TestHermitianBasis:
     @pytest.mark.parametrize("d", [2, 3, 4])
