@@ -459,9 +459,9 @@ def cmd_validate() -> int:
 
     def derivatives_match_differences():
         # exact state derivatives against central differences in every
-        # parameter: a noisy driven trajectory (Pade derivative actions; the
-        # long grid's steps take the degree-13 approximant with a squaring,
-        # the short one's a low degree) and a noiseless one (Daleckii-Krein),
+        # parameter: a noisy driven trajectory (Taylor derivative actions; the
+        # long grid's steps take degree 18 with three squarings, the short
+        # one's degree 12 without) and a noiseless one (Daleckii-Krein),
         # the latter also uncontrolled, where the spectrum is degenerate
         amps = np.random.default_rng(7).uniform(-0.3, 0.3, (6, 20))
         h = 1e-5

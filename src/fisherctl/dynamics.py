@@ -12,11 +12,11 @@ Its complex ``states`` and ``param_derivs`` are built from the coordinates
 when read, as is the public row-major ``vec`` matrix of
 :func:`build_liouvillian`.  All m step generators are built as one real
 ``(m, d^2, d^2)`` stack (:func:`step_liouvillians`) and exponentiated
-together by :func:`expm_stack`, the scaling-and-squaring Pade method of
-Higham (SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) over fixed-size chunks of
-the stack.  Noiseless steps take the spectral form ``exp(dt L) = U kron
-conj(U)`` from one stacked ``eigh``, changed to the basis once per step, and a
-grid whose steps are all equal is exponentiated once and broadcast.
+together by :func:`expm_stack`, a scaled and squared Taylor polynomial
+evaluated by matrix products alone, over fixed-size chunks of the stack.
+Noiseless steps take the spectral form ``exp(dt L) = U kron conj(U)`` from one
+stacked ``eigh``, changed to the basis once per step, and a grid whose steps
+are all equal is exponentiated once and broadcast.
 
 The state is advanced step by step as ``rho_j = exp(dt L_j) rho_{j-1}``, and
 the parameter derivatives of the state are carried along exactly as
@@ -24,9 +24,8 @@ the parameter derivatives of the state are carried along exactly as
 derivative of step j's exponential in direction ``dt dL_a`` applied to
 ``rho_{j-1}``; it is computed as an action on the state coordinates, never as
 a per-step derivative matrix.  Noisy steps apply the Frechet derivative of
-the same Pade approximant (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30,
-1639 (2009)) to the states (:func:`_frechet_action`).  Noiseless steps
-differentiate ``U = exp(-i dt H)`` by the Daleckii-Krein formula on the
+the same Taylor polynomial to the states (:func:`_frechet_action`).  Noiseless
+steps differentiate ``U = exp(-i dt H)`` by the Daleckii-Krein formula on the
 spectral decomposition that already gives U (:func:`_daleckii_krein`).  Both
 are exact to machine precision for piecewise-constant generators, and the
 finite-difference gradient checks (acceptance criterion C3) compare against
@@ -36,6 +35,7 @@ drho`` with ``e_y`` the coordinates of effect y (:attr:`Povm.coords`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,24 +75,13 @@ PROB_CLAMP_FLOOR = -1e-12
 # probability.
 STATE_EIG_FLOOR = 1e-13
 
-# Pade coefficients b_0..b_m and the 1-norm bounds theta_m below which the
-# degree-m approximant of exp is accurate to unit roundoff (Higham 2005,
-# Table 2.3).
-_PADE_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
-_PADE_THETA_13 = 5.371920351148152e0
-# Matrices per kernel pass: bounds the Pade temporaries whatever the stack
+# Taylor degrees m and theta_m, the largest 1-norm eta with sum_{k>m} eta^k/k!
+# <= 2^-53: up to it the degree-m polynomial of exp is exact to unit roundoff.
+_TAYLOR_THETA = ((4, 1.6783942982781046e-3), (6, 1.7764527083684662e-2),
+                 (8, 6.993278480782539e-2), (10, 1.7378872324748368e-1),
+                 (12, 3.3521368782861477e-1), (18, 1.14329611222606))
+_INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(19))
+# Matrices per kernel pass: bounds the Taylor temporaries whatever the stack
 # length, and keeps each product small (below OpenBLAS's threading threshold
 # of 65536 multiply-adds for 16 x 16 generators).
 EXPM_CHUNK = 16
@@ -297,43 +286,56 @@ def step_liouvillians(model, x, controls: ControlGrid) -> np.ndarray:
     return _step_stack(model.at(x).l0, model.control_dirs, controls)
 
 
-def _pade_order(a: np.ndarray):
-    # The lowest Pade degree m whose theta bounds the largest 1-norm eta of a
-    # (k, n, n) chunk, else degree 13 after scaling by 2^-s; returns (m, s).
+def _taylor_order(a: np.ndarray):
+    # The lowest Taylor degree m whose theta bounds the largest 1-norm eta of a
+    # (k, n, n) chunk, else the top one after scaling by 2^-s; returns (m, s).
     eta = float(np.abs(a).sum(axis=-2).max())
     if not np.isfinite(eta):
         raise PropagationError("matrix exponential of a non-finite generator")
-    m = next((m for m, theta in _PADE_THETA if eta <= theta), 13)
-    if m < 13:
-        return m, 0
-    return m, max(0, int(np.ceil(np.log2(eta / _PADE_THETA_13))))
+    for m, theta in _TAYLOR_THETA:
+        if eta <= theta:
+            return m, 0
+    return m, int(np.ceil(np.log2(eta / theta)))
 
 
-def _pade(a: np.ndarray, m: int, s: int):
-    # Numerator parts of the degree-m approximant of a (k, n, n) stack scaled
-    # by 2^-s: returns (b, scaled a, u, v) with r(a) = (v - u)^-1 (v + u)
-    # and exp(A_i) ~ r(a_i)^(2^s).  One loop over the even powers for every
-    # degree: at 13 it takes one product more than Higham's grouped form.
-    b = _PADE_COEFFS[m]
-    if s:
-        a = a * 2.0**-s
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
-    a2 = a @ a
-    power = a2
-    u = b[1] * eye + b[3] * a2
-    v = b[0] * eye + b[2] * a2
-    for i in range(4, m + 1, 2):
-        power = power @ a2
-        u = u + b[i + 1] * power
-        v = v + b[i] * power
-    return b, a, a @ u, v
+def _taylor_blocks(m: int) -> np.ndarray:
+    # Paterson-Stockmeyer blocks of the degree-m Taylor polynomial: row i holds
+    # c_{iq+j} = 1/(iq+j)!, q = ceil(sqrt(m)), for j < q, the last row to c_m.
+    q = math.isqrt(m - 1) + 1
+    rows = -(-m // q)
+    out = np.zeros((rows, q + 1))
+    for k in range(m + 1):
+        i = min(k // q, rows - 1)
+        out[i, k - i * q] = _INV_FACTORIAL[k]
+    return out
+
+
+_TAYLOR_BLOCKS = {m: _taylor_blocks(m) for m, _ in _TAYLOR_THETA}
+
+
+def _taylor(a: np.ndarray, m: int) -> np.ndarray:
+    # The degree-m Taylor polynomial of exp at every matrix of a (k, n, n)
+    # stack by Paterson-Stockmeyer: sum_i B_i (a^q)^i by Horner over a^q, the
+    # blocks B_i = sum_j c_{iq+j} a^j as one product of their coefficients with
+    # the powers I, a, ..., a^q.  4 matrix products in all at degree 8.
+    coeffs = _TAYLOR_BLOCKS[m]
+    q = coeffs.shape[1] - 1
+    pows = np.empty((q + 1,) + a.shape, dtype=a.dtype)
+    pows[0] = np.eye(a.shape[-1])
+    pows[1] = a
+    for j in range(2, q + 1):
+        np.matmul(pows[j - 1], a, out=pows[j])
+    blocks = (coeffs @ pows.reshape(q + 1, -1)).reshape((len(coeffs),) + a.shape)
+    r = blocks[-1]
+    for block in blocks[-2::-1]:
+        r = r @ pows[q] + block
+    return r
 
 
 def _expm_chunk(a: np.ndarray) -> np.ndarray:
     # One scaling-and-squaring pass over a (k, n, n) chunk.
-    m, s = _pade_order(a)
-    _, a, u, v = _pade(a, m, s)
-    r = np.linalg.solve(v - u, v + u)
+    m, s = _taylor_order(a)
+    r = _taylor(a * 2.0**-s if s else a, m)
     for _ in range(s):
         r = r @ r
     return r
@@ -342,12 +344,15 @@ def _expm_chunk(a: np.ndarray) -> np.ndarray:
 def expm_stack(a: np.ndarray) -> np.ndarray:
     """``exp(A_i)`` for every matrix of a ``(k, n, n)`` stack.
 
-    Scaling-and-squaring Pade method of Higham (SIAM J. Matrix Anal. Appl. 26,
-    1179 (2005)) over chunks of :data:`EXPM_CHUNK` matrices, each chunk in a
-    few stacked ``matmul``/``solve`` calls.  A real stack stays real and a
-    complex one complex.  Derivatives of the exponentials are never formed as
-    matrices: :func:`propagate` applies them to the states
-    (:func:`_frechet_action`).
+    Scaling and squaring of a truncated Taylor series over chunks of
+    :data:`EXPM_CHUNK` matrices: the lowest degree m whose bound theta_m
+    covers the chunk's largest 1-norm keeps the truncation below unit
+    roundoff, and a norm above the top bound is scaled by 2^-s and squared s
+    times.  The polynomial is evaluated by Paterson-Stockmeyer (SIAM J.
+    Comput. 2, 60 (1973)) in stacked ``matmul`` calls only, no linear solve.
+    A real stack stays real and a complex one complex.  Derivatives of the
+    exponentials are never formed as matrices: :func:`propagate` applies them
+    to the states (:func:`_frechet_action`).
     """
     a = np.asarray(a)
     if not np.iscomplexobj(a):
@@ -358,62 +363,56 @@ def expm_stack(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _frechet_action_chunk(a, e, w, ew):
-    # L(A_i, E_a) w_i for one chunk of generators, or for the one generator
-    # of a uniform grid shared by every state: the Frechet derivative of the
-    # approximant that exp(A_i) took, applied to vectors (Al-Mohy & Higham
-    # 2009 for the algebra).  w and ew = exp(A_i) w_i are (k, n); returns
-    # (k, p, n).  Every product is a stack of small per-step ones, none large
-    # enough to wake OpenBLAS's worker threads.
-    deg, s = _pade_order(a)
-    b, a, u, v = _pade(a, deg, s)
-    w, ew = w[..., None], ew[..., None]
-    if s:
-        # exp(A) ~ r^N, N = 2^s: L(A, E) w = sum_i r^(N-1-i) L_r(a, E/N) z_i
-        # over the sub-step vectors z_i = r^i w, side by side
-        e = e * 2.0**-s
-        r = np.linalg.solve(v - u, v + u)
-        z = [w]
-        for _ in range(2**s):
-            z.append(r @ z[-1])
-        w, ew = np.concatenate(z[:-1], axis=-1), np.concatenate(z[1:], axis=-1)
-    # With r = (v - u)^-1 (v + u) and ew = r w:  L_r w = (v - u)^-1 (dU y+ +
-    # dV y-), y+- = w +- ew, the odd Pade terms on y+ and the even on y-.
-    # The derivative of sum_i b_i a^i applied to Y_i is sum_l a^l E q_l with
-    # q_{l-1} = a q_l + b_l Y_l, q_{m-1} = b_m Y_m: one descending pass, which
-    # applies [a; E_1; ...; E_p] to q_l and sums g = a g + E q_l.
-    k, n, cols = w.shape
-    p = len(e)
-    y = (w + ew, w - ew)
-    # rows (i, a) of the E part: its product is g's (n, p*cols) layout as is
+def _taylor_frechet(a, e, x, m):
+    # The derivative of the degree-m Taylor polynomial at a in every
+    # direction E_b, applied to the columns of x (k, n, c): sum_l a^l E q_l
+    # with q_{m-1} = c_m x and q_{l-1} = a q_l + c_l x, one descending pass
+    # that applies [a; E_1; ...; E_p] to q_l and sums g = a g + E q_l.
+    # Returns g (k, n, p*c) with g[:, i, (b, col)].
+    (n, c), p = x.shape[-2:], len(e)
+    # rows (i, b) of the E part: its product is g's layout as is
     ops = np.concatenate([a, np.broadcast_to(e.transpose(1, 0, 2).reshape(n * p, n),
                                              (len(a), n * p, n))], axis=1)
-    q = b[deg] * y[(deg + 1) % 2]
-    for l in range(deg - 1, -1, -1):
+    q = _INV_FACTORIAL[m] * x
+    for l in range(m - 1, 0, -1):
         both = ops @ q
-        eq = both[:, n:].reshape(k, n, p * cols)
-        g = eq if l == deg - 1 else a @ g + eq
-        q = both[:, :n] + b[l] * y[(l + 1) % 2]
-    # a generator shared by every state (a uniform grid) is inverted once
-    g = np.linalg.inv(v - u) @ g if len(a) < k else np.linalg.solve(v - u, g)
-    if s:
-        subs = g.reshape(k, n, p, cols)
-        g = subs[..., 0]
-        for i in range(1, cols):
-            g = r @ g + subs[..., i]
-    return g.reshape(k, n, p).transpose(0, 2, 1)
+        eq = both[:, n:].reshape(len(a), n, p * c)
+        g = eq if l == m - 1 else a @ g + eq
+        q = both[:, :n] + _INV_FACTORIAL[l] * x
+    return a @ g + (ops[:, n:] @ q).reshape(len(a), n, p * c)
 
 
-def _frechet_action(a: np.ndarray, directions: np.ndarray, w: np.ndarray,
-                    ew: np.ndarray) -> np.ndarray:
-    """``L(A_j, E_a) w_j`` for every state w_j, never forming ``L(A_j, E_a)``.
+def _frechet_action_chunk(a, e, w):
+    # L(A_i, E_b) w_i for one chunk of generators, or for the one generator of
+    # a uniform grid, whose states are then the columns of one product; w is
+    # (k, n), returns (k, p, n).  A scaled chunk takes the Frechet matrices of
+    # its polynomial (the pass on identity columns) through the squarings, L
+    # <- r L + L r, r <- r^2, then to the states: no cost grows with 2^s.
+    m, s = _taylor_order(a)
+    cols = w.T[None] if len(a) < len(w) else w[..., None]
+    n, p = w.shape[1], len(e)
+    if not s:
+        g = _taylor_frechet(a, e, cols, m)
+    else:
+        a, e = a * 2.0**-s, e * 2.0**-s
+        g = _taylor_frechet(a, e, np.broadcast_to(np.eye(n), a.shape), m)
+        r = _taylor(a, m)
+        for _ in range(s):
+            g = r @ g + (g.reshape(len(a), n * p, n) @ r).reshape(g.shape)
+            r = r @ r
+        g = g.reshape(len(a), n * p, n) @ cols
+    return g.reshape(len(a), n, p, -1).transpose(0, 3, 2, 1).reshape(-1, p, n)
 
-    The Frechet derivative of the same Pade approximant as :func:`expm_stack`,
-    applied to vectors (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 30, 1639
-    (2009)), chunk by chunk with the same degree and scaling.  ``a`` is the
-    ``(m, n, n)`` stack of generators, or ``(1, n, n)`` for a uniform grid
-    whose states all share one step; ``w`` and ``ew = exp(A_j) w_j`` are
-    ``(m, n)``.  Returns ``(m, p, n)`` for the ``(p, n, n)`` directions.
+
+def _frechet_action(a: np.ndarray, directions: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``L(A_j, E_b) w_j`` for every state w_j, never forming ``L(A_j, E_b)``.
+
+    The Frechet derivative of the same Taylor polynomial as
+    :func:`expm_stack`, applied to vectors, chunk by chunk with the same
+    degree and scaling, by products only.  ``a`` is the ``(m, n, n)`` stack
+    of generators, or ``(1, n, n)`` for a uniform grid whose states all share
+    one step; ``w`` is ``(m, n)``.  Returns ``(m, p, n)`` for the
+    ``(p, n, n)`` directions.
     """
     e = np.asarray(directions)
     out = np.empty((len(w), len(e), w.shape[1]), dtype=np.result_type(a, e, w, float))
@@ -422,7 +421,7 @@ def _frechet_action(a: np.ndarray, directions: np.ndarray, w: np.ndarray,
     step = EXPM_CHUNK * EXPM_CHUNK if shared else EXPM_CHUNK
     for lo in range(0, len(w), step):
         rows = slice(lo, lo + step)
-        out[rows] = _frechet_action_chunk(a if shared else a[rows], e, w[rows], ew[rows])
+        out[rows] = _frechet_action_chunk(a if shared else a[rows], e, w[rows])
     return out
 
 
@@ -552,7 +551,7 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
         # step's own exponential, applied to the state it acts on; a uniform
         # grid has one step matrix for all states
         if model.noise:
-            src = _frechet_action(gens, dt * model.at(x).dh0_dirs, r[:-1], r[1:])
+            src = _frechet_action(gens, dt * model.at(x).dh0_dirs, r[:-1])
         else:
             du = _daleckii_krein(evals, evecs, dt, model.at(x).dh0)
             act = du @ (basis_operators(r[:-1]) @ np.conj(u.swapaxes(1, 2)))[:, None]

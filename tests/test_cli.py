@@ -553,7 +553,7 @@ class TestValidate:
         assert "[PASS]" in out and "[FAIL]" not in out
 
     def test_broken_derivative_kernel_fails(self, capsys, monkeypatch):
-        # skew the Pade derivative action that noisy steps use
+        # skew the Taylor derivative action that noisy steps use
         import fisherctl.dynamics as dyn
 
         kernel = dyn._frechet_action

@@ -291,10 +291,16 @@ def _rel(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
+# every Taylor bound theta_m of the kernel, and a point just above it where
+# the next degree (or, past the top one, scaling) takes over
+_THETA_EDGES = [f * theta for _, theta in dyn._TAYLOR_THETA for f in (1.0, 1.001)]
+
+
 class TestExpmStack:
-    # 1-norms from the lowest Pade degree without squaring up to several
-    # squarings of the degree-13 approximant
-    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 20.0, 200.0])
+    # 1-norms from the lowest Taylor degree without squaring up to several
+    # squarings of the degree-18 polynomial, and both sides of every degree's
+    # bound
+    @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 20.0, 200.0] + _THETA_EDGES)
     @pytest.mark.parametrize("dim", [16, 32])
     def test_matches_scipy(self, rng, norm, dim):
         a = _scaled_stack(rng, 5, dim, norm)
@@ -338,12 +344,12 @@ class TestExpmStack:
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("count", [1, 2, 3])
     def test_frechet_matches_scipy(self, rng, norm, dim, count):
-        # the Frechet derivative of the Pade approximant applied to vectors,
+        # the Frechet derivative of the Taylor polynomial applied to vectors,
         # L(A_i, E_a) w_i, against scipy's Frechet matrix times w_i
         a = _scaled_stack(rng, 2 * dyn.EXPM_CHUNK + 3, dim, norm)
         e = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
         w = rng.normal(size=(len(a), dim)) + 1j * rng.normal(size=(len(a), dim))
-        got = dyn._frechet_action(a, e, w, (expm_stack(a) @ w[..., None])[..., 0])
+        got = dyn._frechet_action(a, e, w)
         assert got.shape == (len(a), count, dim)
         for acts, x, v in zip(got, a, w):
             for act, direction in zip(acts, e):
@@ -364,7 +370,7 @@ class TestExpmStack:
     @pytest.mark.parametrize("noise", [True, False])
     def test_derivative_blocks_match_augmented_scipy(self, rng, name, noise):
         # each step's derivative L(dt L_j, dt dL_a) applied to a state: the
-        # Pade action for noisy steps, dU rho U^+ + U rho dU^+ from
+        # Taylor action for noisy steps, dU rho U^+ + U rho dU^+ from
         # Daleckii-Krein for noiseless ones, against the top-right block of
         # the augmented exponential
         model = get_model(name, noise=noise)
@@ -378,8 +384,7 @@ class TestExpmStack:
         rhos = np.stack([random_density(rng, d) for _ in gens])
         w = basis_coords(rhos)
         if noise:
-            acts = dyn._frechet_action(dt * gens, dt * dls, w,
-                                       (expm_stack(dt * gens) @ w[..., None])[..., 0])
+            acts = dyn._frechet_action(dt * gens, dt * dls, w)
         else:
             u, evals, evecs = dyn._unitaries(dyn.step_hamiltonians(model, x, grid), dt)
             du = dyn._daleckii_krein(evals, evecs, dt, np.stack(model.dh0(x)))
@@ -450,6 +455,138 @@ class TestExpmStack:
             for insertion in ("simpson", "trapezoid"):
                 ctx = GradientContext(traj, model.default_povm, insertion=insertion)
                 assert np.all(np.isfinite(ctx.cfim_gradient_grid()))
+
+
+class TestTaylorKernel:
+    def test_degree_table_pins_the_truncation_bound(self):
+        # theta_m is the largest 1-norm whose Taylor tail sum_{k>m} eta^k/k!
+        # stays within 2^-53: at theta_m it does, 0.1% above it it does not
+        import mpmath
+
+        def tail(m, eta):
+            eta = mpmath.mpf(eta)
+            return mpmath.exp(eta) - mpmath.fsum(eta**k / mpmath.factorial(k)
+                                                 for k in range(m + 1))
+
+        degrees = [m for m, _ in dyn._TAYLOR_THETA]
+        assert degrees == sorted(set(degrees))
+        with mpmath.workdps(50):
+            unit = mpmath.mpf(2) ** -53
+            for m, theta in dyn._TAYLOR_THETA:
+                assert tail(m, theta) <= unit, m
+                assert tail(m, 1.001 * theta) > unit, m
+
+    @pytest.mark.parametrize("eta", [0.0, 1e-9, 2.0, 4e5]
+                             + [f * theta for _, theta in dyn._TAYLOR_THETA
+                                for f in (0.5, 1.0, 1.001)])
+    def test_chooser_takes_the_lowest_degree_and_fewest_squarings(self, eta):
+        # a chunk's largest column sum is eta
+        a = np.zeros((3, 16, 16))
+        a[1, 3, 5], a[2, 0, 0] = -eta, 0.5 * eta
+        m, s = dyn._taylor_order(a)
+        fits = [d for d, theta in dyn._TAYLOR_THETA if eta <= theta]
+        top, theta = dyn._TAYLOR_THETA[-1]
+        if fits:
+            assert (m, s) == (fits[0], 0)
+        else:
+            assert m == top and eta * 2.0**-s <= theta < eta * 2.0**-(s - 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_generator_raises(self, bad):
+        from fisherctl import PropagationError
+
+        a = np.zeros((2, 16, 16))
+        a[1, 2, 2] = bad
+        with pytest.raises(PropagationError, match="non-finite generator"):
+            expm_stack(a)
+        with pytest.raises(PropagationError, match="non-finite generator"):
+            dyn._frechet_action(a, np.ones((1, 16, 16)), np.ones((2, 16)))
+
+    def test_noisy_hot_path_solves_no_linear_system(self, monkeypatch, rng):
+        # the exponentials and their derivative actions are products only,
+        # with and without squaring and on a uniform grid's shared generator
+        from fisherctl import GrapeConfig, optimize
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve or np.linalg.inv called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        model = get_model("magfield-xyz", noise=True)
+        x = model.true_values
+        p = len(model.control_hams)
+        grids = [ControlGrid(p, 30, 0.3, rng.uniform(-0.2, 0.2, size=(p, 30))),
+                 ControlGrid(p, 40, 0.8, np.full((p, 40), 0.3)),
+                 ControlGrid(p, 20, 30.0, rng.uniform(-0.3, 0.3, size=(p, 20)))]
+        assert dyn._taylor_order(grids[2].dt * step_liouvillians(model, x, grids[2]))[1] > 0
+        for grid in grids:
+            plain = propagate(model, x, grid, deriv_method=None)
+            exact = propagate(model, x, grid)
+            assert np.all(np.isfinite(plain.coords)) and np.all(np.isfinite(exact.deriv_coords))
+        cfg = GrapeConfig(update_rule="bfgs", max_iters=2, steps_per_unit=50)
+        res = optimize(model, x, None, None, 0.4, cfg)
+        assert res.iterations_used == 2 and np.isfinite(res.final_objective)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_noisy_step_propagators_keep_the_trace_row_exactly(self, rng, name):
+        # the first basis element is I/sqrt(d), so a trace-preserving step
+        # has e_0 as row 0; the generators' row 0 is zero, and every product
+        # and sum of the kernel keeps that row exact, squarings included
+        model = get_model(name, noise=True)
+        p = len(model.control_hams)
+        e0 = np.eye(model.dim**2)[0]
+        for t, m in ((0.5, 50), (30.0, 20)):
+            grid = ControlGrid(p, m, t, rng.uniform(-0.3, 0.3, size=(p, m)))
+            segs = propagate(model, model.true_values, grid, deriv_method=None).segment_propagators
+            # bit for bit: no -0.0 either
+            assert segs[:, 0].tobytes() == np.broadcast_to(e0, segs[:, 0].shape).tobytes()
+
+    @pytest.mark.parametrize("amplitude, bound", [(1e2, 1e-12), (1e4, 1e-10), (1e6, 1e-8)])
+    def test_large_amplitudes_propagate_in_bounded_memory(self, amplitude, bound):
+        # at 1e6 the chunks scale by 2^-19: time and memory must not grow
+        # with 2^s, as one state column per sub-step would (77 MB at 1e4).
+        # The reference is step-by-step scipy expm and expm_frechet, whose
+        # own exponentials are off by ~1e-10 per step at 1e6 (against 40
+        # digits, below), so the bounds follow the reference's rounding.
+        import tracemalloc
+
+        model = get_model("magfield-xyz", noise=True)
+        x = model.true_values
+        amps = amplitude * np.random.default_rng(0).choice([-1.0, 1.0], size=(6, 20))
+        grid = ControlGrid(6, 20, 1.0, amps)
+        model.at(x)
+        tracemalloc.start()
+        try:
+            traj = propagate(model, x, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        gens = grid.dt * step_liouvillians(model, x, grid)
+        dls = grid.dt * model.at(x).dh0_dirs
+        rho = traj.coords[0]
+        drho = np.zeros((len(dls), len(rho)))
+        for gen in gens:
+            step = scipy.linalg.expm(gen)
+            src = np.stack([scipy.linalg.expm_frechet(gen, dl, compute_expm=False) @ rho
+                            for dl in dls])
+            drho = drho @ step.T + src
+            rho = step @ rho
+        assert _rel(traj.coords[-1], rho) <= bound
+        assert _rel(traj.deriv_coords[:, -1], drho) <= bound
+
+    def test_largest_scaling_matches_forty_digits(self):
+        # one step of the 1e6 pulse above (2^19 scaling), against a 40-digit
+        # exponential: ~3e-11 relative, where scipy's expm is off by ~1e-10
+        import mpmath
+
+        model = get_model("magfield-xyz", noise=True)
+        amps = 1e6 * np.random.default_rng(0).choice([-1.0, 1.0], size=(6, 20))
+        grid = ControlGrid(6, 20, 1.0, amps)
+        gen = grid.dt * step_liouvillians(model, model.true_values, grid)[:1]
+        with mpmath.workdps(40):
+            ref = np.array(mpmath.expm(mpmath.matrix(gen[0].tolist())).tolist(), dtype=float)
+        assert _rel(expm_stack(gen)[0], ref) <= 1e-10
 
 
 class TestMeasure:
@@ -549,7 +686,7 @@ class TestDerivativeDiscretization:
         assert np.abs(d1 - d2).max() < 1e-12
 
 
-# -- reference: the Frechet-matrix recursion that exact propagation replaced --
+# -- reference: a Pade Frechet-matrix recursion, independent of the kernel --
 # Every step's (p, d^2, d^2) derivative matrices L(dt L_j, dt dL_a) from the
 # Frechet derivative of the Pade approximant carried through the same pass
 # (Al-Mohy & Higham 2009, Alg. 6.4), then drho_j = E_j drho_{j-1} + L_j rho_{j-1}.
@@ -560,14 +697,34 @@ def _ref_times(x, y):
     return (x.reshape(x.shape[:-2] + (-1, n)) @ y).reshape(len(y), n, -1)
 
 
+# Pade coefficients b_0..b_m and the 1-norm bounds theta_m below which the
+# degree-m approximant of exp is accurate to unit roundoff (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005), Table 2.3): the reference is a method
+# independent of the Taylor kernel under test.
+_PADE_COEFFS = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_PADE_THETA_13 = 5.371920351148152e0
+
+
 def _ref_expm_frechet_chunk(a, e):
     eta = float(np.abs(a).sum(axis=-2).max())
-    m = next((m for m, theta in dyn._PADE_THETA if eta <= theta), 13)
-    b = dyn._PADE_COEFFS[m]
+    m = next((m for m, theta in _PADE_THETA if eta <= theta), 13)
+    b = _PADE_COEFFS[m]
     eye = np.eye(a.shape[-1], dtype=a.dtype)
     s = 0
     if m == 13:
-        s = max(0, int(np.ceil(np.log2(eta / dyn._PADE_THETA_13))))
+        s = max(0, int(np.ceil(np.log2(eta / _PADE_THETA_13))))
         a, e = a * 2.0**-s, e * 2.0**-s
         a2 = a @ a
         a4 = a2 @ a2
@@ -645,7 +802,8 @@ class TestExactDerivatives:
     @pytest.mark.parametrize("noise", [True, False])
     @pytest.mark.parametrize("t", [0.5, 2.0, 30.0])
     def test_param_derivs_match_frechet_matrix_recursion(self, rng, name, noise, t):
-        # T = 30 on 20 steps takes the degree-13 approximant with squarings
+        # T = 30 on 20 steps takes the degree-18 polynomial with s = 3 or 4
+        # squarings
         model = get_model(name, noise=noise)
         p = len(model.control_hams)
         m = 20 if t > 10 else round(100 * t)
@@ -683,11 +841,11 @@ class TestExactDerivatives:
                 assert _rel(got, ref) <= 1e-13
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_noiseless_exact_propagation_runs_no_pade_kernel(self, monkeypatch, rng, name):
+    def test_noiseless_exact_propagation_runs_no_taylor_kernel(self, monkeypatch, rng, name):
         from fisherctl.grape import GradientContext
 
         def refuse(*args, **kwargs):
-            raise AssertionError("Pade kernel called on a noiseless model")
+            raise AssertionError("Taylor kernel called on a noiseless model")
 
         monkeypatch.setattr(dyn, "expm_stack", refuse)
         monkeypatch.setattr(dyn, "_frechet_action", refuse)
