@@ -360,8 +360,9 @@ def _oracle_row(name: str, x, rates: tuple, t: float) -> dict:
 
     ``rates`` are the model's dephasing rates, zeros included.  ``note`` is
     empty exactly when every value in the row is exact; otherwise it says why
-    not: the field model's factorized forms under dephasing, unequal exchange
-    rates (no information matrix), or a singular point (no information matrix).
+    not: ``factorized`` (the field model's forms under dephasing), ``unequal
+    rates`` (the exchange model's probabilities are approximate and it has no
+    information matrix), or ``singular`` (no information matrix).
     """
     row, notes = {"t": t}, []
     try:
@@ -383,7 +384,7 @@ def _oracle_row(name: str, x, rates: tuple, t: float) -> dict:
             pr = oracles.oracle_xxz_probs(*x, *rates, t)
             row.update(zip(("p_pp", "p_pm", "p_mp", "p_mm"), pr))
             if rates[0] != rates[1]:
-                notes.append("cfim needs equal rates")
+                notes.append("unequal rates")
             else:
                 f = oracles.oracle_xxz_cfim(*x, rates[0], t)
                 row["f_diag"], row["f_offdiag"] = f.matrix[0, 0], f.matrix[0, 1]
@@ -459,10 +460,10 @@ def cmd_validate() -> int:
 
     def derivatives_match_differences():
         # exact state derivatives against central differences in every
-        # parameter: a noisy driven trajectory (Taylor derivative actions; the
-        # long grid's steps take degree 18 with three squarings, the short
-        # one's degree 12 without) and a noiseless one (Daleckii-Krein),
-        # the latter also uncontrolled, where the spectrum is degenerate
+        # parameter, all through the Taylor derivative actions: a noisy and a
+        # noiseless driven trajectory (the long grid's steps take degree 18
+        # with three squarings, the short one's degree 12 without) and a
+        # noiseless uncontrolled one, where the spectrum is degenerate
         amps = np.random.default_rng(7).uniform(-0.3, 0.3, (6, 20))
         h = 1e-5
         for noise, ctrl in ((True, amps), (False, amps), (False, 0.0 * amps)):

@@ -10,27 +10,25 @@ of :func:`~fisherctl.operators.hermitian_basis`: every generator, propagator
 and state below is a real array, and a :class:`Trajectory` stores only these.
 Its complex ``states`` and ``param_derivs`` are built from the coordinates
 when read, as is the public row-major ``vec`` matrix of
-:func:`build_liouvillian`.  All m step generators are built as one real
-``(m, d^2, d^2)`` stack (:func:`step_liouvillians`) and exponentiated
-together by :func:`expm_stack`, a scaled and squared Taylor polynomial
-evaluated by matrix products alone, over fixed-size chunks of the stack.
-Noiseless steps take the spectral form ``exp(dt L) = U kron conj(U)`` from one
-stacked ``eigh``, changed to the basis once per step, and a grid whose steps
-are all equal is exponentiated once and broadcast.
+:func:`build_liouvillian`.  All m step generators, noisy or noiseless, are
+built as one real ``(m, d^2, d^2)`` stack (:func:`step_liouvillians`) and
+exponentiated together by :func:`expm_stack`, a scaled and squared Taylor
+polynomial evaluated by matrix products alone, over fixed-size chunks of the
+stack; a grid whose steps are all equal is exponentiated once and broadcast.
 
-The state is advanced step by step as ``rho_j = exp(dt L_j) rho_{j-1}``, and
-the parameter derivatives of the state are carried along exactly as
-``drho_j = exp(dt L_j) drho_{j-1} + f_j``.  The source ``f_j`` is the
-derivative of step j's exponential in direction ``dt dL_a`` applied to
-``rho_{j-1}``; it is computed as an action on the state coordinates, never as
-a per-step derivative matrix.  Noisy steps apply the Frechet derivative of
-the same Taylor polynomial to the states (:func:`_frechet_action`).  Noiseless
-steps differentiate ``U = exp(-i dt H)`` by the Daleckii-Krein formula on the
-spectral decomposition that already gives U (:func:`_daleckii_krein`).  Both
-are exact to machine precision for piecewise-constant generators, and the
+The state obeys ``rho_j = exp(dt L_j) rho_{j-1}``, and the parameter
+derivatives of the state are carried along exactly as ``drho_j = exp(dt L_j)
+drho_{j-1} + f_j``.  The source ``f_j`` is the derivative of step j's
+exponential in direction ``dt dL_a`` applied to ``rho_{j-1}``: the Frechet
+derivative of the same Taylor polynomial, applied to the state coordinates
+(:func:`_frechet_action`), never a per-step derivative matrix.  It is exact
+to machine precision for piecewise-constant generators, and the
 finite-difference gradient checks (acceptance criterion C3) compare against
-them.  Outcome probabilities derive in the same coordinates: ``dp_y = e_y .
-drho`` with ``e_y`` the coordinates of effect y (:attr:`Povm.coords`).
+it.  Both recurrences, like the gradient sweeps of :mod:`fisherctl.grape`,
+are evaluated by :func:`_scan`, a blocked prefix scan of about 3 sqrt(m)
+stacked products.  Outcome probabilities derive in the same coordinates:
+``dp_y = e_y . drho`` with ``e_y`` the coordinates of effect y
+(:attr:`Povm.coords`).
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from .operators import (
     _ad,
     basis_coords,
     basis_operators,
-    hermitian_basis,
     validate_density_matrix,
     validate_hermitian,
 )
@@ -425,56 +422,6 @@ def _frechet_action(a: np.ndarray, directions: np.ndarray, w: np.ndarray) -> np.
     return out
 
 
-def _unitaries(hams: np.ndarray, tau: float):
-    # U = exp(-i tau H) = V e^{-i tau Lambda} V^dagger for every step from one
-    # stacked eigh; returns (U, Lambda, V).
-    evals, evecs = np.linalg.eigh(hams)
-    u = (evecs * np.exp(-1j * tau * evals)[:, None, :]) @ np.conj(evecs.swapaxes(1, 2))
-    return u, evals, evecs
-
-
-def _transfer(u: np.ndarray) -> np.ndarray:
-    """``R_ij = Tr(B_i U B_j U^dagger)`` for every unitary of a (k, d, d)
-    stack: the real transfer matrix of ``rho -> U rho U^dagger`` in the basis.
-
-    Per chunk of :data:`EXPM_CHUNK` steps: ``U B_j`` for every j as one
-    product, times ``U^dagger`` step by step, then the coordinates of every
-    column ``U B_j U^dagger`` as one product.  Three quarters of the flops of
-    ``T^dagger (U kron conj(U)) T``, with no Kronecker product formed.
-    """
-    k, d = u.shape[:2]
-    d2 = d * d
-    # bcat[b, (j, c)] = B_j[b, c]
-    bcat = hermitian_basis(d).transpose(1, 0, 2).reshape(d, d2 * d)
-    out = np.empty((k, d2, d2))
-    for lo in range(0, k, EXPM_CHUNK):
-        uc = u[lo:lo + EXPM_CHUNK]
-        c = len(uc)
-        ub = (uc.reshape(c * d, d) @ bcat).reshape(c, d * d2, d)  # [., (a, j), c]
-        cols = (ub @ np.conj(uc.swapaxes(1, 2))).reshape(c, d, d2, d)  # [., a, j, e]
-        # [., j, (a, e)] = U B_j U^dagger, to coordinates [., j, i]
-        coords = basis_coords(cols.transpose(0, 2, 1, 3))
-        out[lo:lo + c] = coords.swapaxes(1, 2)
-    return out
-
-
-def _daleckii_krein(evals: np.ndarray, evecs: np.ndarray, tau: float,
-                    dhams: np.ndarray) -> np.ndarray:
-    """``dU`` of ``U = exp(-i tau H)`` in each direction ``dH_a``, (k, p, d, d).
-
-    Daleckii-Krein (Higham, *Functions of Matrices*, SIAM 2008, Thm 3.11):
-    ``dU = V (G o (V^dagger (-i tau dH) V)) V^dagger`` with the divided
-    differences of exp over ``-i tau lambda`` in the stable form
-    ``G_ij = exp(-i tau (l_i + l_j)/2) sinc(tau (l_i - l_j)/2)``, exact for
-    coincident eigenvalues without a degeneracy threshold.
-    """
-    half = 0.5 * tau * (evals[:, :, None] - evals[:, None, :])
-    gamma = np.exp(-0.5j * tau * (evals[:, :, None] + evals[:, None, :])) * np.sinc(half / np.pi)
-    vh = np.conj(evecs.swapaxes(1, 2))[:, None]
-    inner = vh @ (-1j * tau * np.asarray(dhams, dtype=complex)) @ evecs[:, None]
-    return evecs[:, None] @ (gamma[:, None] * inner) @ vh
-
-
 def _distinct_steps(controls: ControlGrid) -> ControlGrid:
     """The grid itself, or its first step alone when all steps are equal.
 
@@ -486,11 +433,53 @@ def _distinct_steps(controls: ControlGrid) -> ControlGrid:
     return controls
 
 
-def _step_propagators(model, x, steps: ControlGrid, tau: float) -> np.ndarray:
-    """``exp(tau L_j)`` for every step of ``steps`` as one real stack."""
-    if not model.noise:
-        return _transfer(_unitaries(step_hamiltonians(model, x, steps), tau)[0])
-    return expm_stack(tau * step_liouvillians(model, x, steps))
+def _positions(a: np.ndarray, b: int, blocks: int) -> np.ndarray:
+    # the (m, ...) stack a in blocks of b steps, laid out position-major and
+    # contiguous: out[i, k] = a[k b + i], zero past the end of a
+    full = len(a) // b
+    out = np.zeros((b, blocks) + a.shape[1:], dtype=a.dtype)
+    out[:, :full] = a[:full * b].reshape((full, b) + a.shape[1:]).swapaxes(0, 1)
+    out[:len(a) - full * b, full:] = a[full * b:, None]
+    return out
+
+
+def _scan(x0: np.ndarray, mats: np.ndarray, src: np.ndarray | None = None) -> np.ndarray:
+    """``x[j+1] = x[j] @ mats[j] + src[j]`` for every step, as one
+    ``(m+1, rows, n)`` stack with ``x[0] = x0``.
+
+    A blocked prefix scan (Blelloch, CMU-CS-90-190) in blocks of b =
+    isqrt(m) steps: the partial products and source sums within every block,
+    batched over the blocks (b - 1 stacked products each); then the carry
+    across the blocks in turn; then every step from its block's carry in one
+    stacked product.  About 3 sqrt(m) numpy calls where a plain loop makes m.
+    ``mats`` is ``(m, n, n)`` (any strides: reversed views and broadcasts
+    too) and ``src`` is ``(m, rows, n)`` or None.
+    """
+    m = len(mats)
+    b = math.isqrt(m)
+    blocks = -(-m // b)
+    # prods[i, k] = mats[kb] @ ... @ mats[kb + i], built in place
+    prods = _positions(mats, b, blocks)
+    sums = None if src is None else _positions(src, b, blocks)
+    for i in range(1, b):
+        if sums is not None:
+            sums[i] += sums[i - 1] @ prods[i]
+        np.matmul(prods[i - 1], prods[i], out=prods[i])
+    carry = np.empty((blocks,) + x0.shape, dtype=np.result_type(x0, prods))
+    carry[0] = x0
+    for k in range(blocks - 1):
+        carry[k + 1] = carry[k] @ prods[-1, k]
+        if sums is not None:
+            carry[k + 1] += sums[-1, k]
+    # every step from its block's carry, written straight into out: rows 1
+    # onward hold the blocks in turn (the last one padded to b steps)
+    out = np.empty((blocks * b + 1,) + x0.shape, dtype=carry.dtype)
+    out[0] = x0
+    steps = out[1:].reshape((blocks, b) + x0.shape).swapaxes(0, 1)
+    np.matmul(carry, prods, out=steps)
+    if sums is not None:
+        steps += sums
+    return out[:m + 1]
 
 
 def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
@@ -521,20 +510,15 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     m = controls.num_steps
 
     steps = _distinct_steps(controls)
-    if model.noise:
-        gens = dt * step_liouvillians(model, x, steps)
-        segs = expm_stack(gens)
-    else:
-        u, evals, evecs = _unitaries(step_hamiltonians(model, x, steps), dt)
-        segs = _transfer(u)
+    gens = dt * step_liouvillians(model, x, steps)
+    segs = expm_stack(gens)
     if not np.all(np.isfinite(segs)):
         raise PropagationError(f"step propagators are not finite (dt={dt:.3g})")
     segs = np.broadcast_to(segs, (m,) + segs.shape[1:])
+    segs_t = segs.swapaxes(1, 2)
 
-    r = np.empty((m + 1, d * d))
-    r[0] = basis_coords(probe)
-    for j in range(m):
-        r[j + 1] = segs[j] @ r[j]
+    # rho_j = exp(dt L_j) rho_{j-1}, as rows: rho_j^T = rho_{j-1}^T exp(dt L_j)^T
+    r = _scan(basis_coords(probe)[None], segs_t)[:, 0]
     r.flags.writeable = False
     tr = np.sqrt(d) * r[1:, 0]
     drift = ~np.isfinite(tr) | (np.abs(tr - 1.0) > TRACE_DRIFT_ABORT)
@@ -550,16 +534,8 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
         # src[j, a] = d exp(dt L_j)/dx_a rho_{j-1}: the derivative of each
         # step's own exponential, applied to the state it acts on; a uniform
         # grid has one step matrix for all states
-        if model.noise:
-            src = _frechet_action(gens, dt * model.at(x).dh0_dirs, r[:-1])
-        else:
-            du = _daleckii_krein(evals, evecs, dt, model.at(x).dh0)
-            act = du @ (basis_operators(r[:-1]) @ np.conj(u.swapaxes(1, 2)))[:, None]
-            src = 2.0 * basis_coords(act)  # the coordinates of act + act^dagger
-        drho = np.zeros((src.shape[1], m + 1, d * d))
-        segs_t = segs.swapaxes(1, 2)
-        for j in range(m):
-            drho[:, j + 1] = drho[:, j] @ segs_t[j] + src[j]
+        src = _frechet_action(gens, dt * model.at(x).dh0_dirs, r[:-1])
+        drho = _scan(np.zeros(src.shape[1:]), segs_t, src).swapaxes(0, 1)
         drho.flags.writeable = False
     return Trajectory(model=model, x=x, controls=controls, coords=r,
                       segment_propagators=segs, deriv_coords=drho)

@@ -23,7 +23,10 @@ Every response is read only through an effect trace and is linear in it, so
 the left factors ``D_{j+1}^m`` and ``G_{a,j}`` are never formed as matrices
 and any weighted sum over outcomes costs one pass.  As in GRAPE (Khaneja et
 al., J. Magn. Reson. 172, 296 (2005)), a forward state sweep (``rho_j`` and
-``w_{a,j}``) meets a backward costate sweep.  A weight row ``W`` asks for
+``w_{a,j}``) meets a backward costate sweep.  Every sweep is a linear
+recurrence over the steps and is evaluated as a blocked prefix scan
+(:func:`~fisherctl.dynamics._scan`), the backward ones over the reversed
+steps.  A weight row ``W`` asks for
 ``sum_{b<n, y} W[b, y] d(d_b p_y)/dV + sum_y W[n, y] dp_y/dV``; its effect
 covectors are folded before the sweep:
 
@@ -104,11 +107,13 @@ from .dynamics import (
     ControlGrid,
     Trajectory,
     _distinct_steps,
-    _step_propagators,
+    _scan,
     check_amplitude_bound,
+    expm_stack,
     measure,
     measure_derivs,
     propagate,
+    step_liouvillians,
 )
 from .errors import (
     DimensionMismatch,
@@ -215,8 +220,8 @@ class GrapeResult:
 def _half_step_propagators(trajectory: Trajectory) -> np.ndarray:
     """exp(dt/2 L_j) for every step, reusing the uniform-grid shortcut."""
     controls = trajectory.controls
-    halves = _step_propagators(trajectory.model, trajectory.x,
-                               _distinct_steps(controls), 0.5 * trajectory.dt)
+    halves = expm_stack(0.5 * trajectory.dt * step_liouvillians(
+        trajectory.model, trajectory.x, _distinct_steps(controls)))
     return np.broadcast_to(halves, (controls.num_steps,) + halves.shape[1:])
 
 
@@ -274,14 +279,11 @@ class GradientContext:
             self.halves = self.hvecs = None
             src = self._coef * dhr[1:]
         cjd = self._coef * dhr[:-1]
-        w = np.zeros((m + 1, n, d2))
-        ez = np.empty((m, n, d2))
+        # as rows, w_j = w_{j-1} E_j^T + (cjd_j E_j^T + src_j)
         segs_t = self.segs.swapaxes(1, 2)
-        for j in range(m):
-            ez[j] = (w[j] + cjd[j]) @ segs_t[j]
-            w[j + 1] = ez[j] + src[j]
+        w = _scan(np.zeros((n, d2)), segs_t, cjd @ segs_t + src)
         self._z = w[:-1] + cjd
-        self._ez = ez
+        self._ez = w[1:] - src
 
         # Measurement data.  Derivatives follow the trajectory when present;
         # otherwise w[m] is the discretized derivative of the final state.
@@ -312,10 +314,10 @@ class GradientContext:
         rows, d2 = weights.shape[0], segs.shape[-1]
         dh = self.dh0_dirs.reshape(n * d2, d2)
 
-        lam = np.empty((m + 1, rows * (n + 1), d2))
-        lam[m] = (weights @ self.effect_coords).reshape(-1, d2)
-        for j in range(m, 0, -1):
-            lam[j - 1] = lam[j] @ segs[j - 1]
+        # lam_{j-1} = lam_j E_j and mu_{j-1} = mu_j E_j + ins_j: scans from
+        # j = m down, over the reversed steps
+        back = segs[::-1]
+        lam = _scan((weights @ self.effect_coords).reshape(-1, d2), back)[::-1]
         lam = lam.reshape(m + 1, rows, n + 1, d2)
         lam_b = lam[:, :, :n]
 
@@ -330,9 +332,7 @@ class GradientContext:
             ins += 4.0 * lhdh
         ins *= self._coef
 
-        mu = np.zeros((m + 1, rows, d2))
-        for j in range(m, 0, -1):
-            mu[j - 1] = mu[j] @ segs[j - 1] + ins[j - 1]
+        mu = _scan(np.zeros((rows, d2)), back, ins[::-1])[::-1]
         return lam, mu, ld, lamh, lhd, lhdh
 
     def _ensure_backward(self):

@@ -347,6 +347,22 @@ class TestOracle:
             t = float(row["t"])
             assert float(row["tr_inv"]) == pytest.approx(1 / (2 * t * t), rel=1e-10)
 
+    @pytest.mark.parametrize("rates, exact", [((0.1, 0.1), True), ((0.1, 0.0), False)])
+    def test_exchange_row_note_marks_approximate_probabilities(self, rates, exact):
+        # the closed-form probabilities are exact at equal rates only: at
+        # (0.1, 0), T = 1 they are 0.015 off, and the note says so
+        from fisherctl.cli import _oracle_row
+
+        model = get_model("xxz", rates=rates)
+        row = _oracle_row("xxz", model.true_values, rates, 1.0)
+        grid = ControlGrid.zeros(len(model.control_hams), 100, 1.0)
+        p = measure(propagate(model, model.true_values, grid).final_state, model.default_povm)
+        gap = np.max(np.abs([row[k] for k in ("p_pp", "p_pm", "p_mp", "p_mm")] - p))
+        if exact:
+            assert row["note"] == "" and gap < 1e-12
+        else:
+            assert row["note"] == "unequal rates" and gap > 1e-2
+
     def test_zz_probabilities_sum_to_one(self, tmp_path):
         out = tmp_path / "oracle.csv"
         run(["oracle", "--model", "zz", "--t-grid", "1.0", "--out", str(out),
@@ -563,11 +579,18 @@ class TestValidate:
         assert "[FAIL] exact state derivatives vs finite differences" in out
 
     def test_broken_noiseless_derivative_fails(self, capsys, monkeypatch):
-        # skew the Daleckii-Krein derivatives that noiseless steps use
+        # skew the Taylor derivative action on noiseless steps alone, whose
+        # generators are antisymmetric in the Hermitian basis: the noisy
+        # check passes and the noiseless one fails
         import fisherctl.dynamics as dyn
 
-        kernel = dyn._daleckii_krein
-        monkeypatch.setattr(dyn, "_daleckii_krein", lambda *args: 1.001 * kernel(*args))
+        kernel = dyn._frechet_action
+
+        def skewed(a, e, w):
+            noiseless = np.abs(a + a.swapaxes(1, 2)).max() < 1e-12
+            return (1.001 if noiseless else 1.0) * kernel(a, e, w)
+
+        monkeypatch.setattr(dyn, "_frechet_action", skewed)
         assert run(["validate"]) != 0
         out = capsys.readouterr().out
         assert "[FAIL] exact state derivatives vs finite differences" in out

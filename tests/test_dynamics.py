@@ -369,10 +369,9 @@ class TestExpmStack:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     @pytest.mark.parametrize("noise", [True, False])
     def test_derivative_blocks_match_augmented_scipy(self, rng, name, noise):
-        # each step's derivative L(dt L_j, dt dL_a) applied to a state: the
-        # Taylor action for noisy steps, dU rho U^+ + U rho dU^+ from
-        # Daleckii-Krein for noiseless ones, against the top-right block of
-        # the augmented exponential
+        # each step's derivative L(dt L_j, dt dL_a) applied to a state by the
+        # Taylor action, noisy and noiseless alike, against the top-right
+        # block of the augmented exponential
         model = get_model(name, noise=noise)
         x = model.true_values
         p = len(model.control_hams)
@@ -380,16 +379,9 @@ class TestExpmStack:
         dt = grid.dt
         gens = step_liouvillians(model, x, grid)
         dls = basis_superop(np.stack([-1j * commutator_superop(dh) for dh in model.dh0(x)]))
-        d = model.dim
-        rhos = np.stack([random_density(rng, d) for _ in gens])
+        rhos = np.stack([random_density(rng, model.dim) for _ in gens])
         w = basis_coords(rhos)
-        if noise:
-            acts = dyn._frechet_action(dt * gens, dt * dls, w)
-        else:
-            u, evals, evecs = dyn._unitaries(dyn.step_hamiltonians(model, x, grid), dt)
-            du = dyn._daleckii_krein(evals, evecs, dt, np.stack(model.dh0(x)))
-            acts = du @ (rhos @ np.conj(u.swapaxes(1, 2)))[:, None]
-            acts = basis_coords(acts + np.conj(acts.swapaxes(-1, -2)))
+        acts = dyn._frechet_action(dt * gens, dt * dls, w)
         d2 = gens.shape[1]
         zero = np.zeros((d2, d2))
         for j, gen in enumerate(gens):
@@ -587,6 +579,52 @@ class TestTaylorKernel:
         with mpmath.workdps(40):
             ref = np.array(mpmath.expm(mpmath.matrix(gen[0].tolist())).tolist(), dtype=float)
         assert _rel(expm_stack(gen)[0], ref) <= 1e-10
+
+
+def _sequential(x0, mats, src):
+    out = [x0]
+    for j, mat in enumerate(mats):
+        out.append(out[-1] @ mat + (0.0 if src is None else src[j]))
+    return np.stack(out)
+
+
+class TestScan:
+    @pytest.mark.parametrize("m", [1, 2, 3, 99, 100, 101, 200, 2000])
+    @pytest.mark.parametrize("rows", [1, 3, 12])
+    @pytest.mark.parametrize("sourced", [False, True])
+    @pytest.mark.parametrize("layout", ["forward", "reversed", "uniform"])
+    def test_matches_the_sequential_loop(self, rng, m, rows, sourced, layout):
+        # orthogonal steps, as noiseless propagators are, so long products
+        # neither grow nor vanish
+        n = 16
+        g = rng.normal(size=(m, n, n))
+        mats = expm_stack(0.2 * (g - g.swapaxes(1, 2)))
+        src = rng.normal(size=(m, rows, n)) if sourced else None
+        if layout == "reversed":
+            mats = mats[::-1]
+            src = None if src is None else src[::-1]
+        elif layout == "uniform":
+            mats = np.broadcast_to(mats[:1], mats.shape)
+        x0 = rng.normal(size=(rows, n))
+        got = dyn._scan(x0, mats, src)
+        assert got.shape == (m + 1, rows, n)
+        assert np.array_equal(got[0], x0)
+        assert _rel(got, _sequential(x0, mats, src)) <= 1e-13
+
+    def test_propagation_loops_are_scans(self, monkeypatch, rng):
+        # the state, derivative, forward-sum and both costate recurrences
+        from fisherctl.grape import GradientContext
+
+        kernel = dyn._scan
+        calls = []
+        monkeypatch.setattr(dyn, "_scan", lambda *a: calls.append(len(a[1])) or kernel(*a))
+        monkeypatch.setattr("fisherctl.grape._scan", dyn._scan)
+        model = get_model("magfield-xyz", noise=False)
+        p = len(model.control_hams)
+        traj = propagate(model, model.true_values,
+                         ControlGrid(p, 50, 0.5, rng.uniform(-0.2, 0.2, size=(p, 50))))
+        GradientContext(traj, model.default_povm).objective_gradient("f0")
+        assert calls == [50] * 5
 
 
 class TestMeasure:
@@ -792,6 +830,20 @@ def _reference_param_derivs(model, x, grid):
     return basis_operators(np.stack(out, axis=1))
 
 
+def _daleckii_krein(evals, evecs, tau, dhams):
+    # dU of U = exp(-i tau H) in each direction dH_a, (k, p, d, d), from the
+    # spectral decomposition (Higham, Functions of Matrices, SIAM 2008, Thm
+    # 3.11): dU = V (G o (V^+ (-i tau dH) V)) V^+ with the divided differences
+    # of exp over -i tau lambda in the stable form G_ij = exp(-i tau (l_i +
+    # l_j)/2) sinc(tau (l_i - l_j)/2), exact for coincident eigenvalues.  A
+    # reference independent of the Taylor kernel under test.
+    half = 0.5 * tau * (evals[:, :, None] - evals[:, None, :])
+    gamma = np.exp(-0.5j * tau * (evals[:, :, None] + evals[:, None, :])) * np.sinc(half / np.pi)
+    vh = np.conj(evecs.swapaxes(1, 2))[:, None]
+    inner = vh @ (-1j * tau * np.asarray(dhams, dtype=complex)) @ evecs[:, None]
+    return evecs[:, None] @ (gamma[:, None] * inner) @ vh
+
+
 def _random_unitary(rng, d):
     q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
@@ -834,28 +886,48 @@ class TestExactDerivatives:
             dhams = [np.stack([random_hermitian(rng, 4) for _ in range(3)]) for _ in hams]
         for h, dh in zip(hams, dhams):
             evals, evecs = np.linalg.eigh(h[None])
-            du = dyn._daleckii_krein(evals, evecs, tau, dh)[0]
+            du = _daleckii_krein(evals, evecs, tau, dh)[0]
             for got, direction in zip(du, dh):
                 ref = scipy.linalg.expm_frechet(-1j * tau * h, -1j * tau * direction,
                                                 compute_expm=False)
                 assert _rel(got, ref) <= 1e-13
 
     @pytest.mark.parametrize("name", MODEL_NAMES)
-    def test_noiseless_exact_propagation_runs_no_taylor_kernel(self, monkeypatch, rng, name):
-        from fisherctl.grape import GradientContext
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("Taylor kernel called on a noiseless model")
-
-        monkeypatch.setattr(dyn, "expm_stack", refuse)
-        monkeypatch.setattr(dyn, "_frechet_action", refuse)
+    @pytest.mark.parametrize("amplitude", [0.3, 40.0])
+    def test_noiseless_frechet_action_matches_daleckii_krein(self, rng, name, amplitude):
+        # the Taylor action on noiseless steps against dU rho U^+ + U rho dU^+
+        # from the spectral decomposition of each step Hamiltonian; the large
+        # amplitudes scale and square (s > 0)
         model = get_model(name, noise=False)
+        x = model.true_values
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 19, 0.7, rng.uniform(-amplitude, amplitude, size=(p, 19)))
+        dt = grid.dt
+        gens = dt * step_liouvillians(model, x, grid)
+        assert (dyn._taylor_order(gens)[1] > 0) == (amplitude > 1)
+        rhos = np.stack([random_density(rng, model.dim) for _ in gens])
+        acts = dyn._frechet_action(gens, dt * model.at(x).dh0_dirs, basis_coords(rhos))
+        evals, evecs = np.linalg.eigh(dyn.step_hamiltonians(model, x, grid))
+        u = (evecs * np.exp(-1j * dt * evals)[:, None, :]) @ np.conj(evecs.swapaxes(1, 2))
+        du = _daleckii_krein(evals, evecs, dt, np.stack(model.dh0(x)))
+        ref = du @ (rhos @ np.conj(u.swapaxes(1, 2)))[:, None]
+        ref = basis_coords(ref + np.conj(ref.swapaxes(-1, -2)))
+        for got, want in zip(acts, ref):
+            assert _rel(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("noise", [True, False])
+    def test_propagation_calls_no_eigh(self, monkeypatch, rng, name, noise):
+        # noisy and noiseless steps share the Taylor kernel: no spectral path
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh called")
+
+        model = get_model(name, noise=noise)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         p = len(model.control_hams)
         for amps in (rng.uniform(-0.2, 0.2, size=(p, 30)), np.zeros((p, 30))):
             traj = propagate(model, model.true_values, ControlGrid(p, 30, 0.6, amps))
             assert np.all(np.isfinite(traj.param_derivs))
-            ctx = GradientContext(traj, model.default_povm)
-            assert np.all(np.isfinite(ctx.cfim_gradient_grid()))
 
     def test_exact_propagation_allocates_no_frechet_stack(self, rng):
         # the parent recursion held (m, n, d^2, d^2) derivative matrices; the
