@@ -655,11 +655,23 @@ def _load_config_file(path: str) -> dict:
     return file_cfg
 
 
+# the config-file keys _run_config_from reads, at the top level and in "grape"
+CONFIG_KEYS = ("model", "noise", "t_grid", "steps_per_unit", "objective", "seed", "init",
+               "update", "max_iters", "amplitude_bound", "out", "format", "reproducible",
+               "warm_start", "grape")
+GRAPE_KEYS = ("step_size", "max_iters", "convergence_tol", "init_scheme", "init_seed",
+              "init_amplitude", "update_rule", "amplitude_bound", "fixed_step")
+
+
 def _run_config_from(args) -> RunConfig:
     file_cfg = _load_config_file(args.config) if args.config else {}
     grape_file = file_cfg.get("grape", {})
     if not isinstance(grape_file, dict):
         raise FisherctlError("config key 'grape' must hold a JSON object")
+    unknown = ([k for k in file_cfg if k not in CONFIG_KEYS]
+               + [f"grape.{k}" for k in grape_file if k not in GRAPE_KEYS])
+    if unknown:
+        raise FisherctlError(f"unknown config keys: {', '.join(unknown)}")
 
     def pick(flag, key, default=None):
         return flag if flag is not None else file_cfg.get(key, default)

@@ -35,17 +35,15 @@ covectors are folded before the sweep:
 * one ``mu_j = sum_{b<n} (sum_y W[b, y] e_y) G_{b,j}``, with ``mu_{j-1} =
   mu_j E_j + sum_b lam_{b,j} J_b(j)`` and ``mu_m = 0``.
 
-The scalar objective ``phi(F)`` needs a single row: with ``G =
-dphi/dF`` and the scores ``s1[a, y] = d_a p_y / p_y``, ``W[b, y] = 2 sum_a
-G_ab s1[a, y]`` and ``W[n, y] = -sum_ab G_ab s1[a, y] s1[b, y]``.  Its
-gradient is thus backpropagated directly (de Fouquieres et al., J. Magn.
-Reson. 212, 412 (2011)) with n + 1 ``lam`` rows and one ``mu`` row, where
-the per-outcome responses carry n_out ``lam`` and n_out n ``mu`` rows; the
-``(n, n, p, m)`` information-matrix grid is never formed.  Identity weights
-(one row per outcome and per (parameter, outcome) pair) give the per-outcome
-grids ``dprob[y, k, j]`` and ``ddprob[y, a, k, j]``; every public
-per-index gradient is a slice of them, and the information-matrix grid is
-their score-weighted sum over outcomes.
+One chain rule turns symmetric information-matrix weights ``G`` into a row:
+with the scores ``s1[a, y] = d_a p_y / p_y``, ``sum_ab G_ab dF_ab/dV`` takes
+``W[b, y] = 2 sum_a G_ab s1[a, y]`` and ``W[n, y] = -sum_ab G_ab s1[a, y]
+s1[b, y]``.  A scalar objective takes ``G = dphi/dF`` and is backpropagated
+directly (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)) in one row.
+Identity weights, one row per outcome and per (parameter, outcome) pair,
+give the per-outcome grids ``dprob[y, k, j]`` and ``ddprob[y, a, k, j]``
+that the per-index gradients slice; the ``(n, n, p, m)`` information-matrix
+grid weights them by the symmetric unit matrices.
 
 Each term of a response is ``L C_k R``: a costate covector ``L`` and a
 forward vector ``R`` of step j around ``C_k = -i ad(H_k)``, the generator
@@ -67,13 +65,14 @@ and the quadrature weights real.
 
 Quadrature
 ----------
-The insertion ``J_X(j)`` discretizes the within-step integral
-``int_0^dt exp((dt-s) L_j) X exp(s L_j) ds`` by quadrature: "simpson"
-(default for the standalone gradient functions; bias is fourth order in dt)
-or "trapezoid" (used inside the ascent loop where per-iteration cost
-matters; bias is second order).  The textbook end-point form of these
-gradients is first order in dt and misses finite-difference checks at
-practical grid densities, which is why the refined quadratures are used.
+The insertion ``J_X(j)`` discretizes ``int_0^dt exp((dt-s) L_j) X exp(s L_j)
+ds`` by the trapezoid rule ``(dt/2)(X E_j + E_j X)``, bias second order in
+dt, as the ascent loop uses it.  "simpson" (the standalone functions'
+default) is Richardson's ``(4 T_{dt/2} - T_dt) / 3`` of it, from a second
+pass over the half steps: for ``J_X`` Simpson's rule ``(dt/6)(X E_j + 4 H_j X
+H_j + E_j X)`` with ``H_j = exp(dt/2 L_j)``, and a fourth-order bias for the
+whole gradient, same-step mix term included.  The end-point form is first
+order in dt and misses finite-difference checks at practical grid densities.
 
 Ascent loop
 -----------
@@ -225,6 +224,27 @@ def _half_step_propagators(trajectory: Trajectory) -> np.ndarray:
     return np.broadcast_to(halves, (controls.num_steps,) + halves.shape[1:])
 
 
+def _half_step_trajectory(trajectory: Trajectory) -> Trajectory:
+    """The trajectory on the grid of half steps: step j splits into two steps
+    of exp(dt/2 L_j), and the states interleave rho_{j-1} with
+    exp(dt/2 L_j) rho_{j-1}.  Without parameter derivatives."""
+    halves = _half_step_propagators(trajectory)
+    coarse, c = trajectory.coords, trajectory.controls
+    coords = np.empty((2 * len(coarse) - 1, coarse.shape[1]))
+    coords[0::2] = coarse
+    coords[1::2] = (halves @ coarse[:-1, :, None])[..., 0]
+    controls = ControlGrid(c.num_fields, 2 * c.num_steps, c.total_time,
+                           np.repeat(c.amplitudes, 2, axis=1), c.amplitude_bound)
+    return Trajectory(trajectory.model, trajectory.x, controls, coords,
+                      np.repeat(halves, 2, axis=0), None)
+
+
+def _extrapolate(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Richardson's ``(4 T_{dt/2} - T_dt) / 3`` of two trapezoid results; a
+    step's derivative is the sum of its half steps' 2j-1 and 2j."""
+    return (4.0 * fine.reshape(coarse.shape + (-1,)).sum(axis=-1) - coarse) / 3.0
+
+
 class GradientContext:
     """Per-trajectory workspace for the analytic control gradients.
 
@@ -244,10 +264,12 @@ class GradientContext:
         if insertion not in ("simpson", "trapezoid"):
             raise InvariantViolation(f"unknown insertion rule {insertion!r}")
         self.insertion = insertion
+        # simpson: a second trapezoid pass over the half steps, extrapolated
+        self._fine = (GradientContext(_half_step_trajectory(trajectory), povm, "trapezoid")
+                      if insertion == "simpson" else None)
         self.dt = dt = trajectory.dt
-        m = trajectory.num_steps
+        self.num_steps = m = trajectory.num_steps
         d2 = model.dim**2
-        self.num_steps = m
         self.num_fields = len(model.control_hams)
         self.num_params = n = model.num_params
 
@@ -265,19 +287,8 @@ class GradientContext:
         # Forward insertion sums w[j, a] = sum_{i<=j} D_{i+1}^j J_a(i) rho_{i-1}
         # obey w_j = E_j z_j + src_j with z_j = w_{j-1} + coef D_a rho_{j-1};
         # z and ez = E_j z_j are what the gradients read.
-        if insertion == "simpson":
-            self._coef = dt / 6.0
-            self.halves = _half_step_propagators(trajectory)
-            # hvecs[j-1] = exp(dt/2 L_j) rho_{j-1}, dhh[j-1, a] = D_a hvecs[j-1]
-            # and hdhh[j-1, a] = exp(dt/2 L_j) dhh[j-1, a]
-            self.hvecs = (self.halves @ self.rvecs[:-1, :, None])[..., 0]
-            self._dhh = (self.hvecs[:, None] @ dh_cols).reshape(m, n, d2)
-            self._hdhh = self._dhh @ self.halves.swapaxes(1, 2)
-            src = self._coef * (dhr[1:] + 4.0 * self._hdhh)
-        else:
-            self._coef = 0.5 * dt
-            self.halves = self.hvecs = None
-            src = self._coef * dhr[1:]
+        self._coef = 0.5 * dt
+        src = self._coef * dhr[1:]
         cjd = self._coef * dhr[:-1]
         # as rows, w_j = w_{j-1} E_j^T + (cjd_j E_j^T + src_j)
         segs_t = self.segs.swapaxes(1, 2)
@@ -292,9 +303,11 @@ class GradientContext:
         # p_y = e_y . rho in coordinates, as in measure_derivs
         self.effect_coords = povm.coords
         self.dp = drho @ self.effect_coords.T
+        if self._fine is not None and trajectory.deriv_coords is None:
+            self.dp = _extrapolate(self._fine.dp, self.dp)
 
         self._active = self.p > EPS_P
-        self._backward = self._grids = self._cfim = None
+        self._backward = self._cfim = None
 
     # -- backward costate sweep -----------------------------------------------
 
@@ -303,14 +316,10 @@ class GradientContext:
 
         ``weights[r, b, y]`` weights ``d(d_b p_y)/dV`` for b < n and
         ``dp_y/dV`` for b = n.  Returns ``lam[j, r, b] = (sum_y weights[r, b, y]
-        e_y) D_{j+1}^m`` and ``mu[j, r]``, indexed by step j = 0..m, followed by
-        the products the contraction reuses: ``ld[j, r] = sum_b lam[j, r, b]
-        D_b`` and, for simpson (else None), ``lamh = lam_b exp(dt/2 L_j)``,
-        ``lhd = sum_b lamh_b D_b`` and ``lhdh = lhd exp(dt/2 L_j)`` for j =
-        1..m, with ``D_b = -i[dH0_b, .]``.
+        e_y) D_{j+1}^m`` and ``mu[j, r]``, indexed by step j = 0..m, and ``ld[j,
+        r] = sum_b lam[j, r, b] D_b`` (``D_b = -i[dH0_b, .]``) for the contraction.
         """
-        m, n = self.num_steps, self.num_params
-        segs, halves = self.segs, self.halves
+        m, n, segs = self.num_steps, self.num_params, self.segs
         rows, d2 = weights.shape[0], segs.shape[-1]
         dh = self.dh0_dirs.reshape(n * d2, d2)
 
@@ -319,41 +328,24 @@ class GradientContext:
         back = segs[::-1]
         lam = _scan((weights @ self.effect_coords).reshape(-1, d2), back)[::-1]
         lam = lam.reshape(m + 1, rows, n + 1, d2)
-        lam_b = lam[:, :, :n]
 
         # ins[j-1, r] = sum_b lam_{b,j} J_b(j), using lam_{b,j} E_j = lam_{b,j-1}
-        ld = lam_b.reshape(m + 1, rows, n * d2) @ dh
-        ins = ld[1:] @ segs + ld[:-1]
-        lamh = lhd = lhdh = None
-        if self.insertion == "simpson":
-            lamh = (lam_b[1:].reshape(m, rows * n, d2) @ halves).reshape(m, rows, n, d2)
-            lhd = lamh.reshape(m, rows, n * d2) @ dh
-            lhdh = lhd @ halves
-            ins += 4.0 * lhdh
-        ins *= self._coef
-
+        ld = lam[:, :, :n].reshape(m + 1, rows, n * d2) @ dh
+        ins = (ld[1:] @ segs + ld[:-1]) * self._coef
         mu = _scan(np.zeros((rows, d2)), back, ins[::-1])[::-1]
-        return lam, mu, ld, lamh, lhd, lhdh
-
-    def _ensure_backward(self):
-        """Identity-weight costates, cached: one weight row per outcome y for
-        ``dp_y`` and per (parameter, outcome) pair for ``d_a p_y``, as the
-        per-outcome grids read them."""
-        if self._backward is None:
-            n, n_out = self.num_params, len(self.effect_coords)
-            rows = (n + 1) * n_out
-            self._backward = self._costates(np.eye(rows).reshape(rows, n + 1, n_out))
-        return self._backward
+        return lam, mu, ld
 
     # -- gradient grids -----------------------------------------------------------
 
-    def _check_indices(self, k: int, j: int):
+    def _check_indices(self, k: int, j: int, *params: int):
         if not 0 <= k < self.num_fields:
             raise DimensionMismatch(f"field index {k} out of range")
         if not 1 <= j <= self.num_steps:
             raise DimensionMismatch(f"step index {j} out of range (1..{self.num_steps})")
+        if not all(0 <= a < self.num_params for a in params):
+            raise DimensionMismatch(f"parameter index out of range in {params}")
 
-    def _contract(self, lam, mu, ld, lamh, lhd, lhdh) -> np.ndarray:
+    def _contract(self, lam, mu, ld) -> np.ndarray:
         """``grid[r, k, j-1]``: the weighted response sums of weight row r.
 
         Each step pairs the costates (left) with forward vectors (right);
@@ -363,25 +355,11 @@ class GradientContext:
         coef, segs, rvecs = self._coef, self.segs, self.rvecs
         rows, d2 = mu.shape[1], mu.shape[2]
         lam_b = lam[:, :, :n]
-        # every pair whose forward vector is rho_j, rho_{j-1} or (simpson)
-        # exp(dt/2 L_j) rho_{j-1} shares one costate
+        # every pair whose forward vector is rho_j or rho_{j-1} shares one costate
         shared = mu[1:] + lam[1:, :, n] + coef * ld[1:]
-        shared_e = shared @ segs
-        if self.insertion == "simpson":
-            c4 = 0.25 * self.dt  # trapezoid insert over the half step
-            shared_e += 4.0 * c4 * lhdh
-            shared_h = shared @ self.halves + c4 * lhd
-            left = [shared[:, :, None], shared_e[:, :, None], shared_h[:, :, None],
-                    lam_b[1:], lamh, lam_b[:-1]]
-            right = [coef * rvecs[1:, None], coef * rvecs[:-1, None],
-                     4.0 * coef * self.hvecs[:, None],
-                     coef * (self._ez + 4.0 * c4 * self._hdhh),
-                     4.0 * coef * (self._z @ self.halves.swapaxes(1, 2) + c4 * self._dhh),
-                     coef * self._z]
-        else:
-            left = [shared[:, :, None], shared_e[:, :, None], lam_b[1:], lam_b[:-1]]
-            right = [coef * rvecs[1:, None], coef * rvecs[:-1, None],
-                     coef * self._ez, coef * self._z]
+        left = [shared[:, :, None], (shared @ segs)[:, :, None], lam_b[1:], lam_b[:-1]]
+        right = [coef * rvecs[1:, None], coef * rvecs[:-1, None],
+                 coef * self._ez, coef * self._z]
         pairs_l = np.concatenate(left, axis=2)  # (m, rows, T, d^2)
         pairs_r = np.concatenate(right, axis=1)  # (m, T, d^2)
         s = pairs_l.swapaxes(2, 3) @ pairs_r[:, None]  # (m, rows, d^2, d^2)
@@ -389,23 +367,38 @@ class GradientContext:
         grid = s.reshape(m, rows, d2 * d2) @ ctrl.T  # (m, rows, p)
         return grid.transpose(1, 2, 0)
 
-    def _gradient_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached ``dprob[y, k, j-1] = dp_y/dV_k(j)`` and
-        ``ddprob[y, a, k, j-1] = d(d_a p_y)/dV_k(j)``."""
-        if self._grids is None:
-            n, n_out = self.num_params, len(self.effect_coords)
-            grid = self._contract(*self._ensure_backward())
-            grid = grid.reshape(n + 1, n_out, self.num_fields, self.num_steps)
-            self._grids = grid[n], grid[:n].swapaxes(0, 1)
-        return self._grids
+    def _grid(self, weights: np.ndarray) -> np.ndarray:
+        """``grid[r, k, j-1]`` for the effect weights ``weights[r]`` (see
+        :meth:`_costates`): the one reverse pass behind every gradient."""
+        grid = self._contract(*self._costates(weights))
+        if self._fine is not None:
+            grid = _extrapolate(self._fine._grid(weights), grid)
+        return grid
 
-    def _scores(self) -> tuple[np.ndarray, np.ndarray]:
-        """``s1[a, y] = d_a p_y / p_y`` and ``s2[a, b, y] = d_a p_y d_b p_y /
-        p_y^2``, zero on inactive outcomes."""
+    def _weights(self, gs: np.ndarray) -> np.ndarray:
+        """Effect weights ``(r, n+1, n_out)`` for ``sum_ab gs[r, a, b] dF_ab/dV``,
+        ``gs`` symmetric: ``2 gs s1`` and ``-s1^T gs s1`` with the scores ``s1[a,
+        y] = d_a p_y / p_y``, zero on inactive outcomes."""
         p_safe = np.where(self._active, self.p, 1.0)
         s1 = np.where(self._active, self.dp / p_safe, 0.0)
-        s2 = np.where(self._active, self.dp[:, None] * self.dp[None] / p_safe**2, 0.0)
-        return s1, s2
+        gs1 = gs @ s1
+        return np.concatenate([2.0 * gs1, -np.sum(s1 * gs1, axis=1)[:, None]], axis=1)
+
+    def _ensure_backward(self) -> np.ndarray:
+        """Identity-weight grids, cached: one weight row per outcome y for
+        ``dp_y`` and per (parameter, outcome) pair for ``d_a p_y``."""
+        if self._backward is None:
+            n, n_out = self.num_params, len(self.effect_coords)
+            rows = (n + 1) * n_out
+            self._backward = self._grid(np.eye(rows).reshape(rows, n + 1, n_out))
+        return self._backward
+
+    def _gradient_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """``dprob[y, k, j-1] = dp_y/dV_k(j)`` and ``ddprob[y, a, k, j-1] =
+        d(d_a p_y)/dV_k(j)``."""
+        n, n_out = self.num_params, len(self.effect_coords)
+        grid = self._ensure_backward().reshape(n + 1, n_out, self.num_fields, self.num_steps)
+        return grid[n], grid[:n].swapaxes(0, 1)
 
     # -- public gradients ------------------------------------------------------------
 
@@ -414,37 +407,29 @@ class GradientContext:
         return self._gradient_grids()[0][:, k, j - 1].copy()
 
     def dprob_gradient(self, a: int, k: int, j: int) -> np.ndarray:
-        self._check_indices(k, j)
+        self._check_indices(k, j, a)
         return self._gradient_grids()[1][:, a, k, j - 1].copy()
 
     def cfim_entry_gradient(self, a: int, b: int, k: int, j: int) -> float:
-        self._check_indices(k, j)
+        self._check_indices(k, j, a, b)
         return float(self.cfim_gradient_grid()[a, b, k, j - 1])
 
     def cfim_gradient_grid(self) -> np.ndarray:
-        """All entry gradients at once: shape (n_par, n_par, p, m).
-
-        The entry (a, b) is ``sum_y s1[a, y] ddprob[y, b] + s1[b, y]
-        ddprob[y, a] - s2[a, b, y] dprob[y]``.
-        """
-        dprob, ddprob = self._gradient_grids()
-        s1, s2 = self._scores()
-        n_out = len(dprob)
-        t = sum(s1[:, y, None, None, None] * ddprob[y] for y in range(n_out))
-        # summed outcome by outcome so the grid is symmetric in (a, b) bit for bit
-        pair = sum(s2[:, :, y, None, None] * dprob[y] for y in range(n_out))
-        return t + t.transpose(1, 0, 2, 3) - pair
+        """All entry gradients at once: shape (n_par, n_par, p, m), the
+        identity-weight grids weighted by the symmetric unit matrices."""
+        n = self.num_params
+        units = np.eye(n * n).reshape(n * n, n, n)  # e_a e_b^T, row a n + b
+        weights = self._weights(0.5 * (units + units.swapaxes(1, 2))).reshape(n * n, -1)
+        grid = self._ensure_backward()
+        return (weights @ grid.reshape(len(grid), -1)).reshape(
+            n, n, self.num_fields, self.num_steps)
 
     def objective_gradient(self, objective: str) -> np.ndarray:
         """Gradient grid (num_fields x num_steps) of a scalar objective of the
         information matrix, by one reverse pass with the chain rule folded
         into the effect covectors."""
         g = _objective_derivative(objective, self.current_cfim().matrix)
-        s1, _ = self._scores()
-        gs1 = g @ s1
-        # one weight row: 2 G s1 on d(d_b p_y) and -s1^T G s1 on dp_y
-        weights = np.concatenate([2.0 * gs1, -np.sum(s1 * gs1, axis=0)[None]])
-        return self._contract(*self._costates(weights[None]))[0]
+        return self._grid(self._weights(g[None]))[0]
 
     def current_cfim(self) -> FisherMatrix:
         """The classical information matrix of the final state, built once."""

@@ -489,6 +489,9 @@ class TestInputChecks:
         pytest.param({"reproducible": None}, id="reproducible-null"),
         pytest.param({"warm_start": 1}, id="warm-start-number"),
         pytest.param({"warm_start": "false"}, id="warm-start-string"),
+        # a misspelt key would otherwise leave its default in place
+        pytest.param({"max_iterz": 3}, id="unknown-key"),
+        pytest.param({"grape": {"max_iterz": 3, "step_sise": 5}}, id="unknown-grape-keys"),
     ])
     def test_malformed_config_exits_2(self, tmp_path, capsys, payload):
         if isinstance(payload, dict):
@@ -500,6 +503,14 @@ class TestInputChecks:
         assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "x.csv").exists()
+
+    def test_unknown_config_keys_are_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "xxz", "t_grid": "0.3", "max_iter": 2,
+                                   "grape": {"max_iterz": 3, "step_sise": 5}}))
+        assert run(["sweep", "--config", str(cfg)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: unknown config keys: max_iter, grape.max_iterz, grape.step_sise\n")
 
     @pytest.mark.parametrize("payload, key", [
         ({"reproducible": "no"}, "reproducible"),

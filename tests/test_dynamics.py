@@ -612,7 +612,8 @@ class TestScan:
         assert _rel(got, _sequential(x0, mats, src)) <= 1e-13
 
     def test_propagation_loops_are_scans(self, monkeypatch, rng):
-        # the state, derivative, forward-sum and both costate recurrences
+        # the state, derivative, forward-sum and both costate recurrences;
+        # simpson adds the forward sum and both costates over the half steps
         from fisherctl.grape import GradientContext
 
         kernel = dyn._scan
@@ -621,10 +622,12 @@ class TestScan:
         monkeypatch.setattr("fisherctl.grape._scan", dyn._scan)
         model = get_model("magfield-xyz", noise=False)
         p = len(model.control_hams)
-        traj = propagate(model, model.true_values,
-                         ControlGrid(p, 50, 0.5, rng.uniform(-0.2, 0.2, size=(p, 50))))
-        GradientContext(traj, model.default_povm).objective_gradient("f0")
-        assert calls == [50] * 5
+        grid = ControlGrid(p, 50, 0.5, rng.uniform(-0.2, 0.2, size=(p, 50)))
+        for insertion, half_steps in (("trapezoid", 0), ("simpson", 3)):
+            calls.clear()
+            traj = propagate(model, model.true_values, grid)
+            GradientContext(traj, model.default_povm, insertion).objective_gradient("f0")
+            assert sorted(calls) == [50] * 5 + [100] * half_steps, insertion
 
 
 class TestMeasure:

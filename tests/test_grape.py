@@ -46,13 +46,12 @@ def perturbed(grid, k, j, h):
     return grid.with_amplitudes(amps)
 
 
-def einsum_reference_grids(traj, povm, insertion):
-    """The per-outcome gradient grids ``dprob[y, k, j-1]`` and
+def einsum_reference_grids(traj, povm):
+    """The per-outcome trapezoid gradient grids ``dprob[y, k, j-1]`` and
     ``ddprob[y, a, k, j-1]`` written term by term as einsums over explicit
     forward insertion sums and effect-covector sweeps, one response at a
     time; the batched-matmul contraction in ``GradientContext`` must
     reproduce it to rounding."""
-    from fisherctl.grape import _half_step_propagators
     from fisherctl.operators import commutator_superop, hermitian_basis, vec
 
     model, dt, m = traj.model, traj.dt, traj.num_steps
@@ -64,20 +63,14 @@ def einsum_reference_grids(traj, povm, insertion):
     dh = np.stack([commutator_superop(x) for x in model.dh0(traj.x)])
     dh_t = dh.transpose(0, 2, 1)
     n, d2 = len(dh), rvecs.shape[1]
-    simpson = insertion == "simpson"
-    coef = -1j * dt / 6.0 if simpson else -0.5j * dt
-    halves = t_mat @ _half_step_propagators(traj) @ t_mat.conj().T if simpson else None
-    hvecs = np.einsum("jrs,js->jr", halves, rvecs[:-1]) if simpson else None
+    coef = -0.5j * dt
 
     wsum = np.zeros((n, m + 1, d2), dtype=complex)
-    usum, uhsum = np.zeros_like(wsum), np.zeros_like(wsum)
+    usum = np.zeros_like(wsum)
     for j in range(1, m + 1):
         e_j, w_prev = segs[j - 1], wsum[:, j - 1]
         usum[:, j] = w_prev @ e_j.T
         src = rvecs[j] @ dh_t + (rvecs[j - 1] @ dh_t) @ e_j.T
-        if simpson:
-            uhsum[:, j] = w_prev @ halves[j - 1].T
-            src = src + 4.0 * ((hvecs[j - 1] @ dh_t) @ halves[j - 1].T)
         wsum[:, j] = usum[:, j] + coef * src
 
     effects = np.stack([np.conj(vec(e)) for e in povm.effects])
@@ -86,11 +79,7 @@ def einsum_reference_grids(traj, povm, insertion):
     for j in range(m, 0, -1):
         lam[j - 1] = lam[j] @ segs[j - 1]
     lam_dh = np.einsum("jyr,ars->jyas", lam, dh)
-    ins = lam_dh[1:] @ segs[:, None] + lam_dh[:-1]
-    if simpson:
-        lam_h = np.einsum("jyr,jrs->jys", lam[1:], halves)
-        ins += 4.0 * (np.einsum("jyr,ars->jyas", lam_h, dh) @ halves[:, None])
-    ins *= coef
+    ins = coef * (lam_dh[1:] @ segs[:, None] + lam_dh[:-1])
     mu = np.zeros((m + 1,) + ins.shape[1:], dtype=complex)
     mu_e = np.zeros_like(mu)
     for j in range(m, 0, -1):
@@ -105,34 +94,27 @@ def einsum_reference_grids(traj, povm, insertion):
     hu = np.einsum("krs,ajs->akjr", cc, usum[:, 1:])
     ehw = np.einsum("jrs,akjs->akjr", segs,
                     np.einsum("krs,ajs->akjr", cc, wsum[:, :-1]))
-    if simpson:
-        c4 = -0.25j * dt
-        hhv = np.einsum("krs,js->kjr", cc, hvecs)
-        ins_k = coef * (hr[:, 1:] + 4.0 * np.einsum("jrs,kjs->kjr", halves, hhv) + ehr)
-        huh = np.einsum("krs,ajs->akjr", cc, uhsum[:, 1:])
-        ins_past = coef * (hu + 4.0 * np.einsum("jrs,akjs->akjr", halves, huh) + ehw)
-        hhhjd = np.einsum("krs,ajs->akjr", cc, np.einsum("jrs,ajs->ajr", halves, jd))
-        jk_full_jd = coef * (hejd + 4.0 * np.einsum("jrs,akjs->akjr", halves, hhhjd) + ehjd)
-        jk_half_rho = c4 * (hhv + np.einsum("jrs,kjs->kjr", halves, hr[:, :-1]))
-        xah = np.einsum("ars,js->ajr", dh, hvecs)
-        hxah = np.einsum("krs,ajs->akjr", cc, np.einsum("jrs,ajs->ajr", halves, xah))
-        ehxah = np.einsum("jrs,akjs->akjr", halves, np.einsum("krs,ajs->akjr", cc, xah))
-        t4b = np.einsum("jrs,akjs->akjr", halves,
-                        np.einsum("ars,kjs->akjr", dh, jk_half_rho))
-        ins_cross = coef * (np.einsum("ars,kjs->akjr", dh, ins_k)
-                            + 4.0 * (c4 * (hxah + ehxah) + t4b) + jk_full_jd)
-    else:
-        ins_k = coef * (hr[:, 1:] + ehr)
-        ins_past = coef * (hu + ehw)
-        ins_cross = coef * (np.einsum("ars,kjs->akjr", dh, ins_k) + coef * (hejd + ehjd))
+    ins_k = coef * (hr[:, 1:] + ehr)
+    ins_past = coef * (hu + ehw)
+    ins_cross = coef * (np.einsum("ars,kjs->akjr", dh, ins_k) + coef * (hejd + ehjd))
     dprob = np.real(np.einsum("jys,kjs->ykj", lam[1:], ins_k))
     future = np.einsum("jyas,kjs->yakj", mu[1:], hr[:, 1:])
     future += np.einsum("jyas,kjs->yakj", mu_e[1:], hr[:, :-1])
-    if simpson:
-        mu_h = mu[1:] @ halves[:, None]
-        future += 4.0 * np.einsum("jyas,kjs->yakj", mu_h, hhv)
     resp = np.einsum("jys,akjs->yakj", lam[1:], ins_past + ins_cross)
     return dprob, np.real(resp + coef * future)
+
+
+def simpson_reference_grids(model, grid, povm):
+    """Richardson's ``(4 T_{dt/2} - T_dt) / 3`` of the trapezoid reference,
+    from a separate propagation over the grid of half steps; each step's
+    entry is the sum of its two half steps'."""
+    coarse = propagate(model, model.true_values, grid, deriv_method=None)
+    halves = ControlGrid(grid.num_fields, 2 * grid.num_steps, grid.total_time,
+                         np.repeat(grid.amplitudes, 2, axis=1))
+    fine = propagate(model, model.true_values, halves, deriv_method=None)
+    return [(4.0 * (f[..., 0::2] + f[..., 1::2]) - c) / 3.0
+            for f, c in zip(einsum_reference_grids(fine, povm),
+                            einsum_reference_grids(coarse, povm))]
 
 
 class TestRealCoordinates:
@@ -144,12 +126,13 @@ class TestRealCoordinates:
         grid = ControlGrid(p, 12, 0.3, rng.uniform(-0.3, 0.3, size=(p, 12)))
         traj = propagate(model, model.true_values, grid, deriv_method=None)
         ctx = GradientContext(traj, model.default_povm, insertion=insertion)
-        arrays = [ctx.segs, ctx.rvecs, ctx.effect_coords, ctx.dp, ctx._z, ctx._ez]
-        arrays += [a for a in ctx._ensure_backward() if a is not None]
+        arrays = [ctx.dp, ctx._ensure_backward(), ctx.cfim_gradient_grid(),
+                  ctx.objective_gradient(model.default_objective)]
         arrays += list(ctx._gradient_grids())
-        arrays.append(ctx.objective_gradient(model.default_objective))
-        if insertion == "simpson":
-            arrays += [ctx.halves, ctx.hvecs]
+        # the simpson rule's second trapezoid pass runs over the half steps
+        for c in (ctx, ctx._fine) if insertion == "simpson" else (ctx,):
+            arrays += [c.segs, c.rvecs, c.effect_coords, c.dp, c._z, c._ez]
+            arrays += c._costates(c._weights(np.eye(model.num_params)[None]))
         assert all(a.dtype == np.float64 for a in arrays)
 
 
@@ -243,12 +226,26 @@ class TestGradientDprob:
             g = ctx.dprob_gradient(a, k, j)
             assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-10) < 1e-3
 
+    def test_parameter_index_bounds(self, controlled_setup):
+        # a negative index would otherwise read another parameter's row
+        model, grid, traj = controlled_setup
+        ctx = GradientContext(traj, model.default_povm)
+        for a in (-1, model.num_params):
+            with pytest.raises(DimensionMismatch, match="parameter index"):
+                ctx.dprob_gradient(a, 0, 1)
+            with pytest.raises(DimensionMismatch, match="parameter index"):
+                ctx.cfim_entry_gradient(0, a, 0, 1)
+            with pytest.raises(DimensionMismatch, match="parameter index"):
+                gradient_cfim_entry(traj, model.default_povm, a, 0, 0, 1)
+
     def test_future_insertions_vanish_at_final_step(self, controlled_setup):
         # at j = m only past insertions contribute: the future-insertion
         # covectors start from zero there
         model, grid, traj = controlled_setup
         ctx = GradientContext(traj, model.default_povm)
-        mu = ctx._ensure_backward()[1]
+        n, n_out = model.num_params, len(ctx.effect_coords)
+        rows = (n + 1) * n_out
+        mu = ctx._costates(np.eye(rows).reshape(rows, n + 1, n_out))[1]
         m = grid.num_steps
         assert np.abs(mu[m]).max() == 0.0
         assert np.abs(mu[m - 1]).max() > 0.0
@@ -345,8 +342,11 @@ class TestGridsAgainstReference:
         grid = ControlGrid(p, m, 0.6, rng.uniform(-0.3, 0.3, size=(p, m)))
         traj = propagate(model, model.true_values, grid, deriv_method=None)
         ctx = GradientContext(traj, model.default_povm, insertion=insertion)
-        for got, want in zip(ctx._gradient_grids(),
-                             einsum_reference_grids(traj, model.default_povm, insertion)):
+        if insertion == "simpson":
+            want_grids = simpson_reference_grids(model, grid, model.default_povm)
+        else:
+            want_grids = einsum_reference_grids(traj, model.default_povm)
+        for got, want in zip(ctx._gradient_grids(), want_grids):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
@@ -391,23 +391,23 @@ class TestObjectiveReversePass:
 
 
 class TestDiscretizationError:
-    def test_gradient_bias_shrinks_quadratically_with_grid_density(self):
-        # trapezoid insertions, as in the ascent loop: the finite-difference
-        # mismatch of each gradient drops ~4x per step-count doubling
+    @staticmethod
+    def median_errors(insertion, cells, ms, h):
+        """Median finite-difference mismatch of each gradient on ``xxz``, at
+        five spots of a random pulse of ``cells`` steps refined to m steps."""
         rng = np.random.default_rng(12)
         model = get_model("xxz")
         povm = model.default_povm
-        base = rng.uniform(-0.25, 0.25, size=(6, 50))
-        h = 1e-6
+        base = rng.uniform(-0.25, 0.25, size=(6, cells))
         medians = []
-        for m in (50, 100, 200):
-            amps = np.repeat(base, m // 50, axis=1)
+        for m in ms:
+            amps = np.repeat(base, m // cells, axis=1)
             grid = ControlGrid(6, m, 1.0, amps)
             traj = propagate(model, model.true_values, grid, deriv_method=None)
-            ctx = GradientContext(traj, povm, insertion="trapezoid")
+            ctx = GradientContext(traj, povm, insertion=insertion)
             rel = {"prob": [], "dprob": [], "cfim": []}
-            for (k, cell) in [(0, 10), (2, 20), (4, 35), (1, 44), (5, 5)]:
-                j = cell * (m // 50) + 1
+            for (k, frac) in [(0, 0.2), (2, 0.4), (4, 0.7), (1, 0.88), (5, 0.1)]:
+                j = round(frac * cells) * (m // cells) + 1
                 plus, minus = perturbed(grid, k, j, h), perturbed(grid, k, j, -h)
                 fd = (probs_at(model, plus, povm) - probs_at(model, minus, povm)) / (2 * h)
                 rel["prob"].append(np.abs(ctx.prob_gradient(k, j) - fd).max()
@@ -419,9 +419,24 @@ class TestDiscretizationError:
                       - cfim_at(model, minus, povm)[0, 1]) / (2 * h)
                 rel["cfim"].append(abs(ctx.cfim_entry_gradient(0, 1, k, j) - fd) / abs(fd))
             medians.append({key: float(np.median(v)) for key, v in rel.items()})
+        return medians
+
+    def test_gradient_bias_shrinks_quadratically_with_grid_density(self):
+        # trapezoid insertions, as in the ascent loop: the finite-difference
+        # mismatch of each gradient drops ~4x per step-count doubling
+        medians = self.median_errors("trapezoid", 50, (50, 100, 200), 1e-6)
         for key in ("prob", "dprob", "cfim"):
             assert medians[0][key] / medians[1][key] >= 1.9, key
             assert medians[1][key] / medians[2][key] >= 1.9, key
+
+    def test_simpson_bias_shrinks_to_fourth_order(self):
+        # the simpson rule's mismatch drops ~16x per doubling; a rule whose
+        # same-step mix term is third order drops ~8x.  The wider difference
+        # step keeps the differences' own rounding below the bias at m = 50
+        medians = self.median_errors("simpson", 25, (25, 50), 1e-4)
+        for key in ("dprob", "cfim"):
+            assert medians[0][key] / medians[1][key] >= 12, key
+            assert medians[1][key] < 1e-7, key
 
 
 class TestOptimize:
