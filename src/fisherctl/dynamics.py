@@ -13,8 +13,8 @@ when read, as is the public row-major ``vec`` matrix of
 :func:`build_liouvillian`.  All m step generators, noisy or noiseless, are
 built as one real ``(m, d^2, d^2)`` stack (:func:`step_liouvillians`) and
 exponentiated together by :func:`expm_stack`, a scaled and squared Taylor
-polynomial evaluated by matrix products alone, over fixed-size chunks of the
-stack; a grid whose steps are all equal is exponentiated once and broadcast.
+polynomial evaluated by matrix products alone, in passes over runs of steps
+of one degree; a grid whose steps are all equal is exponentiated once.
 
 The state obeys ``rho_j = exp(dt L_j) rho_{j-1}``, and the parameter
 derivatives of the state are carried along exactly as ``drho_j = exp(dt L_j)
@@ -78,10 +78,10 @@ _TAYLOR_THETA = ((4, 1.6783942982781046e-3), (6, 1.7764527083684662e-2),
                  (8, 6.993278480782539e-2), (10, 1.7378872324748368e-1),
                  (12, 3.3521368782861477e-1), (18, 1.14329611222606))
 _INV_FACTORIAL = tuple(1.0 / math.factorial(k) for k in range(19))
-# Matrices per kernel pass: bounds the Taylor temporaries whatever the stack
-# length, and keeps each product small (below OpenBLAS's threading threshold
-# of 65536 multiply-adds for 16 x 16 generators).
+# Steps that share a Taylor degree and scaling, and the most steps of one
+# kernel pass over chunks that share them: a bound on its buffers.
 EXPM_CHUNK = 16
+EXPM_PASS = 64
 
 
 @dataclass(frozen=True)
@@ -152,8 +152,7 @@ class ControlGrid:
         check_amplitude_bound(self.amplitude_bound)
         if self.amplitude_bound is not None and np.max(np.abs(amps)) > self.amplitude_bound:
             raise InvariantViolation(
-                f"amplitudes exceed the configured bound {self.amplitude_bound}"
-            )
+                f"amplitudes exceed the configured bound {self.amplitude_bound}")
         amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -175,8 +174,7 @@ class ControlGrid:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """State coordinates, per-step propagators and state derivatives along the
-    grid.
+    """State coordinates, step propagators and state derivatives on the grid.
 
     ``coords`` is the read-only (m+1, d^2) real stack of state coordinates in
     the Hermitian basis (:func:`~fisherctl.operators.hermitian_basis`):
@@ -251,19 +249,18 @@ def _liouvillian(h: np.ndarray, noise: NoiseSpec) -> np.ndarray:
 def _step_stack(free: np.ndarray, directions: np.ndarray, controls: ControlGrid) -> np.ndarray:
     """``free + sum_k V_k(j) directions_k`` for every step j as one (m, ...) stack.
 
-    One ``(k, p+1) @ (p+1, size)`` product per :data:`EXPM_CHUNK` steps, with
-    ``free`` as the row of a unit coefficient.
+    One ``(k, p+1) @ (p+1, size)`` product per :data:`EXPM_PASS` steps (serial
+    in OpenBLAS on the catalog), with ``free`` as the row of a unit coefficient.
     """
     if controls.num_fields != len(directions):
-        raise DimensionMismatch(
-            f"{controls.num_fields} control fields vs {len(directions)} control Hamiltonians"
-        )
+        raise DimensionMismatch(f"{controls.num_fields} control fields vs "
+                                f"{len(directions)} control Hamiltonians")
     m = controls.num_steps
     ops = np.concatenate([free.reshape(1, -1), directions.reshape(len(directions), -1)])
     coeffs = np.concatenate([np.ones((m, 1)), controls.amplitudes.T], axis=1)
     stack = np.empty((m, ops.shape[1]), dtype=ops.dtype)
-    for lo in range(0, m, EXPM_CHUNK):
-        np.matmul(coeffs[lo:lo + EXPM_CHUNK], ops, out=stack[lo:lo + EXPM_CHUNK])
+    for lo in range(0, m, EXPM_PASS):
+        np.matmul(coeffs[lo:lo + EXPM_PASS], ops, out=stack[lo:lo + EXPM_PASS])
     return stack.reshape((m,) + free.shape)
 
 
@@ -283,16 +280,32 @@ def step_liouvillians(model, x, controls: ControlGrid) -> np.ndarray:
     return _step_stack(model.at(x).l0, model.control_dirs, controls)
 
 
+def _taylor_passes(a: np.ndarray) -> list:
+    # The kernel passes (lo, hi, m, s) over a (k, n, n) stack: every
+    # EXPM_CHUNK steps take the lowest degree m whose theta bounds their
+    # largest 1-norm eta, else the top one after scaling by 2^-s, and runs of
+    # chunks that share (m, s) go in passes of up to EXPM_PASS steps.  |a| is
+    # laid out rows first: the column sums are n - 1 adds over all steps.
+    n = a.shape[-1]
+    rows = np.abs(a.transpose(1, 0, 2), out=np.empty((a.shape[-2], len(a), n)))
+    sums = rows.reshape(len(rows), -1).sum(axis=0)
+    etas = np.maximum.reduceat(sums, range(0, sums.size, EXPM_CHUNK * n)).tolist()
+    passes = []
+    for lo, eta in zip(range(0, len(a), EXPM_CHUNK), etas):
+        if not np.isfinite(eta):
+            raise PropagationError("matrix exponential of a non-finite generator")
+        m, theta = next((mt for mt in _TAYLOR_THETA if eta <= mt[1]), _TAYLOR_THETA[-1])
+        order = (m, 0 if eta <= theta else int(np.ceil(np.log2(eta / theta))))
+        hi = min(lo + EXPM_CHUNK, len(a))
+        if passes and passes[-1][2:] == order and lo - passes[-1][0] < EXPM_PASS:
+            lo = passes.pop()[0]
+        passes.append((lo, hi) + order)
+    return passes
+
+
 def _taylor_order(a: np.ndarray):
-    # The lowest Taylor degree m whose theta bounds the largest 1-norm eta of a
-    # (k, n, n) chunk, else the top one after scaling by 2^-s; returns (m, s).
-    eta = float(np.abs(a).sum(axis=-2).max())
-    if not np.isfinite(eta):
-        raise PropagationError("matrix exponential of a non-finite generator")
-    for m, theta in _TAYLOR_THETA:
-        if eta <= theta:
-            return m, 0
-    return m, int(np.ceil(np.log2(eta / theta)))
+    # (m, s) of the largest 1-norm of a (k, n, n) stack
+    return max(p[2:] for p in _taylor_passes(a))
 
 
 def _taylor_blocks(m: int) -> np.ndarray:
@@ -310,123 +323,117 @@ def _taylor_blocks(m: int) -> np.ndarray:
 _TAYLOR_BLOCKS = {m: _taylor_blocks(m) for m, _ in _TAYLOR_THETA}
 
 
-def _taylor(a: np.ndarray, m: int) -> np.ndarray:
+def _taylor(a: np.ndarray, m: int, work: np.ndarray | None = None) -> np.ndarray:
     # The degree-m Taylor polynomial of exp at every matrix of a (k, n, n)
     # stack by Paterson-Stockmeyer: sum_i B_i (a^q)^i by Horner over a^q, the
-    # blocks B_i = sum_j c_{iq+j} a^j as one product of their coefficients with
-    # the powers I, a, ..., a^q.  4 matrix products in all at degree 8.
+    # blocks B_i = sum_j c_{iq+j} a^j as serial products of their coefficients
+    # with the powers I, a, ..., a^q.  4 matrix products in all at degree 8.
+    # Returns a view into work, a buffer of (rows + q + 1) a.size or more.
     coeffs = _TAYLOR_BLOCKS[m]
-    q = coeffs.shape[1] - 1
-    pows = np.empty((q + 1,) + a.shape, dtype=a.dtype)
-    pows[0] = np.eye(a.shape[-1])
-    pows[1] = a
+    q, size = coeffs.shape[1] - 1, sum(coeffs.shape) * a.size
+    stacks = (np.empty(size, a.dtype) if work is None else work[:size]).reshape((-1,) + a.shape)
+    pows, blocks = stacks[:q + 1], stacks[q + 1:]
+    pows[0], pows[1] = np.eye(a.shape[-1]), a
     for j in range(2, q + 1):
         np.matmul(pows[j - 1], a, out=pows[j])
-    blocks = (coeffs @ pows.reshape(q + 1, -1)).reshape((len(coeffs),) + a.shape)
+    flat, out = pows.reshape(q + 1, -1), blocks.reshape(len(coeffs), -1)
+    cols = 262144 // coeffs.size  # see operators._blocked
+    for lo in range(0, flat.shape[1], cols):
+        np.matmul(coeffs, flat[:, lo:lo + cols], out=out[:, lo:lo + cols])
     r = blocks[-1]
-    for block in blocks[-2::-1]:
-        r = r @ pows[q] + block
+    for block in blocks[-2::-1]:  # each product into the spent identity power
+        np.matmul(r, pows[q], out=pows[0])
+        r = np.add(pows[0], block, out=block)
     return r
 
 
-def _expm_chunk(a: np.ndarray) -> np.ndarray:
-    # One scaling-and-squaring pass over a (k, n, n) chunk.
-    m, s = _taylor_order(a)
-    r = _taylor(a * 2.0**-s if s else a, m)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
-def expm_stack(a: np.ndarray) -> np.ndarray:
+def expm_stack(a: np.ndarray, passes: list | None = None) -> np.ndarray:
     """``exp(A_i)`` for every matrix of a ``(k, n, n)`` stack.
 
-    Scaling and squaring of a truncated Taylor series over chunks of
-    :data:`EXPM_CHUNK` matrices: the lowest degree m whose bound theta_m
-    covers the chunk's largest 1-norm keeps the truncation below unit
+    Scaling and squaring of a truncated Taylor series: every chunk of
+    :data:`EXPM_CHUNK` matrices takes the lowest degree m whose bound theta_m
+    covers its largest 1-norm, which keeps the truncation below unit
     roundoff, and a norm above the top bound is scaled by 2^-s and squared s
-    times.  The polynomial is evaluated by Paterson-Stockmeyer (SIAM J.
-    Comput. 2, 60 (1973)) in stacked ``matmul`` calls only, no linear solve.
-    A real stack stays real and a complex one complex.  Derivatives of the
-    exponentials are never formed as matrices: :func:`propagate` applies them
-    to the states (:func:`_frechet_action`).
+    times.  A pass runs over up to :data:`EXPM_PASS` matrices of chunks that
+    share (m, s), every matrix with the products of its chunk alone, by
+    Paterson-Stockmeyer (SIAM J. Comput. 2, 60 (1973)) in stacked ``matmul``
+    calls only.  A real stack stays real, a complex one complex.  ``passes``,
+    :func:`_taylor_passes` of ``a``, is shared with :func:`_frechet_action`.
     """
     a = np.asarray(a)
     if not np.iscomplexobj(a):
         a = a.astype(float, copy=False)
     out = np.empty(a.shape, dtype=a.dtype)
-    for lo in range(0, len(a), EXPM_CHUNK):
-        out[lo:lo + EXPM_CHUNK] = _expm_chunk(a[lo:lo + EXPM_CHUNK])
+    passes = _taylor_passes(a) if passes is None else passes
+    work = np.empty(max((sum(_TAYLOR_BLOCKS[m].shape) * (hi - lo) for lo, hi, m, _ in passes),
+                        default=0) * math.prod(a.shape[1:]), dtype=a.dtype)  # all passes
+    for lo, hi, m, s in passes:
+        r = _taylor(a[lo:hi] * 2.0**-s if s else a[lo:hi], m, work)
+        for _ in range(s):
+            r = r @ r
+        out[lo:hi] = r
     return out
 
 
-def _taylor_frechet(a, e, x, m):
+def _taylor_frechet(ops, x, m):
     # The derivative of the degree-m Taylor polynomial at a in every
     # direction E_b, applied to the columns of x (k, n, c): sum_l a^l E q_l
     # with q_{m-1} = c_m x and q_{l-1} = a q_l + c_l x, one descending pass
-    # that applies [a; E_1; ...; E_p] to q_l and sums g = a g + E q_l.
-    # Returns g (k, n, p*c) with g[:, i, (b, col)].
-    (n, c), p = x.shape[-2:], len(e)
-    # rows (i, b) of the E part: its product is g's layout as is
-    ops = np.concatenate([a, np.broadcast_to(e.transpose(1, 0, 2).reshape(n * p, n),
-                                             (len(a), n * p, n))], axis=1)
+    # that applies ops = [a; E] (k, n + p n, n; E's row (i, b) is E_b[i]) to
+    # q_l and sums g = a g + E q_l.  Returns g (k, n, p*c), g[:, i, (b, col)].
+    k, (n, c) = len(ops), x.shape[-2:]
+    a, pc = ops[:, :n], (ops.shape[1] - n) // n * c
     q = _INV_FACTORIAL[m] * x
     for l in range(m - 1, 0, -1):
         both = ops @ q
-        eq = both[:, n:].reshape(len(a), n, p * c)
+        eq = both[:, n:].reshape(k, n, pc)
         g = eq if l == m - 1 else a @ g + eq
         q = both[:, :n] + _INV_FACTORIAL[l] * x
-    return a @ g + (ops[:, n:] @ q).reshape(len(a), n, p * c)
+    return a @ g + (ops[:, n:] @ q).reshape(k, n, pc)
 
 
-def _frechet_action_chunk(a, e, w):
-    # L(A_i, E_b) w_i for one chunk of generators, or for the one generator of
-    # a uniform grid, whose states are then the columns of one product; w is
-    # (k, n), returns (k, p, n).  A scaled chunk takes the Frechet matrices of
-    # its polynomial (the pass on identity columns) through the squarings, L
-    # <- r L + L r, r <- r^2, then to the states: no cost grows with 2^s.
-    m, s = _taylor_order(a)
-    cols = w.T[None] if len(a) < len(w) else w[..., None]
-    n, p = w.shape[1], len(e)
-    if not s:
-        g = _taylor_frechet(a, e, cols, m)
-    else:
-        a, e = a * 2.0**-s, e * 2.0**-s
-        g = _taylor_frechet(a, e, np.broadcast_to(np.eye(n), a.shape), m)
-        r = _taylor(a, m)
-        for _ in range(s):
-            g = r @ g + (g.reshape(len(a), n * p, n) @ r).reshape(g.shape)
-            r = r @ r
-        g = g.reshape(len(a), n * p, n) @ cols
-    return g.reshape(len(a), n, p, -1).transpose(0, 3, 2, 1).reshape(-1, p, n)
-
-
-def _frechet_action(a: np.ndarray, directions: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _frechet_action(a: np.ndarray, directions: np.ndarray, w: np.ndarray,
+                    passes: list | None = None) -> np.ndarray:
     """``L(A_j, E_b) w_j`` for every state w_j, never forming ``L(A_j, E_b)``.
 
-    The Frechet derivative of the same Taylor polynomial as
-    :func:`expm_stack`, applied to vectors, chunk by chunk with the same
-    degree and scaling, by products only.  ``a`` is the ``(m, n, n)`` stack
-    of generators, or ``(1, n, n)`` for a uniform grid whose states all share
-    one step; ``w`` is ``(m, n)``.  Returns ``(m, p, n)`` for the
-    ``(p, n, n)`` directions.
+    The Frechet derivative of the Taylor polynomial of :func:`expm_stack`, in
+    its passes, applied to vectors by products only.  ``a`` is the ``(m, n,
+    n)`` stack of generators, or ``(1, n, n)`` for a uniform grid, whose
+    states are the columns of one product; ``w`` is ``(m, n)``.  Returns ``(m,
+    p, n)`` for the ``(p, n, n)`` directions.  A scaled pass takes the Frechet
+    matrices of its polynomial (on identity columns) through the squarings,
+    ``L <- r L + L r, r <- r^2``, then to the states: no cost grows with 2^s.
     """
     e = np.asarray(directions)
-    out = np.empty((len(w), len(e), w.shape[1]), dtype=np.result_type(a, e, w, float))
-    shared = len(a) == 1
-    # a shared generator takes its states in blocks that bound the temporaries
-    step = EXPM_CHUNK * EXPM_CHUNK if shared else EXPM_CHUNK
-    for lo in range(0, len(w), step):
-        rows = slice(lo, lo + step)
-        out[rows] = _frechet_action_chunk(a if shared else a[rows], e, w[rows])
+    (p, n), shared = e.shape[:2], len(a) == 1
+    out = np.empty((len(w), p, n), dtype=np.result_type(a, e, w, float))
+    passes = _taylor_passes(a) if passes is None else passes
+    if shared:  # the states in blocks that bound the temporaries
+        passes = [(lo, lo + EXPM_CHUNK**2) + passes[0][2:]
+                  for lo in range(0, len(w), EXPM_CHUNK**2)]
+    ops, filled = np.empty((min(len(a), EXPM_PASS), n + n * p, n), np.result_type(a, e)), None
+    for lo, hi, m, s in passes:
+        gens, states = a if shared else a[lo:hi], w[lo:hi]
+        k, cols = len(gens), states.T[None] if len(gens) < len(states) else states[..., None]
+        if s != filled:
+            ops[:, n:], filled = e.transpose(1, 0, 2).reshape(n * p, n) * 2.0**-s, s
+        ops[:k, :n] = gens * 2.0**-s if s else gens
+        if not s:
+            g = _taylor_frechet(ops[:k], cols, m)
+        else:
+            g = _taylor_frechet(ops[:k], np.broadcast_to(np.eye(n), (k, n, n)), m)
+            r = _taylor(ops[:k, :n], m)
+            for _ in range(s):
+                g = r @ g + (g.reshape(k, n * p, n) @ r).reshape(g.shape)
+                r = r @ r
+            g = g.reshape(k, n * p, n) @ cols
+        out[lo:hi] = g.reshape(k, n, p, -1).transpose(0, 3, 2, 1).reshape(-1, p, n)
     return out
 
 
 def _distinct_steps(controls: ControlGrid) -> ControlGrid:
-    """The grid itself, or its first step alone when all steps are equal.
-
-    Propagators of a uniform grid are computed once and broadcast.
-    """
+    """The grid, or its first step alone when all steps are equal (and are
+    exponentiated once)."""
     amps = controls.amplitudes
     if controls.num_steps > 1 and np.all(amps == amps[:, :1]):
         return ControlGrid(controls.num_fields, 1, controls.dt, amps[:, :1])
@@ -505,13 +512,10 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     x = np.asarray(x, dtype=float)
     probe = model.probe if probe is None else check_probe(probe, model.dim)
 
-    d = model.dim
-    dt = controls.dt
-    m = controls.num_steps
-
-    steps = _distinct_steps(controls)
-    gens = dt * step_liouvillians(model, x, steps)
-    segs = expm_stack(gens)
+    d, dt, m = model.dim, controls.dt, controls.num_steps
+    gens = dt * step_liouvillians(model, x, _distinct_steps(controls))
+    passes = _taylor_passes(gens)
+    segs = expm_stack(gens, passes)
     if not np.all(np.isfinite(segs)):
         raise PropagationError(f"step propagators are not finite (dt={dt:.3g})")
     segs = np.broadcast_to(segs, (m,) + segs.shape[1:])
@@ -524,17 +528,14 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     drift = ~np.isfinite(tr) | (np.abs(tr - 1.0) > TRACE_DRIFT_ABORT)
     if drift.any():
         j = int(np.argmax(drift))
-        raise PropagationError(
-            f"trace drifted to {tr[j]:.6g} at step {j + 1} of {m} "
-            f"(dt={dt:.3g}); propagation aborted"
-        )
+        raise PropagationError(f"trace drifted to {tr[j]:.6g} at step {j + 1} of {m} "
+                               f"(dt={dt:.3g}); propagation aborted")
 
     drho = None
     if deriv_method is not None:
-        # src[j, a] = d exp(dt L_j)/dx_a rho_{j-1}: the derivative of each
-        # step's own exponential, applied to the state it acts on; a uniform
-        # grid has one step matrix for all states
-        src = _frechet_action(gens, dt * model.at(x).dh0_dirs, r[:-1])
+        # src[j, a] = d exp(dt L_j)/dx_a rho_{j-1}, in the exponentials'
+        # passes; a uniform grid has one step matrix for all states
+        src = _frechet_action(gens, dt * model.at(x).dh0_dirs, r[:-1], passes)
         drho = _scan(np.zeros(src.shape[1:]), segs_t, src).swapaxes(0, 1)
         drho.flags.writeable = False
     return Trajectory(model=model, x=x, controls=controls, coords=r,
@@ -556,9 +557,8 @@ def measure(rho: np.ndarray, povm: Povm) -> np.ndarray:
         raise DimensionMismatch("state and POVM dimensions differ")
     evals, evecs = np.linalg.eigh(rho)
     if evals[0] < PROB_CLAMP_FLOOR:
-        raise PropagationError(
-            f"state eigenvalue {evals[0]:.3e} below clamp floor; propagation is broken"
-        )
+        raise PropagationError(f"state eigenvalue {evals[0]:.3e} below clamp floor; "
+                               "propagation is broken")
     keep = evals > STATE_EIG_FLOOR
     amps = povm.factors @ evecs[:, keep]  # (n_out, d, kept)
     p = np.clip((np.abs(amps) ** 2).sum(axis=1) @ evals[keep], 0.0, 1.0)

@@ -597,9 +597,9 @@ class TestValidate:
 
         kernel = dyn._frechet_action
 
-        def skewed(a, e, w):
+        def skewed(a, e, w, *plan):
             noiseless = np.abs(a + a.swapaxes(1, 2)).max() < 1e-12
-            return (1.001 if noiseless else 1.0) * kernel(a, e, w)
+            return (1.001 if noiseless else 1.0) * kernel(a, e, w, *plan)
 
         monkeypatch.setattr(dyn, "_frechet_action", skewed)
         assert run(["validate"]) != 0

@@ -228,7 +228,8 @@ class TestPropagate:
     def test_noisy_propagation_runs_on_real_stacks(self, monkeypatch, rng):
         kernel = dyn.expm_stack
         seen = []
-        monkeypatch.setattr(dyn, "expm_stack", lambda a: seen.append(a.dtype) or kernel(a))
+        monkeypatch.setattr(dyn, "expm_stack",
+                            lambda a, *plan: seen.append(a.dtype) or kernel(a, *plan))
         model = get_model("magfield")
         p = len(model.control_hams)
         grid = ControlGrid(p, 20, 0.4, rng.uniform(-0.3, 0.3, size=(p, 20)))
@@ -274,7 +275,7 @@ class TestPropagate:
         from fisherctl import PropagationError
         import fisherctl.dynamics as dyn
 
-        monkeypatch.setattr(dyn, "expm_stack", lambda a: 1.01 * np.broadcast_to(
+        monkeypatch.setattr(dyn, "expm_stack", lambda a, *plan: 1.01 * np.broadcast_to(
             np.eye(a.shape[-1], dtype=a.dtype), a.shape))
         model = get_model("zz")
         with pytest.raises(PropagationError, match="trace drifted"):
@@ -285,6 +286,21 @@ class TestPropagate:
 def _scaled_stack(rng, count, dim, norm):
     a = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
     return a * (norm / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+# 1-norms of the chunks of _mixed_chunks, cycled: degree 8 in a run longer
+# than a pass, the top degree with s = 2 and with s = 6, and degree 4
+_CHUNK_NORMS = (0.05,) * 5 + (3.0, 3.0, 0.05, 40.0, 1e-3, 0.05, 0.05, 0.05)
+
+
+def _mixed_chunks(rng, m, norms=_CHUNK_NORMS):
+    # m real 16 x 16 generators; chunk c's largest 1-norm is norms[c %
+    # len(norms)], taken by its first matrix
+    chunk = np.asarray(norms)[np.arange(m) // dyn.EXPM_CHUNK % len(norms)]
+    scale = rng.uniform(0.5, 1.0, size=m)
+    scale[::dyn.EXPM_CHUNK] = 1.0
+    a = rng.normal(size=(m, 16, 16))
+    return a * (chunk * scale / np.abs(a).sum(axis=-2).max(axis=-1))[:, None, None]
 
 
 def _rel(got, ref):
@@ -493,6 +509,86 @@ class TestTaylorKernel:
             expm_stack(a)
         with pytest.raises(PropagationError, match="non-finite generator"):
             dyn._frechet_action(a, np.ones((1, 16, 16)), np.ones((2, 16)))
+
+    @pytest.mark.parametrize("m", [1, 15, 16, 17, 63, 64, 65, 200])
+    def test_passes_match_chunk_by_chunk(self, rng, m):
+        # runs of chunks that share a degree and scaling go through one pass
+        # of up to EXPM_PASS steps; every matrix must come out as from a
+        # pass over its own chunk, bit for bit
+        a = _mixed_chunks(rng, m)
+        passes = dyn._taylor_passes(a)
+        assert [lo for lo, *_ in passes] == [0] + [hi for _, hi, *_ in passes[:-1]]
+        assert passes[-1][1] == m
+        for lo, hi, *order in passes:
+            assert hi - lo <= dyn.EXPM_PASS
+            for c in range(lo, hi, dyn.EXPM_CHUNK):
+                assert dyn._taylor_order(a[c:c + dyn.EXPM_CHUNK]) == tuple(order)
+        # a run is split only where it fills a pass
+        for before, after in zip(passes, passes[1:]):
+            assert before[2:] != after[2:] or before[1] - before[0] == dyn.EXPM_PASS
+        e = rng.normal(size=(3, 16, 16))
+        w = rng.normal(size=(m, 16))
+        chunks = [slice(lo, lo + dyn.EXPM_CHUNK) for lo in range(0, m, dyn.EXPM_CHUNK)]
+        ref = np.concatenate([expm_stack(a[c]) for c in chunks])
+        assert np.array_equal(expm_stack(a), ref)
+        assert np.array_equal(expm_stack(a, passes), ref)
+        ref = np.concatenate([dyn._frechet_action(a[c], e, w[c]) for c in chunks])
+        assert np.array_equal(dyn._frechet_action(a, e, w), ref)
+        assert np.array_equal(dyn._frechet_action(a, e, w, passes), ref)
+
+    def test_mixed_stack_takes_grouped_and_scaled_passes(self, rng):
+        # the stacks above exercise what they claim: at 200 steps, passes
+        # that span several chunks and hit EXPM_PASS, scaled ones between
+        # unscaled ones, and four distinct orders
+        passes = dyn._taylor_passes(_mixed_chunks(rng, 200))
+        assert max(hi - lo for lo, hi, *_ in passes) == dyn.EXPM_PASS
+        assert {p[2:] for p in passes} == {(8, 0), (18, 2), (18, 6), (4, 0)}
+        scaled = [s > 0 for *_, s in passes]
+        assert any(not x and y and not z for x, y, z in zip(scaled, scaled[1:], scaled[2:]))
+
+    @pytest.mark.parametrize("norm", [1e-3, 0.05, 3.0, 40.0])
+    def test_shared_generator_matches_chunk_by_chunk(self, rng, norm):
+        # a uniform grid's one generator takes its states as columns, in
+        # blocks; more than one block here
+        a = _mixed_chunks(rng, 1, norms=(norm,))
+        e = rng.normal(size=(3, 16, 16))
+        w = rng.normal(size=(2 * dyn.EXPM_CHUNK**2 + 5, 16))
+        ref = np.concatenate([dyn._frechet_action(a, e, w[lo:lo + dyn.EXPM_CHUNK])
+                              for lo in range(0, len(w), dyn.EXPM_CHUNK)])
+        assert np.array_equal(dyn._frechet_action(a, e, w), ref)
+        assert np.array_equal(dyn._frechet_action(a, e, w, dyn._taylor_passes(a)), ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("m", [17, 65, 200])
+    def test_non_finite_generator_in_the_last_chunk_raises(self, rng, bad, m):
+        from fisherctl import PropagationError
+
+        a = _mixed_chunks(rng, m)
+        a[-1, 2, 2] = bad
+        with pytest.raises(PropagationError, match="non-finite generator"):
+            expm_stack(a)
+        with pytest.raises(PropagationError, match="non-finite generator"):
+            dyn._frechet_action(a, np.ones((1, 16, 16)), np.ones((m, 16)))
+
+    def test_one_kernel_call_per_pass(self, monkeypatch, rng):
+        # a 200-step propagation of one degree makes at most ceil(200/64)
+        # calls of each Taylor kernel: one per pass, not one per EXPM_CHUNK
+        model = get_model("magfield-xyz", noise=True)
+        x = model.true_values
+        p, m = len(model.control_hams), 200
+        grid = ControlGrid(p, m, 2.0, rng.uniform(-0.1, 0.1, size=(p, m)))
+        gens = grid.dt * step_liouvillians(model, x, grid)
+        assert {q[2:] for q in dyn._taylor_passes(gens)} == {(8, 0)}
+        calls = {"_taylor": 0, "_taylor_frechet": 0}
+        for name in calls:
+            def spy(*args, _name=name, _kernel=getattr(dyn, name)):
+                calls[_name] += 1
+                return _kernel(*args)
+
+            monkeypatch.setattr(dyn, name, spy)
+        traj = propagate(model, x, grid)
+        assert np.all(np.isfinite(traj.deriv_coords))
+        assert 0 < calls["_taylor"] <= 4 and 0 < calls["_taylor_frechet"] <= 4
 
     def test_noisy_hot_path_solves_no_linear_system(self, monkeypatch, rng):
         # the exponentials and their derivative actions are products only,
@@ -953,7 +1049,7 @@ class TestExactDerivatives:
     def test_trace_drift_names_the_first_drifted_step(self, monkeypatch):
         from fisherctl import PropagationError
 
-        def leaky(a):
+        def leaky(a, *plan):
             out = np.broadcast_to(np.eye(a.shape[-1], dtype=a.dtype), a.shape).copy()
             out[5:] *= 1.01
             return out
