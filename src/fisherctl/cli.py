@@ -12,10 +12,10 @@ Subcommands
 ``validate``  fast invariant battery (propagation, information matrices,
               closed-form consistency); nonzero exit on failure.
 
-Exit codes: 0 success, 2 configuration error, 3 output I/O error, 4 numerical
-failure at every grid point (isolated failures are flagged in the output and
-the run continues).  Sweep points are evaluated one after another, in grid
-order.
+Exit codes: 0 success, 2 configuration error (a grid too large to allocate
+included), 3 output I/O error, 4 numerical failure at every grid point
+(isolated failures are flagged in the output and the run continues).  Sweep
+points are evaluated one after another, in grid order.
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ def cmd_replay(pulsefile: str) -> int:
     try:
         payload = json.loads(text)
         amplitudes = _pulse_amplitudes(payload)
-        model = get_model(payload["model"], noise=payload["noise"],
+        model = get_model(payload["model"], noise=_flag("pulse file noise", payload["noise"]),
                           rates=payload["rates"])
         # files written before the bound was recorded have none
         bound = payload.get("amplitude_bound")
@@ -743,6 +743,9 @@ def main(argv=None) -> int:
         return code
     except (FisherctlError, InvariantViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (_OutputError, BrokenPipeError) as exc:
         if isinstance(exc, BrokenPipeError):

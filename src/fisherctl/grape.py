@@ -105,7 +105,6 @@ import numpy as np
 from .dynamics import (
     ControlGrid,
     Trajectory,
-    _distinct_steps,
     _scan,
     check_amplitude_bound,
     expm_stack,
@@ -217,11 +216,9 @@ class GrapeResult:
 
 
 def _half_step_propagators(trajectory: Trajectory) -> np.ndarray:
-    """exp(dt/2 L_j) for every step, reusing the uniform-grid shortcut."""
-    controls = trajectory.controls
-    halves = expm_stack(0.5 * trajectory.dt * step_liouvillians(
-        trajectory.model, trajectory.x, _distinct_steps(controls)))
-    return np.broadcast_to(halves, (controls.num_steps,) + halves.shape[1:])
+    """exp(dt/2 L_j) for every step, as one (m, d^2, d^2) stack."""
+    return expm_stack(0.5 * trajectory.dt * step_liouvillians(
+        trajectory.model, trajectory.x, trajectory.controls))
 
 
 def _half_step_trajectory(trajectory: Trajectory) -> Trajectory:

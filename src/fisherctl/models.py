@@ -128,9 +128,13 @@ class ParametricModel:
         return _read_only(_directions(self.control_stack))
 
     def at(self, x) -> PointOperators:
-        """The checked operators at x, built once per point: the last point's
-        entry is kept and served again while x is unchanged."""
+        """The checked operators at x, one value per parameter, built once per
+        point: the last point's entry is kept and served again while x is
+        unchanged."""
         x = np.asarray(x, dtype=float)
+        if x.shape != (self.num_params,):
+            raise DimensionMismatch(f"model {self.name!r} takes {self.num_params} "
+                                    f"parameter values, got shape {x.shape}")
         key = x.tobytes()
         # the entry is read and replaced as one object, so threads sharing the
         # model each get their own point's operators

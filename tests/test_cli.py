@@ -303,6 +303,34 @@ class TestOptimize:
         assert run(["optimize", "--replay", str(bad)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("change", ["one fewer", "one more"])
+    def test_replay_refuses_x_true_of_the_wrong_length(self, tmp_path, capsys, change):
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.2", "--max-iters", "1",
+                    "--init", "zeros", "--steps-per-unit", "20", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        x = payload["x_true"]
+        payload["x_true"] = x[:-1] if change == "one fewer" else x + [5.0]
+        out.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(["optimize", "--replay", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "takes 2 parameter values" in err
+
+    def test_replay_noise_must_be_a_boolean(self, tmp_path, capsys):
+        # "false" is a truthy string: it would replay a noiseless pulse on
+        # the noisy model and end in a numerical mismatch
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--noise", "0", "--t", "0.5",
+                    "--max-iters", "3", "--seed", "1", "--steps-per-unit", "20",
+                    "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["noise"] is False
+        out.write_text(json.dumps(dict(payload, noise="false")))
+        capsys.readouterr()
+        assert run(["optimize", "--replay", str(out)]) == EXIT_CONFIG
+        assert "pulse file noise must be true or false, got 'false'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("bound", [-1, 0])
     def test_replay_refuses_a_bad_bound_by_name(self, tmp_path, capsys, bound):
         out = tmp_path / "pulse.json"
@@ -556,6 +584,12 @@ class TestExitCodes:
         rows = read_csv(out)  # rows are still written, flagged as failed
         assert len(rows) == 2
         assert all(r["tr_inv_controlled"] == "nan" for r in rows)
+
+    def test_grid_too_large_to_allocate_exits_2(self, capsys):
+        # 1e17 steps: numpy refuses the 4 EiB grid at once
+        assert run(["optimize", "--model", "xxz", "--t", "1e15"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and "Traceback" not in err
 
 
 class TestFieldComponentSweep:

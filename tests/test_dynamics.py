@@ -171,6 +171,17 @@ class TestPropagate:
         for state in traj.states:
             assert np.abs(state - model.default_probe).max() < 1e-12
 
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("amps", ["random", "constant"])
+    def test_trajectory_arrays_are_read_only(self, rng, noise, amps):
+        model = get_model("magfield-xyz", noise=noise)
+        a = rng.uniform(-0.3, 0.3, size=(6, 20)) if amps == "random" else np.full((6, 20), 0.2)
+        traj = propagate(model, model.true_values, ControlGrid(6, 20, 0.5, a))
+        for arr in (traj.coords, traj.segment_propagators, traj.deriv_coords):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
     def test_noiseless_field_state_matches_closed_form(self):
         model = get_model("magfield", noise=False)
         b, theta, phi = model.true_values
@@ -343,19 +354,6 @@ class TestExpmStack:
         for g, x in zip(got, a):
             assert _rel(g, scipy.linalg.expm(x)) <= 1e-13
 
-    @pytest.mark.parametrize("name", MODEL_NAMES)
-    @pytest.mark.parametrize("noise", [True, False])
-    def test_uniform_shortcut_matches_full_stack(self, monkeypatch, name, noise):
-        model = get_model(name, noise=noise)
-        p = len(model.control_hams)
-        grid = ControlGrid(p, 37, 0.8, np.full((p, 37), 0.3))
-        short = propagate(model, model.true_values, grid)
-        monkeypatch.setattr(dyn, "_distinct_steps", lambda controls: controls)
-        full = propagate(model, model.true_values, grid)
-        assert _rel(short.final_state, full.final_state) <= 1e-13
-        assert _rel(short.param_derivs, full.param_derivs) <= 1e-13
-        assert _rel(short.segment_propagators, full.segment_propagators) <= 1e-13
-
     @pytest.mark.parametrize("norm", [1e-3, 0.1, 0.5, 1.5, 4.0, 20.0, 200.0])
     @pytest.mark.parametrize("dim", [16, 32])
     @pytest.mark.parametrize("count", [1, 2, 3])
@@ -404,19 +402,6 @@ class TestExpmStack:
             for a, dl in enumerate(dls):
                 ref = scipy.linalg.expm(dt * np.block([[gen, dl], [zero, gen]]))
                 assert _rel(acts[j, a], ref[:d2, d2:] @ w[j]) <= 1e-13
-
-    @pytest.mark.parametrize("noise", [True, False])
-    def test_uniform_grid_longer_than_one_action_pass(self, monkeypatch, noise):
-        # a uniform grid's states are the columns of one derivative action,
-        # taken in blocks
-        model = get_model("magfield-xyz", noise=noise)
-        p = len(model.control_hams)
-        m = 2 * dyn.EXPM_CHUNK**2 + 5
-        grid = ControlGrid(p, m, 3.0, np.full((p, m), -0.2))
-        short = propagate(model, model.true_values, grid)
-        monkeypatch.setattr(dyn, "_distinct_steps", lambda controls: controls)
-        full = propagate(model, model.true_values, grid)
-        assert _rel(short.param_derivs, full.param_derivs) <= 1e-13
 
     def test_hot_path_does_not_call_scipy_expm(self, monkeypatch, rng):
         from fisherctl import GrapeConfig, optimize
@@ -546,18 +531,6 @@ class TestTaylorKernel:
         scaled = [s > 0 for *_, s in passes]
         assert any(not x and y and not z for x, y, z in zip(scaled, scaled[1:], scaled[2:]))
 
-    @pytest.mark.parametrize("norm", [1e-3, 0.05, 3.0, 40.0])
-    def test_shared_generator_matches_chunk_by_chunk(self, rng, norm):
-        # a uniform grid's one generator takes its states as columns, in
-        # blocks; more than one block here
-        a = _mixed_chunks(rng, 1, norms=(norm,))
-        e = rng.normal(size=(3, 16, 16))
-        w = rng.normal(size=(2 * dyn.EXPM_CHUNK**2 + 5, 16))
-        ref = np.concatenate([dyn._frechet_action(a, e, w[lo:lo + dyn.EXPM_CHUNK])
-                              for lo in range(0, len(w), dyn.EXPM_CHUNK)])
-        assert np.array_equal(dyn._frechet_action(a, e, w), ref)
-        assert np.array_equal(dyn._frechet_action(a, e, w, dyn._taylor_passes(a)), ref)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("m", [17, 65, 200])
     def test_non_finite_generator_in_the_last_chunk_raises(self, rng, bad, m):
@@ -592,7 +565,7 @@ class TestTaylorKernel:
 
     def test_noisy_hot_path_solves_no_linear_system(self, monkeypatch, rng):
         # the exponentials and their derivative actions are products only,
-        # with and without squaring and on a uniform grid's shared generator
+        # with and without squaring, on random and constant grids
         from fisherctl import GrapeConfig, optimize
 
         def refuse(*args, **kwargs):

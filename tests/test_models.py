@@ -171,6 +171,19 @@ class TestCheckedOperators:
         with pytest.raises(DimensionMismatch, match="control Hamiltonian 5"):
             propagate(bad, bad.true_values, ControlGrid.zeros(6, 10, 0.5))
 
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    @pytest.mark.parametrize("change", ["one fewer", "one more", "as a row"])
+    def test_parameter_count_checked(self, name, change):
+        # a short x would drop a term of H0 and a long one be read in part
+        model = get_model(name)
+        x = model.true_values
+        x = {"one fewer": x[:-1], "one more": np.append(x, 5.0), "as a row": x[None]}[change]
+        grid = ControlGrid.zeros(6, 10, 0.5)
+        with pytest.raises(DimensionMismatch, match=f"takes {model.num_params} parameter"):
+            model.at(x)
+        with pytest.raises(DimensionMismatch, match=f"takes {model.num_params} parameter"):
+            propagate(model, x, grid)
+
     def test_point_entry_holds_the_checked_operators(self):
         model = get_model("magfield")
         x = model.true_values

@@ -1,8 +1,11 @@
 """The benchmark's tracer wraps fisherctl functions by module attribute; every
-name it lists must exist, or traced benchmark runs break."""
+name it lists must exist, or traced benchmark runs break.  The in-process
+workloads' output checks must pass, or the benchmark counts failed
+operations."""
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,3 +34,19 @@ def test_wrapped_method_resolves(mod, cls, attr):
     owner = getattr(importlib.import_module(f"fisherctl.{mod}"), cls)
     # the tracer patches the class's own attribute, not an inherited one
     assert callable(owner.__dict__[attr])
+
+
+@pytest.mark.parametrize("name", ["optimize-noisy", "optimize-noiseless", "evaluate"])
+def test_in_process_workload_passes_its_checks(monkeypatch, tmp_path, name):
+    # one operation of each in-process benchmark workload, with the output
+    # checks the benchmark applies to it
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  SPANS.parent / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    workload = workloads.make(name, 101, SPANS.parents[1], tmp_path)
+    workload.setup()
+    outcome = workload.run(0)
+    assert outcome.failures == []
