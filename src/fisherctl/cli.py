@@ -435,7 +435,7 @@ def cmd_validate() -> int:
             traj = propagate(model, model.true_values, grid, deriv_method="exact")
             p, dp = measure_derivs(traj, model.default_povm)
             fc = cfim(p, dp)
-            fq = qfim(traj.final_state, list(traj.final_derivs))
+            fq = qfim(traj.final_state, traj.final_derivs)
             gap = np.linalg.eigvalsh(fq.matrix - fc.matrix)
             assert gap.min() >= -1e-7, f"{name}: quantum bound violated ({gap.min():.2e})"
 

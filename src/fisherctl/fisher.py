@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, SingularContribution
-from .operators import dag, validate_density_matrix, validate_hermitian
+from .operators import dag, validate_density_matrix
 
 __all__ = [
     "EPS_P",
@@ -36,7 +36,7 @@ EPS_P = 1e-12
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """Real symmetric PSD information matrix, classical or quantum."""
+    """Finite real symmetric PSD information matrix, classical or quantum."""
 
     matrix: np.ndarray
 
@@ -44,6 +44,8 @@ class FisherMatrix:
         mat = np.asarray(self.matrix, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatch(f"information matrix must be square, got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise InvariantViolation("information matrix has non-finite entries")
         if np.max(np.abs(mat - mat.T)) > 1e-10:
             raise InvariantViolation("information matrix is not symmetric")
         if mat.shape[0] and np.min(np.linalg.eigvalsh(mat)) < -1e-8:
@@ -73,6 +75,8 @@ def cfim(p: np.ndarray, dp: np.ndarray) -> FisherMatrix:
     dp = np.atleast_2d(np.asarray(dp, dtype=float))
     if dp.shape[1] != p.shape[0]:
         raise DimensionMismatch("dp columns must match the number of outcomes")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(dp))):
+        raise InvariantViolation("probabilities or their derivatives are not finite")
     if np.min(p) < -EPS_P or np.max(p) > 1 + 1e-12:
         raise InvariantViolation("probabilities outside [0, 1]")
     if abs(p.sum() - 1.0) > 1e-9:
@@ -94,35 +98,35 @@ def cfim(p: np.ndarray, dp: np.ndarray) -> FisherMatrix:
 def qfim(rho: np.ndarray, drho) -> FisherMatrix:
     """Quantum Fisher information matrix via symmetric logarithmic derivatives.
 
-    In the eigenbasis of ``rho``, ``(L_a)_{mn} = 2 (drho_a)_{mn} /
-    (lam_m + lam_n)`` on the support (eigenvalue-pair sums above
-    ``1e-10 * Tr rho``), zero elsewhere; then ``F_ab = Re Tr(rho (L_a L_b
-    + L_b L_a)) / 2``.
+    ``drho`` is the ``(n_params, d, d)`` stack of state derivatives (or a
+    sequence of them).  In the eigenbasis of ``rho``, ``(L_a)_{mn} = 2
+    (drho_a)_{mn} / (lam_m + lam_n)`` on the support (eigenvalue-pair sums
+    above ``1e-10 * Tr rho``), zero elsewhere; then ``F_ab = Re Tr(rho (L_a
+    L_b + L_b L_a)) / 2``.
     """
     rho = validate_density_matrix(rho, name="state")
-    drho = [validate_hermitian(dr, atol=1e-8, name="state derivative") for dr in drho]
-    for dr in drho:
-        if abs(np.trace(dr)) > 1e-8:
-            raise InvariantViolation("state derivative is not traceless")
+    drho = np.asarray(drho, dtype=complex)
+    if drho.ndim != 3 or drho.shape[1:] != rho.shape:
+        raise DimensionMismatch(f"state derivatives must be a (n, {rho.shape[0]}, "
+                                f"{rho.shape[0]}) stack, got shape {drho.shape}")
+    if not np.all(np.isfinite(drho)):
+        raise InvariantViolation("state derivative contains non-finite entries")
+    if np.max(np.abs(drho - drho.conj().transpose(0, 2, 1)), initial=0.0) > 1e-8:
+        raise InvariantViolation("state derivative is not Hermitian within 1e-08")
+    if np.max(np.abs(np.trace(drho, axis1=1, axis2=2)), initial=0.0) > 1e-8:
+        raise InvariantViolation("state derivative is not traceless")
 
     lam, v = np.linalg.eigh(rho)
     eps_lam = 1e-10 * np.trace(rho).real
     pair_sums = lam[:, None] + lam[None, :]
     support = pair_sums > eps_lam
+    slds = np.where(support, 2.0 * (dag(v) @ drho @ v) / np.where(support, pair_sums, 1.0), 0.0)
 
-    slds = []
-    for dr in drho:
-        dr_eig = dag(v) @ dr @ v
-        l_eig = np.where(support, 2.0 * dr_eig / np.where(support, pair_sums, 1.0), 0.0)
-        slds.append(l_eig)
-
-    n_par = len(slds)
-    f = np.zeros((n_par, n_par))
-    for a in range(n_par):
-        for b in range(a, n_par):
-            anti = slds[a] @ slds[b] + slds[b] @ slds[a]
-            f[a, b] = f[b, a] = 0.5 * np.sum(lam * anti.diagonal()).real
-    return FisherMatrix(f)
+    # sum_m lam_m (L_a L_b)_mm = sum_mk lam_m (L_a)_mk (L_b)_km
+    n_par = slds.shape[0]
+    left = (slds * lam[:, None]).reshape(n_par, -1)
+    x = (left @ slds.transpose(0, 2, 1).reshape(n_par, -1).T).real
+    return FisherMatrix(0.5 * (x + x.T))
 
 
 def _eig_floor(values: np.ndarray) -> float:

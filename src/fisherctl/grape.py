@@ -87,12 +87,16 @@ Quasi-Newton update
 -------------------
 The "bfgs" rule never forms the (p m) x (p m) inverse Hessian.  It keeps the
 accepted secant pairs ``(s_i, y_i, 1/s_i.y_i)`` since the last reset and
-applies the BFGS matrix they build from ``H_0 = I`` to the gradient by the
-two-loop recursion (Nocedal, Math. Comp. 35, 773 (1980)) over every pair.
-With no memory cap this is the same matrix as the dense update, at O(k p m)
-work and memory for k stored pairs.  Every operation acts on length-(p m)
-vectors, too small to wake a BLAS worker thread; stacking the pairs into one
-(k, p m) matrix product would reach that threshold again.
+applies the BFGS matrix they build from ``H_0 = gamma_k I`` to the gradient
+by the two-loop recursion (Nocedal, Math. Comp. 35, 773 (1980)) over every
+pair, at O(k p m) work and memory for k stored pairs.  ``gamma_k = s_k.y_k /
+y_k.y_k`` of the newest pair is chosen again at every iteration, as in
+L-BFGS (Liu & Nocedal, Math. Prog. 45, 503 (1989)), so the unit step is in
+the controls' units and the direction does not change when the objective is
+rescaled.  With no pair stored the direction is the gradient.  Every
+operation acts on length-(p m) vectors, too small to wake a BLAS worker
+thread; stacking the pairs into one (k, p m) matrix product would reach that
+threshold again.
 """
 
 from __future__ import annotations
@@ -149,9 +153,10 @@ class GrapeConfig:
     [-init_amplitude, init_amplitude], seeded) or "user" (``user_controls``
     supplies the p x m amplitude grid).  ``update_rule`` is "gradient"
     (backtracking gradient ascent; plain fixed-step when ``fixed_step``) or
-    "bfgs" (quasi-Newton over the flattened control vector: exact BFGS from
-    every secant pair since the last reset, applied by the two-loop
-    recursion, with a backtracking line search from unit step).
+    "bfgs" (quasi-Newton over the flattened control vector: BFGS from every
+    secant pair since the last reset and the scaled identity of the newest,
+    applied by the two-loop recursion, with a backtracking line search from
+    unit step).
     """
 
     step_size: float = 0.01
@@ -511,13 +516,17 @@ def _initial_controls(model, t: float, m: int, config: GrapeConfig) -> ControlGr
 
 def _bfgs_direction(pairs: list, g: np.ndarray) -> np.ndarray:
     """``H g`` for the BFGS inverse Hessian that the secant pairs ``(s, y,
-    1/s.y)``, oldest first, build from ``H_0 = I``: the two-loop recursion."""
+    1/s.y)``, oldest first, build from ``H_0 = gamma I`` with ``gamma =
+    s.y / y.y`` of the newest pair: the two-loop recursion."""
     q = g.copy()
     alphas = []
     for s, y, rho in reversed(pairs):
         a = rho * (s @ q)
         q -= a * y
         alphas.append(a)
+    if pairs:
+        _, y, rho = pairs[-1]
+        q /= rho * (y @ y)
     for (s, y, rho), a in zip(pairs, reversed(alphas)):
         q += (a - rho * (y @ q)) * s
     return q

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fisherctl import (
+    MODEL_NAMES,
+    ControlGrid,
     DimensionMismatch,
     FisherMatrix,
     InvariantViolation,
@@ -47,6 +49,22 @@ def pure_state_qfim(psi, dpsi_list):
     return f
 
 
+def loop_qfim(rho, drho):
+    """SLDs and matrix entries one parameter and one pair at a time: the
+    reference for the stacked ``qfim``."""
+    lam, v = np.linalg.eigh(rho)
+    pair_sums = lam[:, None] + lam[None, :]
+    support = pair_sums > 1e-10 * np.trace(rho).real
+    slds = [np.where(support, 2.0 * (v.conj().T @ dr @ v) / np.where(support, pair_sums, 1.0),
+                     0.0) for dr in drho]
+    f = np.zeros((len(slds), len(slds)))
+    for a in range(len(slds)):
+        for b in range(a, len(slds)):
+            anti = slds[a] @ slds[b] + slds[b] @ slds[a]
+            f[a, b] = f[b, a] = 0.5 * np.sum(lam * anti.diagonal()).real
+    return f
+
+
 class TestFisherMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(InvariantViolation):
@@ -55,6 +73,15 @@ class TestFisherMatrix:
     def test_rejects_indefinite(self):
         with pytest.raises(InvariantViolation):
             FisherMatrix(np.array([[1.0, 0.0], [0.0, -0.5]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        # NaN passes both the symmetry and the PSD comparison, so it needs
+        # its own test; tr_inv and the objectives would return nan from it
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            FisherMatrix(np.full((2, 2), bad))
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            FisherMatrix(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 class TestCfim:
@@ -82,6 +109,15 @@ class TestCfim:
         dp = np.array([[1e-3, -1e-3]])
         with pytest.raises(SingularContribution):
             cfim(p, dp)
+
+    @pytest.mark.parametrize("dp", [[[np.nan, 0.0]], [[np.inf, -np.inf]], [[0.0, np.nan]]])
+    def test_rejects_non_finite_derivatives(self, dp):
+        with pytest.raises(InvariantViolation, match="not finite"):
+            cfim(np.array([0.5, 0.5]), np.array(dp))
+
+    def test_rejects_non_finite_probabilities(self):
+        with pytest.raises(InvariantViolation, match="not finite"):
+            cfim(np.array([np.nan, 0.5]), np.zeros((1, 2)))
 
     def test_matches_brute_force_finite_differences(self, catalog_model):
         # independent oracle: CFIM assembled from centered differences of the
@@ -176,6 +212,34 @@ class TestQfim:
         rho = np.eye(2, dtype=complex) / 2
         with pytest.raises(InvariantViolation):
             qfim(rho, [np.array([[0.0, 1.0], [0.0, 0.0]])])
+
+    @pytest.mark.parametrize("drho", [
+        [np.diag([1.0, -1.0])],  # 2x2 derivative of a 4x4 state
+        np.diag([1.0, -1.0, 0.0, 0.0]),  # one matrix, not a stack
+        np.zeros((1, 4, 3)),
+    ])
+    def test_rejects_misshapen_derivatives(self, drho):
+        with pytest.raises(DimensionMismatch):
+            qfim(np.eye(4) / 4, drho)
+
+    def test_rejects_non_finite_derivative(self):
+        drho = np.zeros((2, 2, 2), dtype=complex)
+        drho[1, 0, 0] = np.nan
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            qfim(np.eye(2) / 2, drho)
+
+    @pytest.mark.parametrize("noise", [False, True])
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_matches_loop_reference(self, name, noise):
+        model = get_model(name, noise=noise)
+        rng = np.random.default_rng(7)
+        t, m = 0.9, 90
+        amps = rng.uniform(-1.0, 1.0, size=(len(model.control_hams), m))
+        grid = ControlGrid(len(model.control_hams), m, t, amps)
+        traj = propagate(model, model.true_values, grid)
+        want = loop_qfim(traj.final_state, traj.final_derivs)
+        got = qfim(traj.final_state, traj.final_derivs).matrix
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestTrInv:

@@ -136,17 +136,21 @@ class TestRealCoordinates:
         assert all(a.dtype == np.float64 for a in arrays)
 
 
-def dense_bfgs_update(hinv, s, y):
-    """The dense inverse-Hessian BFGS update that the two-loop recursion in
-    ``optimize`` replaces, kept as the reference it must reproduce."""
-    sy = float(s @ y)
-    if sy <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-        return hinv  # curvature condition failed; keep the old approximation
-    rho = 1.0 / sy
-    hy = hinv @ y
-    yhy = float(y @ hy)
-    term = np.outer(s, hy)
-    return hinv - rho * (term + term.T) + rho**2 * (yhy + sy) * np.outer(s, s)
+def dense_bfgs_matrix(pairs, n):
+    """The dense inverse Hessian that the stored secant pairs build, oldest
+    first, from ``gamma I`` with ``gamma = s.y / y.y`` of the newest pair: the
+    dense BFGS update that the two-loop recursion in ``optimize`` replaces,
+    kept as the reference it must reproduce."""
+    if not pairs:
+        return np.eye(n)
+    s, y, _ = pairs[-1]
+    hinv = float(s @ y) / float(y @ y) * np.eye(n)
+    for s, y, _ in pairs:
+        sy = float(s @ y)
+        hy = hinv @ y
+        term = np.outer(s, hy)
+        hinv = hinv - (term + term.T) / sy + (float(y @ hy) + sy) / sy**2 * np.outer(s, s)
+    return hinv
 
 
 @pytest.fixture(scope="module")
@@ -676,7 +680,7 @@ class TestOptimize:
 
 class TestBfgsDirection:
     """The two-loop recursion over the stored secant pairs against the dense
-    inverse-Hessian update it replaces."""
+    inverse-Hessian matrix they build from the scaled identity."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dense_update(self, seed):
@@ -684,11 +688,11 @@ class TestBfgsDirection:
 
         rng = np.random.default_rng(seed)
         n = 60
-        hinv, pairs = np.eye(n), []
+        pairs = []
         skipped = resets = 0
         for it in range(40):
             if it == 23:
-                hinv, pairs = np.eye(n), []  # a non-ascent reset
+                pairs = []  # a non-ascent reset
                 resets += 1
             s = rng.normal(size=n)
             y = rng.normal(size=n) + (2.0 if it % 7 else -2.0) * s
@@ -699,9 +703,8 @@ class TestBfgsDirection:
                 pairs.append((s, y, 1.0 / sy))
             else:
                 skipped += 1
-            hinv = dense_bfgs_update(hinv, s, y)
             g = rng.normal(size=n)
-            want = hinv @ g
+            want = dense_bfgs_matrix(pairs, n) @ g
             got = _bfgs_direction(pairs, g)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert skipped >= 4 and resets == 1 and len(pairs) >= 10
@@ -713,22 +716,41 @@ class TestBfgsDirection:
         out = _bfgs_direction([], g)
         assert np.array_equal(out, g) and out is not g
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_direction_is_invariant_to_objective_scale(self, seed):
+        # scaling the objective by c scales every y and the gradient by c;
+        # the scaled initial matrix gamma I absorbs it, so the step does not
+        # move (from the unscaled identity it would shrink or grow ~c-fold)
+        from fisherctl.grape import _bfgs_direction
+
+        rng = np.random.default_rng(seed)
+        n, c = 40, 1e3
+        pairs = []
+        for _ in range(8):
+            s = rng.normal(size=n)
+            y = rng.normal(size=n) + 2.0 * s
+            pairs.append((s, y, 1.0 / float(s @ y)))
+        g = rng.normal(size=n)
+        scaled = [(s, c * y, rho / c) for s, y, rho in pairs]
+        for k in range(1, len(pairs) + 1):
+            want = _bfgs_direction(pairs[:k], g)
+            got = _bfgs_direction(scaled[:k], c * g)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_optimize_directions_match_dense_matrix(self, monkeypatch):
         # inside a real BFGS run, every direction equals the dense matrix
-        # built from the same stored pairs
+        # built from the same stored pairs and the newest pair's gamma I
         import fisherctl.grape as grape_mod
 
         real = grape_mod._bfgs_direction
         seen = []
 
         def checked(pairs, g):
-            hinv = np.eye(len(g))
             for s, y, rho in pairs:
                 assert rho == 1.0 / float(s @ y)
                 assert s @ y > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
-                hinv = dense_bfgs_update(hinv, s, y)
             out = real(pairs, g)
-            want = hinv @ g
+            want = dense_bfgs_matrix(pairs, len(g)) @ g
             assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max()
             seen.append(len(pairs))
             return out

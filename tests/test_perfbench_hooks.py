@@ -36,17 +36,31 @@ def test_wrapped_method_resolves(mod, cls, attr):
     assert callable(owner.__dict__[attr])
 
 
-@pytest.mark.parametrize("name", ["optimize-noisy", "optimize-noiseless", "evaluate"])
-def test_in_process_workload_passes_its_checks(monkeypatch, tmp_path, name):
-    # one operation of each in-process benchmark workload, with the output
-    # checks the benchmark applies to it
+def _workload(monkeypatch, name, workdir):
     monkeypatch.syspath_prepend(str(SPANS.parent))
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
                                                   SPANS.parent / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
-    workload = workloads.make(name, 101, SPANS.parents[1], tmp_path)
+    return workloads.make(name, 101, SPANS.parents[1], workdir)
+
+
+@pytest.mark.parametrize("name", ["optimize-noisy", "optimize-noiseless", "evaluate"])
+def test_in_process_workload_passes_its_checks(monkeypatch, tmp_path, name):
+    # one operation of each in-process benchmark workload, with the output
+    # checks the benchmark applies to it
+    workload = _workload(monkeypatch, name, tmp_path)
     workload.setup()
     outcome = workload.run(0)
     assert outcome.failures == []
+
+
+def test_sweep_workload_passes_its_checks(monkeypatch, tmp_path):
+    # one sweep command and the byte-identity check against a second,
+    # single-worker run of the same seed: two fresh CLI processes
+    workload = _workload(monkeypatch, "sweep", tmp_path)
+    workload.setup()
+    outcome = workload.run(0)
+    assert outcome.failures == []
+    assert workload.finish([outcome]) == []
