@@ -30,15 +30,7 @@ from .errors import (
     SingularContribution,
 )
 from .fisher import FisherMatrix, cfim, objective_f0, objective_fcle, qfim, tr_inv
-from .grape import (
-    GrapeConfig,
-    GrapeResult,
-    gradient_cfim_entry,
-    gradient_dprob,
-    gradient_objective,
-    gradient_prob,
-    optimize,
-)
+from .grape import GradientContext, GrapeConfig, GrapeResult, gradient_objective, optimize
 from .models import (
     MODEL_NAMES,
     ParametricModel,
@@ -59,6 +51,7 @@ __all__ = [
     "DimensionMismatch",
     "FisherMatrix",
     "FisherctlError",
+    "GradientContext",
     "GrapeConfig",
     "GrapeResult",
     "InvariantViolation",
@@ -74,10 +67,7 @@ __all__ = [
     "cfim",
     "commutator_superop",
     "get_model",
-    "gradient_cfim_entry",
-    "gradient_dprob",
     "gradient_objective",
-    "gradient_prob",
     "kron",
     "measure",
     "measure_derivs",

@@ -35,8 +35,8 @@ import numpy as np
 from . import oracles
 from .dynamics import ControlGrid, measure, measure_derivs, propagate
 from .errors import FisherctlError, InvariantViolation, PropagationError, SingularContribution
-from .fisher import cfim, qfim, tr_inv
-from .grape import OBJECTIVES, GrapeConfig, GrapeResult, _objective_value, num_steps, optimize
+from .fisher import OBJECTIVES, cfim, qfim, tr_inv
+from .grape import GrapeConfig, GrapeResult, _objective, num_steps, optimize
 from .models import MODEL_NAMES, get_model
 
 EXIT_OK = 0
@@ -64,8 +64,8 @@ class RunConfig:
     def __post_init__(self):
         if self.grape.steps_per_unit < 10:
             raise FisherctlError("steps_per_unit must be at least 10")
-        if self.objective is not None and self.objective not in OBJECTIVES:
-            raise FisherctlError(f"unknown objective {self.objective!r}")
+        if self.objective is not None:
+            _objective(self.objective)  # refuses an unknown name
         if self.format not in ("csv", "json"):
             raise FisherctlError(f"unknown format {self.format!r}")
         if not isinstance(self.out, str):
@@ -333,7 +333,7 @@ def cmd_replay(pulsefile: str) -> int:
     traj = propagate(model, x_true, grid, deriv_method="exact")
     p, dp = measure_derivs(traj, model.default_povm)
     f = cfim(p, dp)
-    value = _objective_value(payload["objective_name"], f)
+    value = _objective(payload["objective_name"])[0](f)
     print(f"stored objective:      {_fmt(stored_val)}")
     print(f"re-evaluated objective: {_fmt(value)}")
     print(f"tr_inv: {_fmt(tr_inv(f))}")
@@ -501,19 +501,17 @@ def cmd_validate() -> int:
 # -- argument plumbing --------------------------------------------------------
 
 
-def _number(key: str, value, integer: bool = False):
-    """A flag or config value that must be a finite number, or an integer for
-    counts and seeds; bool is refused although Python counts it as an int."""
-    kinds = int if integer else (int, float)
+def _number(key: str, value) -> float:
+    """A flag or config value that must be a finite number; bool is refused
+    although Python counts it as an int.  ``GrapeConfig`` checks the counts."""
     try:
-        ok = (isinstance(value, kinds) and not isinstance(value, bool)
-              and (integer or math.isfinite(value)))
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
     except OverflowError:  # an integer beyond the float range
         ok = False
     if not ok:
-        kind = "an integer" if integer else "a finite number"
-        raise FisherctlError(f"{key} must be {kind}, got {value!r}")
-    return value if integer else float(value)
+        raise FisherctlError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _flag(key: str, value) -> bool:
@@ -691,18 +689,15 @@ def _run_config_from(args) -> RunConfig:
     bound = pick(args.amplitude_bound, "amplitude_bound", grape_file.get("amplitude_bound"))
     grape = GrapeConfig(
         step_size=_number("step_size", grape_file.get("step_size", 0.01)),
-        max_iters=_number("max_iters", pick(args.max_iters, "max_iters",
-                                            grape_file.get("max_iters", 1000)), integer=True),
+        max_iters=pick(args.max_iters, "max_iters", grape_file.get("max_iters", 1000)),
         convergence_tol=_number("convergence_tol", grape_file.get("convergence_tol", 1e-6)),
         init_scheme=pick(args.init, "init", grape_file.get("init_scheme", "random")),
-        init_seed=_number("seed", pick(args.seed, "seed", grape_file.get("init_seed", 0)),
-                          integer=True),
+        init_seed=pick(args.seed, "seed", grape_file.get("init_seed", 0)),
         init_amplitude=_number("init_amplitude", grape_file.get("init_amplitude", 0.1)),
         update_rule=pick(args.update, "update", grape_file.get("update_rule", "bfgs")),
         amplitude_bound=None if bound is None else _number("amplitude_bound", bound),
         fixed_step=_flag("grape.fixed_step", grape_file.get("fixed_step", False)),
-        steps_per_unit=_number("steps_per_unit",
-                               pick(args.steps_per_unit, "steps_per_unit", 100), integer=True),
+        steps_per_unit=pick(args.steps_per_unit, "steps_per_unit", 100),
     )
 
     return RunConfig(

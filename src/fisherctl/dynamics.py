@@ -130,6 +130,11 @@ def check_amplitude_bound(bound: float | None) -> None:
         raise InvariantViolation(f"amplitude_bound must be positive and finite, got {bound}")
 
 
+def is_integer(value) -> bool:
+    """An int or numpy integer; not a bool, although Python counts it as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ControlGrid:
     """Piecewise-constant control amplitudes: ``num_fields`` x ``num_steps``."""
@@ -141,10 +146,15 @@ class ControlGrid:
     amplitude_bound: float | None = None
 
     def __post_init__(self):
+        if not (is_integer(self.num_fields) and is_integer(self.num_steps)):
+            raise InvariantViolation(f"field and step counts must be integers, got "
+                                     f"{self.num_fields!r} and {self.num_steps!r}")
         if self.num_fields < 1 or self.num_steps < 1:
             raise InvariantViolation("control grid needs >= 1 field and >= 1 step")
         if not self.total_time > 0:
             raise InvariantViolation("total_time must be positive")
+        if np.iscomplexobj(self.amplitudes):
+            raise InvariantViolation("control amplitudes must be real")
         amps = np.asarray(self.amplitudes, dtype=float)
         if amps.shape != (self.num_fields, self.num_steps):
             raise DimensionMismatch(

@@ -5,7 +5,8 @@ The classical matrix is assembled from outcome probabilities and their
 parameter derivatives; the quantum matrix from the state and its parameter
 derivatives via symmetric logarithmic derivatives in the state's eigenbasis.
 ``tr_inv`` is the total-variance precision limit and treats a singular matrix
-as genuinely divergent (+inf), not as an error.
+as genuinely divergent (+inf), not as an error.  :data:`OBJECTIVES` holds each
+objective's value and its derivative ``dphi/dF``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from .operators import dag, validate_density_matrix
 
 __all__ = [
     "EPS_P",
+    "OBJECTIVES",
     "FisherMatrix",
     "cfim",
     "objective_f0",
     "objective_fcle",
     "qfim",
     "tr_inv",
+    "usable_outcomes",
 ]
 
 # Outcomes with probability at or below this are excluded from classical
@@ -61,6 +64,19 @@ def _as_matrix(f) -> np.ndarray:
     return f.matrix if isinstance(f, FisherMatrix) else np.asarray(f, dtype=float)
 
 
+def usable_outcomes(p: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """The mask ``p > EPS_P`` of the outcomes in classical Fisher sums; an
+    excluded outcome with a derivative above ``sqrt(EPS_P)`` raises
+    :class:`SingularContribution`, since its contribution diverges."""
+    usable = p > EPS_P
+    for y in np.flatnonzero(~usable):
+        worst = np.max(np.abs(dp[:, y]))
+        if worst > math.sqrt(EPS_P):
+            raise SingularContribution(f"outcome {y} has probability {p[y]:.3e} but derivative "
+                                       f"{worst:.3e}; its Fisher contribution diverges")
+    return usable
+
+
 def cfim(p: np.ndarray, dp: np.ndarray) -> FisherMatrix:
     """Classical Fisher information matrix from probabilities and derivatives.
 
@@ -84,14 +100,8 @@ def cfim(p: np.ndarray, dp: np.ndarray) -> FisherMatrix:
 
     n_par = dp.shape[0]
     f = np.zeros((n_par, n_par))
-    for y in range(p.shape[0]):
-        if p[y] > EPS_P:
-            f += np.outer(dp[:, y], dp[:, y]) / p[y]
-        elif np.max(np.abs(dp[:, y])) > math.sqrt(EPS_P):
-            raise SingularContribution(
-                f"outcome {y} has probability {p[y]:.3e} but derivative "
-                f"{np.max(np.abs(dp[:, y])):.3e}; its Fisher contribution diverges"
-            )
+    for y in np.flatnonzero(usable_outcomes(p, dp)):
+        f += np.outer(dp[:, y], dp[:, y]) / p[y]
     return FisherMatrix(0.5 * (f + f.T))
 
 
@@ -166,3 +176,30 @@ def objective_fcle(f) -> float:
     if tr <= _eig_floor(np.diag(mat)):
         return 0.0
     return float((mat[0, 0] * mat[1, 1] - mat[0, 1] ** 2) / tr)
+
+
+def _f0_derivative(f) -> np.ndarray:
+    diag = np.diag(_as_matrix(f))
+    if np.min(diag) <= 0:
+        raise InvariantViolation("harmonic objective gradient needs positive diagonal")
+    f0 = 1.0 / np.sum(1.0 / diag)
+    return np.diag(f0**2 / diag**2)
+
+
+def _fcle_derivative(f) -> np.ndarray:
+    mat = _as_matrix(f)
+    if mat.shape != (2, 2):
+        raise DimensionMismatch("det/trace objective needs exactly two parameters")
+    trf = mat[0, 0] + mat[1, 1]
+    if trf <= 0:
+        raise InvariantViolation("det/trace objective gradient needs positive trace")
+    off = -mat[0, 1] / trf
+    return np.array([[(mat[1, 1] ** 2 + mat[0, 1] ** 2) / trf**2, off],
+                     [off, (mat[0, 0] ** 2 + mat[0, 1] ** 2) / trf**2]])
+
+
+# name -> (value, symmetric dphi/dF[a, b]) of the matrix; a new objective is one entry
+OBJECTIVES = {
+    "f0": (objective_f0, _f0_derivative),
+    "fcle": (objective_fcle, _fcle_derivative),
+}

@@ -67,12 +67,20 @@ Quadrature
 ----------
 The insertion ``J_X(j)`` discretizes ``int_0^dt exp((dt-s) L_j) X exp(s L_j)
 ds`` by the trapezoid rule ``(dt/2)(X E_j + E_j X)``, bias second order in
-dt, as the ascent loop uses it.  "simpson" (the standalone functions'
-default) is Richardson's ``(4 T_{dt/2} - T_dt) / 3`` of it, from a second
-pass over the half steps: for ``J_X`` Simpson's rule ``(dt/6)(X E_j + 4 H_j X
-H_j + E_j X)`` with ``H_j = exp(dt/2 L_j)``, and a fourth-order bias for the
-whole gradient, same-step mix term included.  The end-point form is first
-order in dt and misses finite-difference checks at practical grid densities.
+dt.  "simpson" is Richardson's ``(4 T_{dt/2} - T_dt) / 3`` of it, from a
+second pass over the half steps: for ``J_X`` Simpson's rule ``(dt/6)(X E_j +
+4 H_j X H_j + E_j X)`` with ``H_j = exp(dt/2 L_j)``, and a fourth-order bias
+for the whole gradient, same-step mix term included.  The end-point form is
+first order in dt and misses finite-difference checks at practical grids.
+
+Entry points
+------------
+:class:`GradientContext` is the one per-entry API: ``prob_gradient``,
+``dprob_gradient``, ``cfim_entry_gradient``, ``cfim_gradient_grid`` and
+``objective_gradient`` use the rule its ``insertion`` names ("simpson" by
+default).  :func:`gradient_objective` builds a default context, and
+:func:`optimize` "trapezoid" ones.  A new objective is one entry, its value and
+``dphi/dF``, in :data:`fisherctl.fisher.OBJECTIVES`.
 
 Ascent loop
 -----------
@@ -112,6 +120,7 @@ from .dynamics import (
     _scan,
     check_amplitude_bound,
     expm_stack,
+    is_integer,
     measure,
     measure_derivs,
     propagate,
@@ -124,22 +133,18 @@ from .errors import (
     PropagationError,
     SingularContribution,
 )
-from .fisher import EPS_P, FisherMatrix, cfim, objective_f0, objective_fcle, tr_inv
+from .fisher import OBJECTIVES, FisherMatrix, cfim, tr_inv, usable_outcomes
 from .operators import Povm
 
 __all__ = [
     "GradientContext",
     "GrapeConfig",
     "GrapeResult",
-    "gradient_cfim_entry",
-    "gradient_dprob",
     "gradient_objective",
-    "gradient_prob",
     "num_steps",
     "optimize",
 ]
 
-OBJECTIVES = ("f0", "fcle")
 MAX_BACKTRACKS = 30
 # iterations over which the relative objective change is tested for convergence
 CONVERGENCE_WINDOW = 5
@@ -172,29 +177,30 @@ class GrapeConfig:
     steps_per_unit: int = 100
 
     def __post_init__(self):
-        if not self.step_size > 0:
-            raise InvariantViolation("step_size must be positive")
-        if self.max_iters < 1:
-            raise InvariantViolation("max_iters must be >= 1")
-        if self.steps_per_unit < 1:
-            raise InvariantViolation("steps_per_unit must be >= 1")
-        if self.init_seed < 0:
-            raise InvariantViolation("init_seed must be nonnegative")
+        for name, low in (("max_iters", 1), ("steps_per_unit", 1), ("init_seed", 0)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < low:
+                raise InvariantViolation(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("step_size", "convergence_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise InvariantViolation(f"{name} must be positive and finite")
+        if not 0 <= self.init_amplitude < math.inf:
+            raise InvariantViolation("init_amplitude must be nonnegative and finite")
         check_amplitude_bound(self.amplitude_bound)
-        if not self.convergence_tol > 0:
-            raise InvariantViolation("convergence_tol must be positive")
         if self.init_scheme not in ("zeros", "random", "user"):
             raise InvariantViolation(f"unknown init_scheme {self.init_scheme!r}")
         if self.update_rule not in ("gradient", "bfgs"):
             raise InvariantViolation(f"unknown update_rule {self.update_rule!r}")
-        if self.init_scheme == "user" and self.user_controls is None:
-            raise InvariantViolation("init_scheme 'user' requires user_controls")
+        if (self.init_scheme == "user") != (self.user_controls is not None):
+            raise InvariantViolation("user_controls goes with init_scheme 'user' and only with it")
         if self.fixed_step and self.update_rule != "gradient":
             raise InvariantViolation("fixed_step needs update_rule 'gradient'")
 
 
 def num_steps(t: float, steps_per_unit: int) -> int:
     """Control steps of a grid of duration t at the given density."""
+    if not 0 < t < math.inf:
+        raise InvariantViolation(f"duration must be positive and finite, got {t!r}")
     return max(1, round(steps_per_unit * t))
 
 
@@ -307,8 +313,6 @@ class GradientContext:
         self.dp = drho @ self.effect_coords.T
         if self._fine is not None and trajectory.deriv_coords is None:
             self.dp = _extrapolate(self._fine.dp, self.dp)
-
-        self._active = self.p > EPS_P
         self._backward = self._cfim = None
 
     # -- backward costate sweep -----------------------------------------------
@@ -340,6 +344,8 @@ class GradientContext:
     # -- gradient grids -----------------------------------------------------------
 
     def _check_indices(self, k: int, j: int, *params: int):
+        if not all(map(is_integer, (k, j, *params))):
+            raise DimensionMismatch(f"indices must be integers, got {(k, j, *params)}")
         if not 0 <= k < self.num_fields:
             raise DimensionMismatch(f"field index {k} out of range")
         if not 1 <= j <= self.num_steps:
@@ -380,9 +386,10 @@ class GradientContext:
     def _weights(self, gs: np.ndarray) -> np.ndarray:
         """Effect weights ``(r, n+1, n_out)`` for ``sum_ab gs[r, a, b] dF_ab/dV``,
         ``gs`` symmetric: ``2 gs s1`` and ``-s1^T gs s1`` with the scores ``s1[a,
-        y] = d_a p_y / p_y``, zero on inactive outcomes."""
-        p_safe = np.where(self._active, self.p, 1.0)
-        s1 = np.where(self._active, self.dp / p_safe, 0.0)
+        y] = d_a p_y / p_y``, zero where :func:`usable_outcomes` is False."""
+        usable = usable_outcomes(self.p, self.dp)
+        p_safe = np.where(usable, self.p, 1.0)
+        s1 = np.where(usable, self.dp / p_safe, 0.0)
         gs1 = gs @ s1
         return np.concatenate([2.0 * gs1, -np.sum(s1 * gs1, axis=1)[:, None]], axis=1)
 
@@ -430,7 +437,7 @@ class GradientContext:
         """Gradient grid (num_fields x num_steps) of a scalar objective of the
         information matrix, by one reverse pass with the chain rule folded
         into the effect covectors."""
-        g = _objective_derivative(objective, self.current_cfim().matrix)
+        g = _objective(objective)[1](self.current_cfim())
         return self._grid(self._weights(g[None]))[0]
 
     def current_cfim(self) -> FisherMatrix:
@@ -440,52 +447,11 @@ class GradientContext:
         return self._cfim
 
 
-def gradient_prob(trajectory: Trajectory, povm: Povm, k: int, j: int) -> np.ndarray:
-    """Per-outcome gradient of the outcome probabilities w.r.t. ``V_k(j)``.
-
-    ``j`` is 1-based (step index); returns one value per POVM outcome.
-    """
-    return GradientContext(trajectory, povm).prob_gradient(k, j)
-
-
-def gradient_dprob(trajectory: Trajectory, povm: Povm, a: int, k: int, j: int) -> np.ndarray:
-    """Per-outcome gradient of the probability derivative ``d_a p`` w.r.t. ``V_k(j)``."""
-    return GradientContext(trajectory, povm).dprob_gradient(a, k, j)
-
-
-def gradient_cfim_entry(trajectory: Trajectory, povm: Povm, a: int, b: int,
-                        k: int, j: int) -> float:
-    """Gradient of the classical information-matrix entry (a, b) w.r.t.
-    ``V_k(j)``; symmetric in (a, b) by construction."""
-    return GradientContext(trajectory, povm).cfim_entry_gradient(a, b, k, j)
-
-
-def _objective_value(objective: str, f: FisherMatrix) -> float:
-    if objective == "f0":
-        return objective_f0(f)
-    if objective == "fcle":
-        return objective_fcle(f)
-    raise FisherctlError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
-
-
-def _objective_derivative(objective: str, fmat: np.ndarray) -> np.ndarray:
-    """``G[a, b] = d objective / d F[a, b]``, symmetric, at the matrix ``fmat``."""
-    if objective == "f0":
-        diag = np.diag(fmat)
-        if np.min(diag) <= 0:
-            raise InvariantViolation("harmonic objective gradient needs positive diagonal")
-        f0 = 1.0 / np.sum(1.0 / diag)
-        return np.diag(f0**2 / diag**2)
-    if objective == "fcle":
-        if fmat.shape != (2, 2):
-            raise DimensionMismatch("det/trace objective needs exactly two parameters")
-        trf = fmat[0, 0] + fmat[1, 1]
-        if trf <= 0:
-            raise InvariantViolation("det/trace objective gradient needs positive trace")
-        off = -fmat[0, 1] / trf
-        return np.array([[(fmat[1, 1] ** 2 + fmat[0, 1] ** 2) / trf**2, off],
-                         [off, (fmat[0, 0] ** 2 + fmat[0, 1] ** 2) / trf**2]])
-    raise FisherctlError(f"unknown objective {objective!r}; expected one of {OBJECTIVES}")
+def _objective(name: str) -> tuple:
+    """The ``(value, dphi/dF)`` pair of :data:`~fisherctl.fisher.OBJECTIVES`."""
+    if not isinstance(name, str) or name not in OBJECTIVES:
+        raise FisherctlError(f"unknown objective {name!r}; expected one of {tuple(OBJECTIVES)}")
+    return OBJECTIVES[name]
 
 
 def gradient_objective(trajectory: Trajectory, povm: Povm, objective: str) -> np.ndarray:
@@ -548,6 +514,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         povm = model.default_povm
     if objective is None:
         objective = model.default_objective
+    value_of = _objective(objective)[0]
     x_true = np.asarray(x_true, dtype=float)
     m = num_steps(t, config.steps_per_unit)
     controls = _initial_controls(model, t, m, config)
@@ -559,7 +526,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         evaluations += 1
         traj = propagate(model, x_true, grid, probe, deriv_method=None)
         ctx = GradientContext(traj, povm, insertion="trapezoid")
-        val = _objective_value(objective, ctx.current_cfim())
+        val = value_of(ctx.current_cfim())
         if not math.isfinite(val):
             raise PropagationError(f"objective became non-finite ({val})")
         return val, ctx
@@ -636,5 +603,5 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         evaluations=evaluations,
         termination=termination,
         objective=objective,
-        final_objective=_objective_value(objective, final_cfim),
+        final_objective=value_of(final_cfim),
     )

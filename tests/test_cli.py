@@ -117,6 +117,8 @@ class TestSweep:
                     "--warm-start", "--out", str(out), "--reproducible"])
         assert code == 0
         assert len(read_csv(out)) == 2
+        # the warm start sets init_scheme "user" with its user_controls
+        assert all(int(row["iters"]) > 0 for row in read_csv(out))
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "run.json"
@@ -507,6 +509,8 @@ class TestInputChecks:
         pytest.param({"amplitude_bound": -1}, id="bound-negative"),
         pytest.param({"grape": {"amplitude_bound": 0}}, id="bound-zero"),
         pytest.param({"out": 5}, id="out-number"),
+        pytest.param({"objective": "variance"}, id="objective-unknown"),
+        pytest.param({"objective": ["f0"]}, id="objective-list"),
         pytest.param({"grape": {"step_size": 10 ** 400}}, id="step-size-huge"),
         # a string is truthy: "no" would turn fixed steps on
         pytest.param({"update": "gradient", "grape": {"fixed_step": "no"}},

@@ -77,6 +77,19 @@ class TestControlGrid:
         with pytest.raises(InvariantViolation, match="amplitude_bound must be positive"):
             ControlGrid(1, 2, 1.0, np.zeros((1, 2)), amplitude_bound=bound)
 
+    @pytest.mark.parametrize("amps", [np.zeros((1, 2), dtype=complex), [[0.1 + 0.2j, 0.0]]])
+    def test_complex_amplitudes_refused(self, amps):
+        # a float conversion would drop the imaginary part with only a warning
+        with pytest.raises(InvariantViolation, match="must be real"):
+            ControlGrid(1, 2, 1.0, amps)
+
+    @pytest.mark.parametrize("fields, steps", [(6.0, 4), (6, 4.0), (True, 4), (6, 4.5)])
+    def test_counts_must_be_integers(self, fields, steps):
+        # 6.0 passes the shape check and used to fail later, in the step stack
+        with pytest.raises(InvariantViolation, match="must be integers"):
+            ControlGrid(fields, steps, 1.0, np.zeros((6, 4)))
+        assert ControlGrid(np.int64(6), 4, 1.0, np.zeros((6, 4))).num_steps == 4
+
     def test_dt(self):
         grid = ControlGrid.zeros(2, 50, 2.5)
         assert grid.dt == pytest.approx(0.05)

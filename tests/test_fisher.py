@@ -8,6 +8,7 @@ from fisherctl import (
     ControlGrid,
     DimensionMismatch,
     FisherMatrix,
+    GradientContext,
     InvariantViolation,
     SingularContribution,
     cfim,
@@ -20,6 +21,8 @@ from fisherctl import (
     qfim,
     tr_inv,
 )
+
+from fisherctl.fisher import EPS_P, OBJECTIVES, usable_outcomes
 
 from conftest import uncontrolled_trajectory, zero_controls
 
@@ -287,6 +290,56 @@ class TestObjectives:
         assert objective_fcle(f) == pytest.approx(XXZ_FCLE_T1, rel=1e-9)
         # for two parameters det/trace is exactly 1 / tr_inv
         assert objective_fcle(f) == pytest.approx(1.0 / tr_inv(f), rel=1e-12)
+
+
+class TestObjectiveTable:
+    @pytest.mark.parametrize("name", sorted(OBJECTIVES))
+    def test_derivative_matches_central_differences(self, name):
+        # dphi/dF[a, b] is the rate along the symmetric direction (e_a e_b^T +
+        # e_b e_a^T) / 2, at random positive-definite 2 x 2 matrices
+        value, derivative = OBJECTIVES[name]
+        rng = np.random.default_rng(5)
+        h = 1e-6
+        for _ in range(6):
+            a = rng.normal(size=(2, 3))
+            fmat = a @ a.T
+            g = derivative(FisherMatrix(fmat))
+            assert np.array_equal(g, g.T)
+            assert np.array_equal(g, derivative(fmat))
+            for i, j in [(0, 0), (1, 1), (0, 1)]:
+                step = np.zeros((2, 2))
+                step[i, j] += 0.5 * h
+                step[j, i] += 0.5 * h
+                fd = (value(fmat + step) - value(fmat - step)) / (2 * h)
+                assert abs(g[i, j] - fd) <= 1e-7 * max(1.0, np.abs(g).max()), (i, j)
+
+
+class TestUsableOutcomes:
+    def test_mask(self):
+        # at or below EPS_P an outcome is excluded; a derivative up to
+        # sqrt(EPS_P) on it is rounding
+        p = np.array([0.6, 0.4, 0.0, EPS_P, 2 * EPS_P])
+        dp = np.array([[0.1, -0.1, 1e-7, -1e-6, 0.3]])
+        assert usable_outcomes(p, dp).tolist() == [True, True, False, False, True]
+
+    def test_vanishing_outcome_with_derivative_raises(self):
+        p = np.array([0.5, 0.0, 0.5, 0.0])
+        dp = np.array([[0.0, 0.0, 0.0, 0.0], [0.1, 1e-7, -0.1, -3e-3]])
+        with pytest.raises(SingularContribution, match="outcome 3 has probability 0.000e"
+                                                         "[+]00 but derivative 3.000e-03"):
+            usable_outcomes(p, dp)
+
+    def test_gradient_weights_share_the_rule(self):
+        # the control gradients exclude the same outcomes, and refuse the same
+        # vanishing ones, as the information matrix they differentiate
+        model = get_model("xxz")
+        ctx = GradientContext(uncontrolled_trajectory(model, 0.6, 30), model.default_povm)
+        ctx.p = ctx.p.copy()
+        ctx.p[0], ctx.p[1] = ctx.p[0] + ctx.p[1], 0.0  # outcome 1 vanishes
+        with pytest.raises(SingularContribution, match="outcome 1"):
+            cfim(ctx.p, ctx.dp)
+        with pytest.raises(SingularContribution, match="outcome 1"):
+            ctx.cfim_gradient_grid()
 
 
 class TestInformationInequalities:

@@ -4,21 +4,19 @@ import pytest
 from fisherctl import (
     ControlGrid,
     DimensionMismatch,
+    GradientContext,
     GrapeConfig,
     InvariantViolation,
     cfim,
     get_model,
-    gradient_cfim_entry,
-    gradient_dprob,
     gradient_objective,
-    gradient_prob,
     measure,
     measure_derivs,
     objective_fcle,
     optimize,
     propagate,
 )
-from fisherctl.grape import GradientContext
+from fisherctl.fisher import OBJECTIVES
 from fisherctl.models import ParametricModel, local_control_hams
 
 from conftest import zero_controls
@@ -136,6 +134,15 @@ class TestRealCoordinates:
         assert all(a.dtype == np.float64 for a in arrays)
 
 
+@pytest.mark.parametrize("module", ["fisherctl", "fisherctl.dynamics", "fisherctl.fisher",
+                                    "fisherctl.grape"])
+def test_every_exported_name_resolves(module):
+    import importlib
+
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
 def dense_bfgs_matrix(pairs, n):
     """The dense inverse Hessian that the stored secant pairs build, oldest
     first, from ``gamma I`` with ``gamma = s.y / y.y`` of the newest pair: the
@@ -176,7 +183,7 @@ class TestGradientProb:
         grid = zero_controls(1.0, 40, num_fields=7)
         traj = propagate(with_identity, with_identity.true_values, grid,
                          deriv_method=None)
-        g = gradient_prob(traj, with_identity.default_povm, k=6, j=20)
+        g = GradientContext(traj, with_identity.default_povm).prob_gradient(k=6, j=20)
         assert np.abs(g).max() < 1e-14
 
     def test_matches_finite_differences(self, controlled_setup, rng):
@@ -194,10 +201,23 @@ class TestGradientProb:
 
     def test_index_bounds(self, controlled_setup):
         model, grid, traj = controlled_setup
+        ctx = GradientContext(traj, model.default_povm)
         with pytest.raises(DimensionMismatch):
-            gradient_prob(traj, model.default_povm, k=6, j=1)
+            ctx.prob_gradient(k=6, j=1)
         with pytest.raises(DimensionMismatch):
-            gradient_prob(traj, model.default_povm, k=0, j=0)
+            ctx.prob_gradient(k=0, j=0)
+
+    @pytest.mark.parametrize("k, j", [(True, 1), (0, True), (1.5, 1), (0, 1.0),
+                                      (np.float64(2.0), 3)])
+    def test_non_integer_indices_refused(self, controlled_setup, k, j):
+        # a bool once read field 1 and a float died in a bare IndexError
+        model, grid, traj = controlled_setup
+        ctx = GradientContext(traj, model.default_povm)
+        with pytest.raises(DimensionMismatch, match="indices must be integers"):
+            ctx.prob_gradient(k, j)
+        with pytest.raises(DimensionMismatch, match="indices must be integers"):
+            ctx.cfim_entry_gradient(0, 1, k, j)
+        assert ctx.prob_gradient(np.int64(1), np.int32(2)).shape == (len(ctx.p),)
 
 
 class TestGradientDprob:
@@ -213,7 +233,7 @@ class TestGradientDprob:
         )
         grid = zero_controls(0.8, 40)
         traj = propagate(frozen, frozen.true_values, grid, deriv_method=None)
-        g = gradient_dprob(traj, frozen.default_povm, a=1, k=2, j=10)
+        g = GradientContext(traj, frozen.default_povm).dprob_gradient(a=1, k=2, j=10)
         assert np.abs(g).max() < 1e-14
 
     def test_matches_finite_differences(self, controlled_setup, rng):
@@ -240,7 +260,12 @@ class TestGradientDprob:
             with pytest.raises(DimensionMismatch, match="parameter index"):
                 ctx.cfim_entry_gradient(0, a, 0, 1)
             with pytest.raises(DimensionMismatch, match="parameter index"):
-                gradient_cfim_entry(traj, model.default_povm, a, 0, 0, 1)
+                ctx.cfim_entry_gradient(a, 0, 0, 1)
+        for a in (True, 0.0):
+            with pytest.raises(DimensionMismatch, match="indices must be integers"):
+                ctx.dprob_gradient(a, 0, 1)
+            with pytest.raises(DimensionMismatch, match="indices must be integers"):
+                ctx.cfim_entry_gradient(0, a, 0, 1)
 
     def test_future_insertions_vanish_at_final_step(self, controlled_setup):
         # at j = m only past insertions contribute: the future-insertion
@@ -258,10 +283,10 @@ class TestGradientDprob:
 class TestGradientCfimEntry:
     def test_symmetric_in_parameter_pair(self, controlled_setup):
         model, grid, traj = controlled_setup
-        povm = model.default_povm
+        ctx = GradientContext(traj, model.default_povm)
         for (a, b, k, j) in [(0, 1, 2, 17), (0, 2, 5, 99), (1, 2, 0, 50)]:
-            g_ab = gradient_cfim_entry(traj, povm, a, b, k, j)
-            g_ba = gradient_cfim_entry(traj, povm, b, a, k, j)
+            g_ab = ctx.cfim_entry_gradient(a, b, k, j)
+            g_ba = ctx.cfim_entry_gradient(b, a, k, j)
             assert g_ab == g_ba
 
     def test_matches_finite_differences(self, controlled_setup, rng):
@@ -299,11 +324,9 @@ class TestGradientObjective:
         ctx = GradientContext(traj, model.default_povm)
         grid_f = ctx.cfim_gradient_grid()
         fmat = ctx.current_cfim().matrix
-        from fisherctl.grape import _objective_derivative
-
         a = fmat[0, 0]
         iso = np.diag([a, a, a])
-        got = np.tensordot(_objective_derivative("f0", iso), grid_f, 2)
+        got = np.tensordot(OBJECTIVES["f0"][1](iso), grid_f, 2)
         expected = (grid_f[0, 0] + grid_f[1, 1] + grid_f[2, 2]) / 9.0
         assert np.abs(got - expected).max() < 1e-12
 
@@ -363,8 +386,6 @@ class TestObjectiveReversePass:
     def test_matches_explicit_chain_rule(self, name, noise, deriv_method, insertion):
         # one reverse pass with the chain rule folded into the effect
         # covectors equals sum_ab G_ab dF_ab over the full information grid
-        from fisherctl.grape import _objective_derivative
-
         model = get_model(name, noise=noise)
         p, m = len(model.control_hams), 40
         rng = np.random.default_rng(len(name) + 10 * noise)
@@ -375,16 +396,14 @@ class TestObjectiveReversePass:
         grid_f = ctx.cfim_gradient_grid()
         objectives = ("f0", "fcle") if model.num_params == 2 else ("f0",)
         for objective in objectives:
-            chain = np.tensordot(_objective_derivative(objective, fmat), grid_f, 2)
+            chain = np.tensordot(OBJECTIVES[objective][1](fmat), grid_f, 2)
             got = ctx.objective_gradient(objective)
             assert got.shape == (p, m)
             assert np.abs(got - chain).max() <= 1e-12 * np.abs(chain).max(), objective
 
     def test_fcle_derivative_off_diagonal(self):
-        from fisherctl.grape import _objective_derivative
-
         fmat = np.array([[3.0, 0.7], [0.7, 2.0]])
-        g = _objective_derivative("fcle", fmat)
+        g = OBJECTIVES["fcle"][1](fmat)
         assert g[0, 1] == g[1, 0] == -0.7 / 5.0
         h = 1e-6
         for a, b in [(0, 0), (1, 1)]:
@@ -441,6 +460,11 @@ class TestDiscretizationError:
         for key in ("dprob", "cfim"):
             assert medians[0][key] / medians[1][key] >= 12, key
             assert medians[1][key] < 1e-7, key
+
+
+def flat(monkeypatch, name):
+    """Make the objective ``name`` read 1.0 at every point; keep its derivative."""
+    monkeypatch.setitem(OBJECTIVES, name, (lambda f: 1.0, OBJECTIVES[name][1]))
 
 
 class TestOptimize:
@@ -587,8 +611,8 @@ class TestOptimize:
         import fisherctl.grape as grape_mod
 
         # a flat objective: no trial point ever ascends
-        monkeypatch.setattr(grape_mod, "_objective_value", lambda objective, f: 1.0)
         model = get_model("xxz")
+        flat(monkeypatch, model.default_objective)
         for rule in ("gradient", "bfgs"):
             res = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
                 max_iters=5, init_seed=1, steps_per_unit=12, update_rule=rule))
@@ -638,8 +662,8 @@ class TestOptimize:
             return real_propagate(*args, **kwargs)
 
         monkeypatch.setattr(grape_mod, "propagate", every_other)
-        monkeypatch.setattr(grape_mod, "_objective_value", lambda objective, f: 1.0)
         model = get_model("xxz")
+        flat(monkeypatch, model.default_objective)
         res = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
             max_iters=5, init_seed=1, steps_per_unit=12, update_rule="bfgs"))
         assert res.termination == "line_search_stall"
@@ -666,6 +690,42 @@ class TestOptimize:
             GrapeConfig(steps_per_unit=0)
         with pytest.raises(InvariantViolation):
             GrapeConfig(init_seed=-1)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        pytest.param(dict(init_amplitude=-0.1), "init_amplitude", id="negative-amplitude"),
+        pytest.param(dict(init_amplitude=np.inf), "init_amplitude", id="inf-amplitude"),
+        pytest.param(dict(init_amplitude=np.nan), "init_amplitude", id="nan-amplitude"),
+        pytest.param(dict(max_iters=2.5), "max_iters", id="fractional-max-iters"),
+        pytest.param(dict(init_seed=1.5), "init_seed", id="fractional-seed"),
+        pytest.param(dict(steps_per_unit=10.5), "steps_per_unit", id="fractional-density"),
+        pytest.param(dict(max_iters=True), "max_iters", id="bool-max-iters"),
+        pytest.param(dict(init_seed=False), "init_seed", id="bool-seed"),
+        pytest.param(dict(steps_per_unit=True), "steps_per_unit", id="bool-density"),
+        pytest.param(dict(step_size=np.inf), "step_size", id="inf-step"),
+        pytest.param(dict(step_size=np.nan), "step_size", id="nan-step"),
+        pytest.param(dict(convergence_tol=np.inf), "convergence_tol", id="inf-tolerance"),
+    ])
+    def test_bad_input_refused(self, kwargs, name):
+        # each once raised a bare numpy or Python error later, or was
+        # silently rounded
+        with pytest.raises(InvariantViolation, match=name):
+            GrapeConfig(**kwargs)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -0.5])
+    def test_bad_duration_refused(self, t):
+        model = get_model("xxz")
+        with pytest.raises(InvariantViolation, match="duration"):
+            optimize(model, model.true_values, None, None, t,
+                     GrapeConfig(max_iters=1, steps_per_unit=20))
+
+    @pytest.mark.parametrize("scheme", ["zeros", "random"])
+    def test_user_controls_refused_without_user_scheme(self, scheme):
+        # they used to be ignored without a word
+        with pytest.raises(InvariantViolation, match="user_controls"):
+            GrapeConfig(init_scheme=scheme, user_controls=np.zeros((6, 10)))
+
+    def test_zero_init_amplitude_accepted(self):
+        assert GrapeConfig(init_amplitude=0.0, init_seed=np.int64(3)).init_amplitude == 0.0
 
     def test_fixed_step_refused_under_bfgs(self):
         # BFGS always line-searches; a fixed step there would be ignored
