@@ -10,77 +10,43 @@ Layers
 ``models``      the two-qubit estimation systems catalog
 ``oracles``     closed-form reference expressions for the catalog
 ``cli``         sweep/optimize/oracle/validate command line
+
+The names below load on first use: importing the package imports no layer,
+and so not numpy, which lets ``python -m fisherctl`` choose the BLAS thread
+count before numpy starts.
 """
 
-from .dynamics import (
-    ControlGrid,
-    NoiseSpec,
-    Trajectory,
-    build_liouvillian,
-    measure,
-    measure_derivs,
-    propagate,
-    step_liouvillians,
-)
-from .errors import (
-    DimensionMismatch,
-    FisherctlError,
-    InvariantViolation,
-    PropagationError,
-    SingularContribution,
-)
-from .fisher import FisherMatrix, cfim, objective_f0, objective_fcle, qfim, tr_inv
-from .grape import GradientContext, GrapeConfig, GrapeResult, gradient_objective, optimize
-from .models import (
-    MODEL_NAMES,
-    ParametricModel,
-    bell_povm,
-    get_model,
-    model_magnetic_field,
-    model_magnetic_field_cartesian,
-    model_xxz,
-    model_zz,
-    pm_povm,
-)
-from .operators import Povm, commutator_superop, kron
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ControlGrid",
-    "DimensionMismatch",
-    "FisherMatrix",
-    "FisherctlError",
-    "GradientContext",
-    "GrapeConfig",
-    "GrapeResult",
-    "InvariantViolation",
-    "MODEL_NAMES",
-    "NoiseSpec",
-    "ParametricModel",
-    "Povm",
-    "PropagationError",
-    "SingularContribution",
-    "Trajectory",
-    "bell_povm",
-    "build_liouvillian",
-    "cfim",
-    "commutator_superop",
-    "get_model",
-    "gradient_objective",
-    "kron",
-    "measure",
-    "measure_derivs",
-    "model_magnetic_field",
-    "model_magnetic_field_cartesian",
-    "model_xxz",
-    "model_zz",
-    "objective_f0",
-    "objective_fcle",
-    "optimize",
-    "pm_povm",
-    "propagate",
-    "qfim",
-    "step_liouvillians",
-    "tr_inv",
-]
+# exported name -> the layer that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "dynamics": "ControlGrid NoiseSpec Trajectory build_liouvillian measure "
+                    "measure_derivs propagate step_liouvillians",
+        "errors": "DimensionMismatch FisherctlError InvariantViolation PropagationError "
+                  "SingularContribution",
+        "fisher": "FisherMatrix cfim objective_f0 objective_fcle qfim tr_inv",
+        "grape": "GradientContext GrapeConfig GrapeResult gradient_objective optimize",
+        "models": "MODEL_NAMES ParametricModel bell_povm get_model model_magnetic_field "
+                  "model_magnetic_field_cartesian model_xxz model_zz pm_povm",
+        "operators": "Povm commutator_superop kron",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -1,6 +1,8 @@
 """Experiment runner: sweep precision limits over measurement times, run
 single pulse optimizations, tabulate closed-form reference values and run the
-self-check battery.
+self-check battery.  ``python -m fisherctl`` and the ``fisherctl`` console
+script run :func:`main` after choosing one BLAS thread (``__main__``);
+calling :func:`main` in-process leaves the environment alone.
 
 Subcommands
 -----------

@@ -37,6 +37,7 @@ effect y (:attr:`Povm.coords`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,13 +127,19 @@ def check_probe(probe, dim: int) -> np.ndarray:
 
 def check_amplitude_bound(bound: float | None) -> None:
     """Refuse an amplitude bound that is not None, positive and finite."""
-    if bound is not None and not 0 < bound < np.inf:
-        raise InvariantViolation(f"amplitude_bound must be positive and finite, got {bound}")
+    if bound is not None and not (is_real(bound) and 0 < bound < np.inf):
+        raise InvariantViolation(f"amplitude_bound must be positive and finite, got {bound!r}")
 
 
 def is_integer(value) -> bool:
     """An int or numpy integer; not a bool, although Python counts it as one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number, numpy's included; not a bool, although Python counts it
+    as one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,7 @@ from .dynamics import (
     check_amplitude_bound,
     expm_stack,
     is_integer,
+    is_real,
     measure,
     measure_derivs,
     propagate,
@@ -182,11 +183,15 @@ class GrapeConfig:
             if not is_integer(value) or value < low:
                 raise InvariantViolation(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("step_size", "convergence_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise InvariantViolation(f"{name} must be positive and finite")
-        if not 0 <= self.init_amplitude < math.inf:
-            raise InvariantViolation("init_amplitude must be nonnegative and finite")
+            value = getattr(self, name)
+            if not (is_real(value) and 0 < value < math.inf):
+                raise InvariantViolation(f"{name} must be positive and finite, got {value!r}")
+        if not (is_real(self.init_amplitude) and 0 <= self.init_amplitude < math.inf):
+            raise InvariantViolation(f"init_amplitude must be nonnegative and finite, "
+                                     f"got {self.init_amplitude!r}")
         check_amplitude_bound(self.amplitude_bound)
+        if not isinstance(self.fixed_step, bool):
+            raise InvariantViolation(f"fixed_step must be a bool, got {self.fixed_step!r}")
         if self.init_scheme not in ("zeros", "random", "user"):
             raise InvariantViolation(f"unknown init_scheme {self.init_scheme!r}")
         if self.update_rule not in ("gradient", "bfgs"):

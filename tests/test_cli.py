@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -676,3 +679,77 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for sub in ("sweep", "optimize", "oracle", "validate"):
             assert sub in proc.stdout
+
+    def test_console_script_target(self):
+        # what the installed script runs, without installing it
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        module, func = re.search(r'^\[project\.scripts\]\nfisherctl = "([\w.]+):(\w+)"',
+                                 text, re.M).groups()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             f"import sys; from {module} import {func}; sys.exit({func}(sys.argv[1:]))",
+             "--help"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for sub in ("sweep", "optimize", "oracle", "validate"):
+            assert sub in proc.stdout
+
+
+def blas_env(**blas):
+    """This process's environment with ``blas`` as its only BLAS thread
+    variables."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return dict(env, **blas)
+
+
+def run_entry_point(argv, env):
+    """Run ``fisherctl.__main__.main(argv)`` in a fresh process; return its
+    exit code and the ``OPENBLAS_NUM_THREADS`` and OS thread count it ends
+    with (no count off Linux)."""
+    code = ("import json, os, sys\n"
+            "from fisherctl.__main__ import main\n"
+            "code = main(sys.argv[1:])\n"
+            "tasks = '/proc/self/task'\n"
+            "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),\n"
+            "    len(os.listdir(tasks)) if os.path.isdir(tasks) else None]), file=sys.stderr)\n"
+            "sys.exit(code)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                          text=True, env=env)
+    blas, threads = json.loads(proc.stderr.splitlines()[-1])
+    return proc.returncode, blas, threads
+
+
+class TestBlasThreads:
+    ORACLE = ["oracle", "--model", "zz", "--t-grid", "1.0", "--reproducible"]
+
+    @pytest.mark.parametrize("blas, expected", [
+        pytest.param({}, "1", id="default"),
+        pytest.param({"OPENBLAS_NUM_THREADS": "2"}, "2", id="openblas-kept"),
+        pytest.param({"OMP_NUM_THREADS": "2"}, None, id="omp-kept"),
+    ])
+    def test_entry_point_sets_one_thread_unless_chosen(self, blas, expected):
+        code, openblas, _ = run_entry_point(self.ORACLE, blas_env(**blas))
+        assert (code, openblas) == (0, expected)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+    def test_entry_point_process_has_one_thread(self):
+        # no idle BLAS worker beside the main thread
+        code, _, threads = run_entry_point(self.ORACLE, blas_env())
+        assert (code, threads) == (0, 1)
+
+    def test_thread_count_never_reaches_the_numbers(self, tmp_path):
+        # the benchmark's sweep (C8): byte-identical under one and two threads
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sweep-{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "fisherctl", "sweep", "--model", "xxz",
+                 "--t-grid", "0.5:2.0:4", "--max-iters", "8", "--seed", "101",
+                 "--reproducible", "--out", str(out)],
+                capture_output=True, text=True, env=blas_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]

@@ -72,7 +72,7 @@ class TestControlGrid:
         with pytest.raises(InvariantViolation):
             ControlGrid(1, 2, 1.0, np.array([[0.5, 2.0]]), amplitude_bound=1.0)
 
-    @pytest.mark.parametrize("bound", [-1.0, 0.0, np.nan, np.inf])
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, np.nan, np.inf, "1", True])
     def test_bound_itself_checked(self, bound):
         with pytest.raises(InvariantViolation, match="amplitude_bound must be positive"):
             ControlGrid(1, 2, 1.0, np.zeros((1, 2)), amplitude_bound=bound)

@@ -141,6 +141,20 @@ def test_every_exported_name_resolves(module):
 
     mod = importlib.import_module(module)
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+    star = {}
+    exec(f"from {module} import *", star)
+    assert [name for name in mod.__all__ if star.get(name) is not getattr(mod, name)] == []
+    assert set(mod.__all__) <= set(dir(mod))
+
+
+def test_package_refuses_unknown_names():
+    import fisherctl
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fisherctl.no_such_name
+    with pytest.raises(ImportError):
+        exec("from fisherctl import no_such_name", {})
+    assert "no_such_name" not in dir(fisherctl)
 
 
 def dense_bfgs_matrix(pairs, n):
@@ -704,10 +718,19 @@ class TestOptimize:
         pytest.param(dict(step_size=np.inf), "step_size", id="inf-step"),
         pytest.param(dict(step_size=np.nan), "step_size", id="nan-step"),
         pytest.param(dict(convergence_tol=np.inf), "convergence_tol", id="inf-tolerance"),
+        pytest.param(dict(fixed_step="no"), "fixed_step", id="string-fixed-step"),
+        pytest.param(dict(fixed_step=1), "fixed_step", id="int-fixed-step"),
+        pytest.param(dict(step_size="0.1"), "step_size", id="string-step"),
+        pytest.param(dict(init_amplitude="0.1"), "init_amplitude", id="string-amplitude"),
+        pytest.param(dict(amplitude_bound="1"), "amplitude_bound", id="string-bound"),
+        pytest.param(dict(convergence_tol=True), "convergence_tol", id="bool-tolerance"),
+        pytest.param(dict(step_size=True), "step_size", id="bool-step"),
+        pytest.param(dict(init_amplitude=False), "init_amplitude", id="bool-amplitude"),
+        pytest.param(dict(amplitude_bound=True), "amplitude_bound", id="bool-bound"),
     ])
     def test_bad_input_refused(self, kwargs, name):
-        # each once raised a bare numpy or Python error later, or was
-        # silently rounded
+        # each once raised a bare numpy or Python error later, was silently
+        # rounded, or (a truthy string or a bool) was taken as a number or flag
         with pytest.raises(InvariantViolation, match=name):
             GrapeConfig(**kwargs)
 

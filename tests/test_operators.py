@@ -75,18 +75,27 @@ class TestCommutatorSuperop:
 
 
 class TestExpm:
-    def test_package_import_does_not_load_scipy(self):
-        # the package and the CLI import without scipy
+    @staticmethod
+    def run_fresh(code):
         import fisherctl
 
         src = str(Path(fisherctl.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import fisherctl, fisherctl.cli, sys; assert 'scipy' not in sys.modules"],
-            capture_output=True, text=True, env=env,
-        )
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+
+    def test_package_import_does_not_load_scipy(self):
+        # the package and the CLI import without scipy
+        proc = self.run_fresh(
+            "import fisherctl, fisherctl.cli, sys; assert 'scipy' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_package_import_does_not_load_numpy(self):
+        # the exports load on first use, so the entry point can choose the
+        # BLAS thread count before numpy starts
+        proc = self.run_fresh(
+            "import fisherctl, fisherctl.__main__, sys; assert 'numpy' not in sys.modules")
         assert proc.returncode == 0, proc.stderr
 
     def test_unitary_conjugation(self):
