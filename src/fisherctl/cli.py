@@ -241,9 +241,7 @@ def cmd_sweep(config: RunConfig) -> int:
         if config.warm_start:
             warm = pulse
     _write_sweep(config, rows)
-    if all(row["failed"] for row in rows):
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_NUMERICAL if all(row["failed"] for row in rows) else EXIT_OK
 
 
 # -- optimize ---------------------------------------------------------------
@@ -303,9 +301,7 @@ def _pulse_amplitudes(payload) -> np.ndarray:
     if amplitudes.dtype.kind not in "iuf":
         raise FisherctlError("pulse file amplitudes must be numbers")
     if amplitudes.ndim != 2:
-        raise FisherctlError(
-            f"pulse file amplitudes must be a 2-D grid, got {amplitudes.ndim}-D"
-        )
+        raise FisherctlError(f"pulse file amplitudes must be a 2-D grid, got {amplitudes.ndim}-D")
     return amplitudes.astype(float)
 
 
@@ -488,16 +484,9 @@ def cmd_validate() -> int:
     check("trace preservation along trajectories", trace_preserved)
     check("exact state derivatives vs finite differences", derivatives_match_differences)
 
-    failed = 0
     for name, ok, detail in checks:
-        status = "PASS" if ok else "FAIL"
-        line = f"[{status}] {name}"
-        if detail:
-            line += f" -- {detail}"
-        print(line)
-        if not ok:
-            failed += 1
-    return EXIT_OK if failed == 0 else EXIT_NUMERICAL
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}" + (f" -- {detail}" if detail else ""))
+    return EXIT_OK if all(ok for _, ok, _ in checks) else EXIT_NUMERICAL
 
 
 # -- argument plumbing --------------------------------------------------------
@@ -585,10 +574,8 @@ def _parse_noise(spec) -> tuple:
 def _parse_params(spec: str, model) -> np.ndarray:
     x = _floats(spec.split(","), f"parameter list {spec!r}")
     if len(x) != model.num_params or not all(map(math.isfinite, x)):
-        raise FisherctlError(
-            f"model {model.name!r} takes {model.num_params} finite parameter values, "
-            f"got {spec!r}"
-        )
+        raise FisherctlError(f"model {model.name!r} takes {model.num_params} finite "
+                             f"parameter values, got {spec!r}")
     return np.asarray(x)
 
 

@@ -29,7 +29,9 @@ theta_m bounds exp's tail sum_{k>m}, the derivative's is sum_{k>=m}, which
 reaches 3.5e-13 relative at theta_4 on a contrived rank-one generator and
 at most 6e-16 on the catalog's.  Both recurrences, like the gradient sweeps
 of :mod:`fisherctl.grape`, are evaluated by :func:`_scan`, a blocked prefix
-scan of about 3 sqrt(m) stacked products.  Outcome probabilities derive in
+scan over the within-block products of the step stack, built once per
+stack and direction and shared by its scans (:func:`_scan_layout`).  Outcome
+probabilities derive in
 the same coordinates: ``dp_y = e_y . drho`` with ``e_y`` the coordinates of
 effect y (:attr:`Povm.coords`).
 """
@@ -48,6 +50,7 @@ from .errors import (
     PropagationError,
 )
 from .operators import (
+    BLAS_SERIAL_MACS,
     Povm,
     _ad,
     basis_coords,
@@ -158,8 +161,9 @@ class ControlGrid:
                                      f"{self.num_fields!r} and {self.num_steps!r}")
         if self.num_fields < 1 or self.num_steps < 1:
             raise InvariantViolation("control grid needs >= 1 field and >= 1 step")
-        if not self.total_time > 0:
-            raise InvariantViolation("total_time must be positive")
+        if not (is_real(self.total_time) and 0 < self.total_time < math.inf):
+            raise InvariantViolation(
+                f"total_time must be positive and finite, got {self.total_time!r}")
         if np.iscomplexobj(self.amplitudes):
             raise InvariantViolation("control amplitudes must be real")
         amps = np.asarray(self.amplitudes, dtype=float)
@@ -323,11 +327,6 @@ def _taylor_passes(a: np.ndarray) -> list:
     return passes
 
 
-def _taylor_order(a: np.ndarray):
-    # (m, s) of the largest 1-norm of a (k, n, n) stack
-    return max(p[2:] for p in _taylor_passes(a))
-
-
 def _taylor_blocks(m: int) -> np.ndarray:
     # Paterson-Stockmeyer blocks of the degree-m Taylor polynomial: row i holds
     # c_{iq+j} = 1/(iq+j)!, q = ceil(sqrt(m)), for j < q, the last row to c_m.
@@ -357,7 +356,7 @@ def _taylor(a: np.ndarray, m: int, work: np.ndarray | None = None) -> np.ndarray
     for j in range(2, q + 1):
         np.matmul(pows[j - 1], a, out=pows[j])
     flat, out = pows.reshape(q + 1, -1), blocks.reshape(len(coeffs), -1)
-    cols = 262144 // coeffs.size  # see operators._blocked
+    cols = BLAS_SERIAL_MACS // coeffs.size
     for lo in range(0, flat.shape[1], cols):
         np.matmul(coeffs, flat[:, lo:lo + cols], out=out[:, lo:lo + cols])
     r = blocks[-1]
@@ -456,28 +455,36 @@ def _positions(a: np.ndarray, b: int, blocks: int) -> np.ndarray:
     return out
 
 
-def _scan(x0: np.ndarray, mats: np.ndarray, src: np.ndarray | None = None) -> np.ndarray:
-    """``x[j+1] = x[j] @ mats[j] + src[j]`` for every step, as one
-    ``(m+1, rows, n)`` stack with ``x[0] = x0``.
-
-    A blocked prefix scan (Blelloch, CMU-CS-90-190) in blocks of b =
-    isqrt(m) steps: the partial products and source sums within every block,
-    batched over the blocks (b - 1 stacked products each); then the carry
-    across the blocks in turn; then every step from its block's carry in one
-    stacked product.  About 3 sqrt(m) numpy calls where a plain loop makes m.
-    ``mats`` is ``(m, n, n)`` (any strides: reversed views and broadcasts
-    too) and ``src`` is ``(m, rows, n)`` or None.
-    """
+def _scan_layout(mats: np.ndarray) -> tuple:
+    """``(m, raw, prods)``, the layout of an ``(m, n, n)`` step stack (any
+    strides) that every :func:`_scan` over it shares: in blocks of b =
+    isqrt(m) steps, ``raw[i, k] = mats[kb + i]`` and ``prods[i, k] =
+    mats[kb] @ ... @ mats[kb + i]``, position-major and zero past the end."""
     m = len(mats)
     b = math.isqrt(m)
-    blocks = -(-m // b)
-    # prods[i, k] = mats[kb] @ ... @ mats[kb + i], built in place
-    prods = _positions(mats, b, blocks)
-    sums = None if src is None else _positions(src, b, blocks)
+    raw = _positions(mats, b, -(-m // b))
+    prods = np.empty_like(raw)
+    prods[0] = raw[0]
     for i in range(1, b):
-        if sums is not None:
-            sums[i] += sums[i - 1] @ prods[i]
-        np.matmul(prods[i - 1], prods[i], out=prods[i])
+        np.matmul(prods[i - 1], raw[i], out=prods[i])
+    return m, raw, prods
+
+
+def _scan(x0: np.ndarray, layout: tuple, src: np.ndarray | None = None) -> np.ndarray:
+    """``x[j+1] = x[j] @ mats[j] + src[j]`` for every step of a
+    :func:`_scan_layout`, as one ``(m+1, rows, n)`` stack with ``x[0] = x0``.
+
+    A blocked prefix scan (Blelloch, CMU-CS-90-190): the source sums within
+    every block, batched over the blocks (b - 1 stacked products); the carry
+    across the blocks in turn; then every step from its block's carry and
+    prefix product in one stacked product.  About 2 sqrt(m) numpy calls where
+    a loop makes m.  ``src`` is ``(m, rows, n)`` or None.
+    """
+    m, raw, prods = layout
+    b, blocks = prods.shape[:2]
+    sums = None if src is None else _positions(src, b, blocks)
+    for i in range(1, 0 if src is None else b):
+        sums[i] += sums[i - 1] @ raw[i]
     carry = np.empty((blocks,) + x0.shape, dtype=np.result_type(x0, prods))
     carry[0] = x0
     for k in range(blocks - 1):
@@ -513,6 +520,11 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
         Whether parameter derivatives of the state are propagated (None skips
         them entirely).
     """
+    return _propagate(model, x, controls, probe, deriv_method)[0]
+
+
+def _propagate(model, x, controls: ControlGrid, probe, deriv_method) -> tuple:
+    """:func:`propagate`, and the :func:`_scan_layout` its scans share."""
     if deriv_method not in ("exact", None):
         raise InvariantViolation(f"unknown deriv_method {deriv_method!r}")
     x = np.asarray(x, dtype=float)
@@ -525,10 +537,10 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     if not np.all(np.isfinite(segs)):
         raise PropagationError(f"step propagators are not finite (dt={dt:.3g})")
     segs.flags.writeable = False
-    segs_t = segs.swapaxes(1, 2)
+    layout = _scan_layout(segs.swapaxes(1, 2))
 
     # rho_j = exp(dt L_j) rho_{j-1}, as rows: rho_j^T = rho_{j-1}^T exp(dt L_j)^T
-    r = _scan(basis_coords(probe)[None], segs_t)[:, 0]
+    r = _scan(basis_coords(probe)[None], layout)[:, 0]
     r.flags.writeable = False
     tr = np.sqrt(d) * r[1:, 0]
     drift = ~np.isfinite(tr) | (np.abs(tr - 1.0) > TRACE_DRIFT_ABORT)
@@ -541,10 +553,10 @@ def propagate(model, x, controls: ControlGrid, probe: np.ndarray | None = None,
     if deriv_method is not None:
         # src[j, a] = d exp(dt L_j)/dx_a rho_{j-1}, in the exponentials' passes
         src = _frechet_action(gens, dt * model.at(x).dh0_dirs, r[:-1], passes)
-        drho = _scan(np.zeros(src.shape[1:]), segs_t, src).swapaxes(0, 1)
+        drho = _scan(np.zeros(src.shape[1:]), layout, src).swapaxes(0, 1)
         drho.flags.writeable = False
     return Trajectory(model=model, x=x, controls=controls, coords=r,
-                      segment_propagators=segs, deriv_coords=drho)
+                      segment_propagators=segs, deriv_coords=drho), layout
 
 
 def measure(rho: np.ndarray, povm: Povm) -> np.ndarray:

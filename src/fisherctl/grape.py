@@ -26,7 +26,8 @@ al., J. Magn. Reson. 172, 296 (2005)), a forward state sweep (``rho_j`` and
 ``w_{a,j}``) meets a backward costate sweep.  Every sweep is a linear
 recurrence over the steps and is evaluated as a blocked prefix scan
 (:func:`~fisherctl.dynamics._scan`), the backward ones over the reversed
-steps.  A weight row ``W`` asks for
+steps; the scans over one stack and direction share its
+:func:`~fisherctl.dynamics._scan_layout`.  A weight row ``W`` asks for
 ``sum_{b<n, y} W[b, y] d(d_b p_y)/dV + sum_y W[n, y] dp_y/dV``; its effect
 covectors are folded before the sweep:
 
@@ -49,9 +50,10 @@ Each term of a response is ``L C_k R``: a costate covector ``L`` and a
 forward vector ``R`` of step j around ``C_k = -i ad(H_k)``, the generator
 direction of control k.  The pairs of one step are summed into ``S_j =
 sum_t L_t^T R_t`` (d^2 x d^2), and the weighted gradient is ``sum(C_k *
-S_j)``, so every contraction is a batched matrix product over the steps,
-each product small enough to stay on one thread: O(r n m d^4) flops for r
-weight rows, with no p x n x m x d^2 intermediate.
+S_j)``, one 2-D product over all steps and weight rows in row blocks that
+stay on one thread (:func:`~fisherctl.operators._blocked`), as are the
+products by ``D_a``: O(r n m d^4) flops for r weight rows, with no p x n x m
+x d^2 intermediate.
 
 Real coordinates
 ----------------
@@ -117,7 +119,9 @@ import numpy as np
 from .dynamics import (
     ControlGrid,
     Trajectory,
+    _propagate,
     _scan,
+    _scan_layout,
     check_amplitude_bound,
     expm_stack,
     is_integer,
@@ -135,7 +139,7 @@ from .errors import (
     SingularContribution,
 )
 from .fisher import OBJECTIVES, FisherMatrix, cfim, tr_inv, usable_outcomes
-from .operators import Povm
+from .operators import Povm, _blocked
 
 __all__ = [
     "GradientContext",
@@ -204,7 +208,7 @@ class GrapeConfig:
 
 def num_steps(t: float, steps_per_unit: int) -> int:
     """Control steps of a grid of duration t at the given density."""
-    if not 0 < t < math.inf:
+    if not (is_real(t) and 0 < t < math.inf):
         raise InvariantViolation(f"duration must be positive and finite, got {t!r}")
     return max(1, round(steps_per_unit * t))
 
@@ -267,10 +271,12 @@ class GradientContext:
     It reads the trajectory's coordinates and propagators and the POVM's
     effect coordinates (:attr:`Povm.coords`, the array ``measure_derivs``
     reads) and keeps neither object.  Step indices ``j`` are 1-based,
-    matching control grid columns ``amplitudes[:, j-1]``.
+    matching control grid columns ``amplitudes[:, j-1]``.  ``_layout`` hands
+    over the trajectory's :func:`~fisherctl.dynamics._scan_layout`.
     """
 
-    def __init__(self, trajectory: Trajectory, povm: Povm, insertion: str = "simpson"):
+    def __init__(self, trajectory: Trajectory, povm: Povm, insertion: str = "simpson",
+                 *, _layout: tuple | None = None):
         model = trajectory.model
         if povm.dim != model.dim:
             raise DimensionMismatch("POVM dimension does not match the model")
@@ -292,10 +298,9 @@ class GradientContext:
         self.ctrl_dirs = model.control_dirs
         self.dh0_dirs = model.at(trajectory.x).dh0_dirs
         # (d^2, n d^2): a row vector times it applies every direction D_a =
-        # -i[dH0_a, .] at once; products stay one small matrix per step, below
-        # OpenBLAS's threading threshold
+        # -i[dH0_a, .] at once
         dh_cols = self.dh0_dirs.transpose(2, 0, 1).reshape(d2, n * d2)
-        dhr = (self.rvecs[:, None] @ dh_cols).reshape(m + 1, n, d2)  # D_a rho_j
+        dhr = _blocked(self.rvecs, dh_cols).reshape(m + 1, n, d2)  # D_a rho_j
 
         # Forward insertion sums w[j, a] = sum_{i<=j} D_{i+1}^j J_a(i) rho_{i-1}
         # obey w_j = E_j z_j + src_j with z_j = w_{j-1} + coef D_a rho_{j-1};
@@ -305,7 +310,8 @@ class GradientContext:
         cjd = self._coef * dhr[:-1]
         # as rows, w_j = w_{j-1} E_j^T + (cjd_j E_j^T + src_j)
         segs_t = self.segs.swapaxes(1, 2)
-        w = _scan(np.zeros((n, d2)), segs_t, cjd @ segs_t + src)
+        layout = _scan_layout(segs_t) if _layout is None else _layout
+        w = _scan(np.zeros((n, d2)), layout, cjd @ segs_t + src)
         self._z = w[:-1] + cjd
         self._ez = w[1:] - src
 
@@ -335,13 +341,13 @@ class GradientContext:
         dh = self.dh0_dirs.reshape(n * d2, d2)
 
         # lam_{j-1} = lam_j E_j and mu_{j-1} = mu_j E_j + ins_j: scans from
-        # j = m down, over the reversed steps
-        back = segs[::-1]
+        # j = m down, over one layout of the reversed steps
+        back = _scan_layout(segs[::-1])
         lam = _scan((weights @ self.effect_coords).reshape(-1, d2), back)[::-1]
         lam = lam.reshape(m + 1, rows, n + 1, d2)
 
         # ins[j-1, r] = sum_b lam_{b,j} J_b(j), using lam_{b,j} E_j = lam_{b,j-1}
-        ld = lam[:, :, :n].reshape(m + 1, rows, n * d2) @ dh
+        ld = _blocked(lam[:, :, :n].reshape(-1, n * d2), dh).reshape(m + 1, rows, d2)
         ins = (ld[1:] @ segs + ld[:-1]) * self._coef
         mu = _scan(np.zeros((rows, d2)), back, ins[::-1])[::-1]
         return lam, mu, ld
@@ -377,8 +383,8 @@ class GradientContext:
         pairs_r = np.concatenate(right, axis=1)  # (m, T, d^2)
         s = pairs_l.swapaxes(2, 3) @ pairs_r[:, None]  # (m, rows, d^2, d^2)
         ctrl = self.ctrl_dirs.reshape(len(self.ctrl_dirs), d2 * d2)
-        grid = s.reshape(m, rows, d2 * d2) @ ctrl.T  # (m, rows, p)
-        return grid.transpose(1, 2, 0)
+        grid = _blocked(s.reshape(m * rows, d2 * d2), ctrl.T)  # (m rows, p)
+        return grid.reshape(m, rows, -1).transpose(1, 2, 0)
 
     def _grid(self, weights: np.ndarray) -> np.ndarray:
         """``grid[r, k, j-1]`` for the effect weights ``weights[r]`` (see
@@ -529,8 +535,8 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
     def evaluate(grid: ControlGrid):
         nonlocal evaluations
         evaluations += 1
-        traj = propagate(model, x_true, grid, probe, deriv_method=None)
-        ctx = GradientContext(traj, povm, insertion="trapezoid")
+        traj, layout = _propagate(model, x_true, grid, probe, None)
+        ctx = GradientContext(traj, povm, insertion="trapezoid", _layout=layout)
         val = value_of(ctx.current_cfim())
         if not math.isfinite(val):
             raise PropagationError(f"objective became non-finite ({val})")

@@ -316,7 +316,5 @@ def get_model(name: str, noise: bool = True, rates=None) -> ParametricModel:
     count = len(model.rates)
     rates = (0.0,) * count if not noise else tuple(float(r) for r in rates)
     if len(rates) != count:
-        raise FisherctlError(
-            f"model {name!r} takes {count} dephasing rate(s), got {len(rates)}"
-        )
+        raise FisherctlError(f"model {name!r} takes {count} dephasing rate(s), got {len(rates)}")
     return build(rates[0] if count == 1 else rates)

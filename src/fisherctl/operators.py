@@ -54,6 +54,8 @@ __all__ = [
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 PSD_EIG_FLOOR = -1e-10
+# the most multiply-adds of a 2-D float64 product seen to keep OpenBLAS serial
+BLAS_SERIAL_MACS = 262144
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -225,12 +227,12 @@ def _basis_real(d: int) -> np.ndarray:
 
 
 def _blocked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a @ b for a 2-D float64 a, in row blocks: a (k, n <= 32) product of a
-    # block stays below OpenBLAS's threading threshold (no worker thread was
-    # seen up to 262144 multiply-adds in float64)
+    # a @ b for 2-D float64 a and b, in blocks of rows sized to b: each
+    # block's product stays at or below BLAS_SERIAL_MACS multiply-adds
+    rows = max(1, BLAS_SERIAL_MACS // b.size)
     out = np.empty((len(a), b.shape[1]))
-    for lo in range(0, len(a), 256):
-        np.matmul(a[lo:lo + 256], b, out=out[lo:lo + 256])
+    for lo in range(0, len(a), rows):
+        np.matmul(a[lo:lo + rows], b, out=out[lo:lo + rows])
     return out
 
 

@@ -90,6 +90,14 @@ class TestControlGrid:
             ControlGrid(fields, steps, 1.0, np.zeros((6, 4)))
         assert ControlGrid(np.int64(6), 4, 1.0, np.zeros((6, 4))).num_steps == 4
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf, "1", True, None])
+    def test_duration_checked(self, t):
+        # a bool was taken as 1 (dt 0.5 here), inf gave dt inf, and a string
+        # died in a bare TypeError from the comparison
+        with pytest.raises(InvariantViolation, match="total_time must be positive"):
+            ControlGrid(1, 2, t, np.zeros((1, 2)))
+        assert ControlGrid(1, 2, np.float64(1.5), np.zeros((1, 2))).dt == 0.75
+
     def test_dt(self):
         grid = ControlGrid.zeros(2, 50, 2.5)
         assert grid.dt == pytest.approx(0.05)
@@ -331,6 +339,11 @@ def _rel(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
+def _taylor_order(a):
+    # (m, s) of the largest 1-norm of a (k, n, n) stack
+    return max(p[2:] for p in dyn._taylor_passes(a))
+
+
 # every Taylor bound theta_m of the kernel, and a point just above it where
 # the next degree (or, past the top one, scaling) takes over
 _THETA_EDGES = [f * theta for _, theta in dyn._TAYLOR_THETA for f in (1.0, 1.001)]
@@ -489,7 +502,7 @@ class TestTaylorKernel:
         # a chunk's largest column sum is eta
         a = np.zeros((3, 16, 16))
         a[1, 3, 5], a[2, 0, 0] = -eta, 0.5 * eta
-        m, s = dyn._taylor_order(a)
+        m, s = _taylor_order(a)
         fits = [d for d, theta in dyn._TAYLOR_THETA if eta <= theta]
         top, theta = dyn._TAYLOR_THETA[-1]
         if fits:
@@ -520,7 +533,7 @@ class TestTaylorKernel:
         for lo, hi, *order in passes:
             assert hi - lo <= dyn.EXPM_PASS
             for c in range(lo, hi, dyn.EXPM_CHUNK):
-                assert dyn._taylor_order(a[c:c + dyn.EXPM_CHUNK]) == tuple(order)
+                assert _taylor_order(a[c:c + dyn.EXPM_CHUNK]) == tuple(order)
         # a run is split only where it fills a pass
         for before, after in zip(passes, passes[1:]):
             assert before[2:] != after[2:] or before[1] - before[0] == dyn.EXPM_PASS
@@ -592,7 +605,7 @@ class TestTaylorKernel:
         grids = [ControlGrid(p, 30, 0.3, rng.uniform(-0.2, 0.2, size=(p, 30))),
                  ControlGrid(p, 40, 0.8, np.full((p, 40), 0.3)),
                  ControlGrid(p, 20, 30.0, rng.uniform(-0.3, 0.3, size=(p, 20)))]
-        assert dyn._taylor_order(grids[2].dt * step_liouvillians(model, x, grids[2]))[1] > 0
+        assert _taylor_order(grids[2].dt * step_liouvillians(model, x, grids[2]))[1] > 0
         for grid in grids:
             plain = propagate(model, x, grid, deriv_method=None)
             exact = propagate(model, x, grid)
@@ -688,7 +701,7 @@ class TestScan:
         elif layout == "uniform":
             mats = np.broadcast_to(mats[:1], mats.shape)
         x0 = rng.normal(size=(rows, n))
-        got = dyn._scan(x0, mats, src)
+        got = dyn._scan(x0, dyn._scan_layout(mats), src)
         assert got.shape == (m + 1, rows, n)
         assert np.array_equal(got[0], x0)
         assert _rel(got, _sequential(x0, mats, src)) <= 1e-13
@@ -700,7 +713,7 @@ class TestScan:
 
         kernel = dyn._scan
         calls = []
-        monkeypatch.setattr(dyn, "_scan", lambda *a: calls.append(len(a[1])) or kernel(*a))
+        monkeypatch.setattr(dyn, "_scan", lambda *a: calls.append(a[1][0]) or kernel(*a))
         monkeypatch.setattr("fisherctl.grape._scan", dyn._scan)
         model = get_model("magfield-xyz", noise=False)
         p = len(model.control_hams)
@@ -710,6 +723,47 @@ class TestScan:
             traj = propagate(model, model.true_values, grid)
             GradientContext(traj, model.default_povm, insertion).objective_gradient("f0")
             assert sorted(calls) == [50] * 5 + [100] * half_steps, insertion
+
+    def test_one_layout_per_stack_and_direction(self, monkeypatch):
+        # a trial point's state scan and its context's forward sums share one
+        # layout, and so do a gradient's two costate scans; the final exact
+        # propagation builds one for its state and derivative scans
+        import fisherctl.grape as grape_mod
+
+        builder, built = dyn._scan_layout, []
+
+        def counting(mats):
+            built.append("reversed" if mats.strides[0] < 0 else "forward")
+            return builder(mats)
+
+        gradients = []
+        objective_gradient = grape_mod.GradientContext.objective_gradient
+        monkeypatch.setattr(dyn, "_scan_layout", counting)
+        monkeypatch.setattr(grape_mod, "_scan_layout", counting)
+        monkeypatch.setattr(grape_mod.GradientContext, "objective_gradient",
+                            lambda *a: gradients.append(1) or objective_gradient(*a))
+        model = get_model("magfield-xyz")
+        res = grape_mod.optimize(model, model.true_values, None, None, 0.5, grape_mod.GrapeConfig(
+            update_rule="bfgs", max_iters=4, init_seed=5, steps_per_unit=40))
+        assert res.evaluations > res.iterations_used
+        assert built.count("forward") == res.evaluations + 1
+        assert built.count("reversed") == len(gradients) == res.iterations_used + 1
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_handed_over_layout_changes_no_bit(self, rng, noise):
+        from fisherctl.grape import GradientContext
+
+        model = get_model("magfield-xyz", noise=noise)
+        p = len(model.control_hams)
+        grid = ControlGrid(p, 37, 0.5, rng.uniform(-0.2, 0.2, size=(p, 37)))
+        traj, layout = dyn._propagate(model, model.true_values, grid, None, None)
+        bare = propagate(model, model.true_values, grid, deriv_method=None)
+        assert np.array_equal(traj.coords, bare.coords)
+        shared = GradientContext(traj, model.default_povm, "trapezoid", _layout=layout)
+        own = GradientContext(bare, model.default_povm, "trapezoid")
+        for name in ("_z", "_ez", "p", "dp"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name)), name
+        assert np.array_equal(shared.objective_gradient("f0"), own.objective_gradient("f0"))
 
 
 class TestMeasure:
@@ -989,7 +1043,7 @@ class TestExactDerivatives:
         grid = ControlGrid(p, 19, 0.7, rng.uniform(-amplitude, amplitude, size=(p, 19)))
         dt = grid.dt
         gens = dt * step_liouvillians(model, x, grid)
-        assert (dyn._taylor_order(gens)[1] > 0) == (amplitude > 1)
+        assert (_taylor_order(gens)[1] > 0) == (amplitude > 1)
         rhos = np.stack([random_density(rng, model.dim) for _ in gens])
         acts = dyn._frechet_action(gens, dt * model.at(x).dh0_dirs, basis_coords(rhos))
         evals, evecs = np.linalg.eigh(dyn.step_hamiltonians(model, x, grid))

@@ -580,15 +580,16 @@ class TestOptimize:
             fixed_step=True, step_size=0.005))
         assert fixed.evaluations == fixed.iterations_used + 1
 
+        # every trial point propagates through _propagate; the final exact
+        # re-evaluation through propagate
         trials = []
-        real_propagate = grape_mod.propagate
+        real_propagate = grape_mod._propagate
 
-        def counting(*args, **kwargs):
-            if kwargs.get("deriv_method") is None:
-                trials.append(1)
-            return real_propagate(*args, **kwargs)
+        def counting(*args):
+            trials.append(1)
+            return real_propagate(*args)
 
-        monkeypatch.setattr(grape_mod, "propagate", counting)
+        monkeypatch.setattr(grape_mod, "_propagate", counting)
         for rule in ("gradient", "bfgs"):
             trials.clear()
             res = optimize(model, model.true_values, None, None, 0.7, GrapeConfig(
@@ -640,19 +641,18 @@ class TestOptimize:
         import fisherctl.grape as grape_mod
         from fisherctl import PropagationError
 
-        real_propagate = grape_mod.propagate
+        real_propagate = grape_mod._propagate
         calls = []
 
-        def failing(*args, **kwargs):
-            # the initial evaluation and the final exact re-evaluation succeed;
-            # every trial point raises
-            if kwargs.get("deriv_method") is None:
-                calls.append(1)
-                if len(calls) > 1:
-                    raise PropagationError("injected failure")
-            return real_propagate(*args, **kwargs)
+        def failing(*args):
+            # the initial evaluation and the final exact re-evaluation (through
+            # propagate) succeed; every trial point raises
+            calls.append(1)
+            if len(calls) > 1:
+                raise PropagationError("injected failure")
+            return real_propagate(*args)
 
-        monkeypatch.setattr(grape_mod, "propagate", failing)
+        monkeypatch.setattr(grape_mod, "_propagate", failing)
         model = get_model("xxz")
         res = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
             max_iters=5, init_seed=1, steps_per_unit=12, update_rule=rule,
@@ -665,22 +665,22 @@ class TestOptimize:
         import fisherctl.grape as grape_mod
         from fisherctl import PropagationError
 
-        real_propagate = grape_mod.propagate
+        real_propagate = grape_mod._propagate
         calls = []
 
-        def every_other(*args, **kwargs):
-            if kwargs.get("deriv_method") is None:
-                calls.append(1)
-                if len(calls) % 2 == 0:
-                    raise PropagationError("injected failure")
-            return real_propagate(*args, **kwargs)
+        def every_other(*args):
+            calls.append(1)
+            if len(calls) % 2 == 0:
+                raise PropagationError("injected failure")
+            return real_propagate(*args)
 
-        monkeypatch.setattr(grape_mod, "propagate", every_other)
+        monkeypatch.setattr(grape_mod, "_propagate", every_other)
         model = get_model("xxz")
         flat(monkeypatch, model.default_objective)
         res = optimize(model, model.true_values, None, None, 0.5, GrapeConfig(
             max_iters=5, init_seed=1, steps_per_unit=12, update_rule="bfgs"))
         assert res.termination == "line_search_stall"
+        assert len(calls) > 2  # some trial points failed
 
     def test_user_controls_init(self):
         model = get_model("xxz")
@@ -734,7 +734,7 @@ class TestOptimize:
         with pytest.raises(InvariantViolation, match=name):
             GrapeConfig(**kwargs)
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -0.5, "1", True, None])
     def test_bad_duration_refused(self, t):
         model = get_model("xxz")
         with pytest.raises(InvariantViolation, match="duration"):

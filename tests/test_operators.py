@@ -234,3 +234,33 @@ class TestHermitianBasis:
         assert np.abs(gen[0]).max() <= 1e-15  # trace-preserving: row 0 vanishes
         x = random_hermitian(rng, d)
         assert np.abs(basis_operators(gen @ basis_coords(x)) - apply(lind, x)).max() <= 1e-13
+
+
+class TestBlocked:
+    # the 2-D products that go through operators._blocked, for d = 4 (d^2 =
+    # 16), three parameters and six control fields: the gradient grid, the
+    # costates' ld, the forward D_a rho_j, and the basis change both ways
+    SHAPES = {"grid": (256, 6), "ld": (48, 16), "dhr": (16, 48),
+              "coords": (32, 16), "operators": (16, 32)}
+
+    @pytest.mark.parametrize("m", [1, 50, 200, 2000])
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_blocks_stay_serial_and_exact(self, monkeypatch, rng, m, rows, shape):
+        from fisherctl import operators
+
+        k, n = self.SHAPES[shape]
+        a, b = rng.normal(size=(m * rows, k)), rng.normal(size=(k, n))
+        matmul, macs = np.matmul, []
+
+        def spy(x, y, **kwargs):
+            macs.append(x.shape[0] * x.shape[1] * y.shape[1])
+            return matmul(x, y, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        got = operators._blocked(a, b)
+        monkeypatch.undo()
+        assert sum(macs) == m * rows * k * n
+        assert max(macs) <= operators.BLAS_SERIAL_MACS
+        ref = a @ b
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
