@@ -11,9 +11,9 @@ Layers
 ``oracles``     closed-form reference expressions for the catalog
 ``cli``         sweep/optimize/oracle/validate command line
 
-The names below load on first use: importing the package imports no layer,
-and so not numpy, which lets ``python -m fisherctl`` choose the BLAS thread
-count before numpy starts.
+The names below load on first use and are never bound here: importing the
+package imports no layer, so not numpy (``python -m fisherctl`` chooses the
+BLAS thread count first), and every read sees the layer's current binding.
 """
 
 from importlib import import_module as _import_module
@@ -43,9 +43,8 @@ __all__ = sorted(_EXPORTS)
 def __getattr__(name):
     if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(_import_module(f".{_EXPORTS[name]}", __name__), name)
-    globals()[name] = value
-    return value
+    layer = _EXPORTS[name]  # an imported layer is bound here, as a package attribute
+    return getattr(globals().get(layer) or _import_module(f".{layer}", __name__), name)
 
 
 def __dir__():

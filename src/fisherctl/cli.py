@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracles
-from .dynamics import ControlGrid, measure, measure_derivs, propagate
+from .dynamics import ControlGrid, is_finite_real, measure, measure_derivs, propagate
 from .errors import FisherctlError, InvariantViolation, PropagationError, SingularContribution
 from .fisher import OBJECTIVES, cfim, qfim, tr_inv
 from .grape import GrapeConfig, GrapeResult, _objective, num_steps, optimize
@@ -66,6 +66,8 @@ class RunConfig:
     def __post_init__(self):
         if self.grape.steps_per_unit < 10:
             raise FisherctlError("steps_per_unit must be at least 10")
+        for t in self.t_grid:  # refuses a time too long to put on a grid
+            num_steps(t, self.grape.steps_per_unit)
         if self.objective is not None:
             _objective(self.objective)  # refuses an unknown name
         if self.format not in ("csv", "json"):
@@ -144,10 +146,6 @@ def _timestamp_line() -> str:
     import datetime
 
     return f"# generated {datetime.datetime.now().isoformat(timespec='seconds')}"
-
-
-def _model_rates(config: RunConfig):
-    return get_model(config.model, noise=config.noise, rates=config.rates)
 
 
 def _uncontrolled_tr_inv(model, t: float, steps_per_unit: int) -> float:
@@ -233,7 +231,7 @@ def _write_sweep(config: RunConfig, rows: list) -> None:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    model = _model_rates(config)
+    model = get_model(config.model, noise=config.noise, rates=config.rates)
     rows, warm = [], None
     for i, t in enumerate(config.t_grid):
         row, pulse = _sweep_point(config, model, t, i, warm)
@@ -248,7 +246,7 @@ def cmd_sweep(config: RunConfig) -> int:
 
 
 def cmd_optimize(config: RunConfig) -> int:
-    model = _model_rates(config)
+    model = get_model(config.model, noise=config.noise, rates=config.rates)
     t = config.t_grid[0]
     result = optimize(model, model.true_values, None, None, t, config.grape,
                       objective=config.objective)
@@ -319,10 +317,9 @@ def cmd_replay(pulsefile: str) -> int:
                           rates=payload["rates"])
         # files written before the bound was recorded have none
         bound = payload.get("amplitude_bound")
-        grid = ControlGrid(amplitudes.shape[0], amplitudes.shape[1], float(payload["t"]),
-                           amplitudes, None if bound is None
-                           else _number("pulse file amplitude_bound", bound))
-        x_true = np.asarray(payload["x_true"], dtype=float)
+        grid = ControlGrid(*amplitudes.shape, _number("pulse file t", payload["t"]), amplitudes,
+                           None if bound is None else _number("pulse file amplitude_bound", bound))
+        x_true = np.array([_number("pulse file x_true entry", v) for v in payload["x_true"]])
         stored_val = float(payload["final_objective"])  # also parses "inf"
     except FisherctlError:
         raise
@@ -389,13 +386,16 @@ def _oracle_row(name: str, x, rates: tuple, t: float) -> dict:
                 row["tr_inv"] = oracles.oracle_xxz_trinv(*x, rates[0], t)
     except InvariantViolation:
         notes.append("singular")
+    except ValueError:  # math's domain error: the sine of a phase beyond the float range
+        raise FisherctlError(f"the closed-form phase overflows at time {t!r}") from None
     row["note"] = "; ".join(notes)
     return row
 
 
 def cmd_oracle(model, x, t_grid: tuple, out: str, reproducible: bool = False) -> int:
     columns = ORACLE_COLUMNS[model.name]
-    rows = [_oracle_row(model.name, x, model.rates, t) for t in t_grid]
+    # in Python floats a phase that overflows is inf without a numpy warning
+    rows = [_oracle_row(model.name, x.tolist(), model.rates, t) for t in t_grid]
     _write_csv(out, columns, rows, reproducible)
     return EXIT_OK
 
@@ -493,14 +493,8 @@ def cmd_validate() -> int:
 
 
 def _number(key: str, value) -> float:
-    """A flag or config value that must be a finite number; bool is refused
-    although Python counts it as an int.  ``GrapeConfig`` checks the counts."""
-    try:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and math.isfinite(value))
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
+    """A flag or config value that must be a finite number; ``GrapeConfig`` checks the counts."""
+    if not is_finite_real(value):
         raise FisherctlError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
@@ -675,18 +669,20 @@ def _run_config_from(args) -> RunConfig:
 
     reproducible = _flag("reproducible", file_cfg.get("reproducible", False))
     warm_start = _flag("warm_start", file_cfg.get("warm_start", False))
-    bound = pick(args.amplitude_bound, "amplitude_bound", grape_file.get("amplitude_bound"))
+    # the "grape" section over GrapeConfig's defaults, but the command line ascends by BFGS
+    section = {**dataclasses.asdict(GrapeConfig()), "update_rule": "bfgs", **grape_file}
+    bound = pick(args.amplitude_bound, "amplitude_bound", section["amplitude_bound"])
     grape = GrapeConfig(
-        step_size=_number("step_size", grape_file.get("step_size", 0.01)),
-        max_iters=pick(args.max_iters, "max_iters", grape_file.get("max_iters", 1000)),
-        convergence_tol=_number("convergence_tol", grape_file.get("convergence_tol", 1e-6)),
-        init_scheme=pick(args.init, "init", grape_file.get("init_scheme", "random")),
-        init_seed=pick(args.seed, "seed", grape_file.get("init_seed", 0)),
-        init_amplitude=_number("init_amplitude", grape_file.get("init_amplitude", 0.1)),
-        update_rule=pick(args.update, "update", grape_file.get("update_rule", "bfgs")),
+        step_size=_number("step_size", section["step_size"]),
+        max_iters=pick(args.max_iters, "max_iters", section["max_iters"]),
+        convergence_tol=_number("convergence_tol", section["convergence_tol"]),
+        init_scheme=pick(args.init, "init", section["init_scheme"]),
+        init_seed=pick(args.seed, "seed", section["init_seed"]),
+        init_amplitude=_number("init_amplitude", section["init_amplitude"]),
+        update_rule=pick(args.update, "update", section["update_rule"]),
         amplitude_bound=None if bound is None else _number("amplitude_bound", bound),
-        fixed_step=_flag("grape.fixed_step", grape_file.get("fixed_step", False)),
-        steps_per_unit=pick(args.steps_per_unit, "steps_per_unit", 100),
+        fixed_step=_flag("grape.fixed_step", section["fixed_step"]),
+        steps_per_unit=pick(args.steps_per_unit, "steps_per_unit", section["steps_per_unit"]),
     )
 
     return RunConfig(

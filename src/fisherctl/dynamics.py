@@ -130,7 +130,7 @@ def check_probe(probe, dim: int) -> np.ndarray:
 
 def check_amplitude_bound(bound: float | None) -> None:
     """Refuse an amplitude bound that is not None, positive and finite."""
-    if bound is not None and not (is_real(bound) and 0 < bound < np.inf):
+    if bound is not None and not (is_finite_real(bound) and bound > 0):
         raise InvariantViolation(f"amplitude_bound must be positive and finite, got {bound!r}")
 
 
@@ -139,10 +139,14 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """A real number, numpy's included; not a bool, although Python counts it
-    as one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def is_finite_real(value) -> bool:
+    """A real number, numpy's included, that a float holds as a finite value;
+    not a bool, although Python counts it as one."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -161,7 +165,7 @@ class ControlGrid:
                                      f"{self.num_fields!r} and {self.num_steps!r}")
         if self.num_fields < 1 or self.num_steps < 1:
             raise InvariantViolation("control grid needs >= 1 field and >= 1 step")
-        if not (is_real(self.total_time) and 0 < self.total_time < math.inf):
+        if not (is_finite_real(self.total_time) and self.total_time > 0):
             raise InvariantViolation(
                 f"total_time must be positive and finite, got {self.total_time!r}")
         if np.iscomplexobj(self.amplitudes):

@@ -124,8 +124,8 @@ from .dynamics import (
     _scan_layout,
     check_amplitude_bound,
     expm_stack,
+    is_finite_real,
     is_integer,
-    is_real,
     measure,
     measure_derivs,
     propagate,
@@ -188,9 +188,9 @@ class GrapeConfig:
                 raise InvariantViolation(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("step_size", "convergence_tol"):
             value = getattr(self, name)
-            if not (is_real(value) and 0 < value < math.inf):
+            if not (is_finite_real(value) and value > 0):
                 raise InvariantViolation(f"{name} must be positive and finite, got {value!r}")
-        if not (is_real(self.init_amplitude) and 0 <= self.init_amplitude < math.inf):
+        if not (is_finite_real(self.init_amplitude) and self.init_amplitude >= 0):
             raise InvariantViolation(f"init_amplitude must be nonnegative and finite, "
                                      f"got {self.init_amplitude!r}")
         check_amplitude_bound(self.amplitude_bound)
@@ -208,8 +208,9 @@ class GrapeConfig:
 
 def num_steps(t: float, steps_per_unit: int) -> int:
     """Control steps of a grid of duration t at the given density."""
-    if not (is_real(t) and 0 < t < math.inf):
-        raise InvariantViolation(f"duration must be positive and finite, got {t!r}")
+    if not (is_finite_real(t) and 0 < steps_per_unit * float(t) < np.iinfo(np.intp).max):
+        raise InvariantViolation(f"duration must be positive, finite and short enough to grid "
+                                 f"at {steps_per_unit} steps per unit, got {t!r}")
     return max(1, round(steps_per_unit * t))
 
 
@@ -317,13 +318,13 @@ class GradientContext:
 
         # Measurement data.  Derivatives follow the trajectory when present;
         # otherwise w[m] is the discretized derivative of the final state.
-        self.p = measure(trajectory.final_state, povm)
-        drho = w[m] if trajectory.deriv_coords is None else trajectory.deriv_coords[:, -1]
-        # p_y = e_y . rho in coordinates, as in measure_derivs
         self.effect_coords = povm.coords
-        self.dp = drho @ self.effect_coords.T
-        if self._fine is not None and trajectory.deriv_coords is None:
-            self.dp = _extrapolate(self._fine.dp, self.dp)
+        if trajectory.deriv_coords is None:
+            self.p, self.dp = measure(trajectory.final_state, povm), w[m] @ povm.coords.T
+            if self._fine is not None:
+                self.dp = _extrapolate(self._fine.dp, self.dp)
+        else:
+            self.p, self.dp = measure_derivs(trajectory, povm)
         self._backward = self._cfim = None
 
     # -- backward costate sweep -----------------------------------------------

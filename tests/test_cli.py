@@ -144,12 +144,12 @@ class TestSweep:
     def test_config_noise_boolean(self, tmp_path, name, flag):
         # true means the model's default rates, false the noiseless variant
         from fisherctl import get_model
-        from fisherctl.cli import _build_parser, _model_rates, _run_config_from
+        from fisherctl.cli import _build_parser, _run_config_from
 
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": name, "t_grid": [0.5], "noise": flag}))
-        args = _build_parser().parse_args(["sweep", "--config", str(cfg)])
-        model = _model_rates(_run_config_from(args))
+        config = _run_config_from(_build_parser().parse_args(["sweep", "--config", str(cfg)]))
+        model = get_model(config.model, noise=config.noise, rates=config.rates)
         expected = get_model(name, noise=flag)
         assert [rate for _, rate in model.noise.channels] == \
             [rate for _, rate in expected.noise.channels]
@@ -295,6 +295,13 @@ class TestOptimize:
             id="over-bound"),
         pytest.param(lambda text, payload: json.dumps(
             dict(payload, amplitude_bound="wide")), id="bound-text"),
+        # each was read by float() and replayed
+        pytest.param(lambda text, payload: json.dumps(dict(payload, t=True)), id="t-bool"),
+        pytest.param(lambda text, payload: json.dumps(dict(payload, t="1")), id="t-text"),
+        pytest.param(lambda text, payload: json.dumps(
+            dict(payload, x_true=[True, 1.2])), id="x-true-bool"),
+        pytest.param(lambda text, payload: json.dumps(
+            dict(payload, x_true=["1", "1.2"])), id="x-true-text"),
     ])
     def test_replay_malformed_pulse_file_exits_2(self, tmp_path, capsys, mutate):
         out = tmp_path / "pulse.json"
@@ -347,6 +354,17 @@ class TestOptimize:
         err = capsys.readouterr().err
         assert f"amplitude_bound must be positive and finite, got {float(bound)}" in err
         assert "exceed" not in err
+
+    def test_replay_parses_an_infinite_stored_objective(self, tmp_path, capsys):
+        # optimize writes a non-finite objective as "inf"; replay reads it
+        # back rather than refusing it as a malformed pulse-file number
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.2", "--max-iters", "1",
+                    "--init", "zeros", "--steps-per-unit", "20", "--out", str(out)]) == 0
+        out.write_text(json.dumps(dict(json.loads(out.read_text()), final_objective="inf")))
+        capsys.readouterr()
+        assert run(["optimize", "--replay", str(out)]) != EXIT_CONFIG
+        assert "stored objective:      inf" in capsys.readouterr().out
 
     def test_band_for_noiseless_exchange_model(self, tmp_path, capsys):
         # below the uncontrolled 1/(2T^2), at or above the probe-optimal
@@ -591,6 +609,25 @@ class TestExitCodes:
         rows = read_csv(out)  # rows are still written, flagged as failed
         assert len(rows) == 2
         assert all(r["tr_inv_controlled"] == "nan" for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["optimize", "--t", "1e20", "--max-iters", "1"], id="optimize-1e20"),
+        pytest.param(["optimize", "--t", "1e308", "--max-iters", "1"], id="optimize-1e308"),
+        pytest.param(["sweep", "--t-grid", "1e308", "--max-iters", "1"], id="sweep-1e308"),
+        pytest.param(["sweep", "--t-grid", "0.5,1e20", "--max-iters", "1"], id="sweep-0.5-1e20"),
+        pytest.param(["oracle", "--t-grid", "1e308"], id="oracle-1e308"),
+    ])
+    def test_time_too_long_to_grid_exits_2(self, tmp_path, argv):
+        # each ended in a traceback: an array dimension beyond numpy's, an
+        # infinite step count, or the sine of an infinite phase (after a
+        # numpy overflow warning, hence a fresh process)
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "fisherctl", argv[0], "--model", "xxz",
+                               *argv[1:], "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_grid_too_large_to_allocate_exits_2(self, capsys):
         # 1e17 steps: numpy refuses the 4 EiB grid at once

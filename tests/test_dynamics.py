@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -72,7 +74,9 @@ class TestControlGrid:
         with pytest.raises(InvariantViolation):
             ControlGrid(1, 2, 1.0, np.array([[0.5, 2.0]]), amplitude_bound=1.0)
 
-    @pytest.mark.parametrize("bound", [-1.0, 0.0, np.nan, np.inf, "1", True])
+    @pytest.mark.parametrize("bound", [-1.0, 0.0, np.nan, np.inf, "1", True,
+                                       pytest.param(10**400, id="huge"),
+                                       pytest.param(-10**400, id="huge-negative")])
     def test_bound_itself_checked(self, bound):
         with pytest.raises(InvariantViolation, match="amplitude_bound must be positive"):
             ControlGrid(1, 2, 1.0, np.zeros((1, 2)), amplitude_bound=bound)
@@ -90,13 +94,28 @@ class TestControlGrid:
             ControlGrid(fields, steps, 1.0, np.zeros((6, 4)))
         assert ControlGrid(np.int64(6), 4, 1.0, np.zeros((6, 4))).num_steps == 4
 
-    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf, "1", True, None])
+    @pytest.mark.parametrize("t", [0.0, -1.0, np.nan, np.inf, "1", True, None,
+                                   pytest.param(10**400, id="huge"),
+                                   pytest.param(-10**400, id="huge-negative")])
     def test_duration_checked(self, t):
-        # a bool was taken as 1 (dt 0.5 here), inf gave dt inf, and a string
-        # died in a bare TypeError from the comparison
+        # a bool was taken as 1 (dt 0.5 here), inf gave dt inf, a string died
+        # in a bare TypeError from the comparison, and 10**400 was accepted
         with pytest.raises(InvariantViolation, match="total_time must be positive"):
             ControlGrid(1, 2, t, np.zeros((1, 2)))
         assert ControlGrid(1, 2, np.float64(1.5), np.zeros((1, 2))).dt == 0.75
+
+    @pytest.mark.parametrize("value, finite", [
+        (np.float64(1.5), True), (np.float32(3e38), True), (np.int64(3), True), (-2, True),
+        (np.float32(np.inf), False), (np.nan, False), (-np.inf, False),
+        pytest.param(10**400, False, id="huge"), pytest.param(-10**400, False, id="huge-negative"),
+        (True, False), ("1", False), (None, False), (1j, False),
+    ], ids=str)
+    def test_finite_real_predicate(self, value, finite):
+        # one rule for every real the library and the command line read;
+        # numpy floats pass without an overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dyn.is_finite_real(value) is finite
 
     def test_dt(self):
         grid = ControlGrid.zeros(2, 50, 2.5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -727,17 +729,29 @@ class TestOptimize:
         pytest.param(dict(step_size=True), "step_size", id="bool-step"),
         pytest.param(dict(init_amplitude=False), "init_amplitude", id="bool-amplitude"),
         pytest.param(dict(amplitude_bound=True), "amplitude_bound", id="bool-bound"),
+        *[pytest.param({name: sign * 10**400}, name, id=f"{name}-{label}")
+          for name in ("step_size", "convergence_tol", "init_amplitude", "amplitude_bound")
+          for sign, label in ((1, "huge"), (-1, "huge-negative"))],
     ])
     def test_bad_input_refused(self, kwargs, name):
         # each once raised a bare numpy or Python error later, was silently
-        # rounded, or (a truthy string or a bool) was taken as a number or flag
+        # rounded, or (a truthy string or a bool) was taken as a number or
+        # flag; an int beyond the float range passed and optimize died in a
+        # bare OverflowError
         with pytest.raises(InvariantViolation, match=name):
             GrapeConfig(**kwargs)
 
-    @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -0.5, "1", True, None])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, 0.0, -0.5, "1", True, None,
+                                   pytest.param(10**400, id="huge"),
+                                   pytest.param(-10**400, id="huge-negative"), 1e18, 1e308,
+                                   np.float64(1e308)])
     def test_bad_duration_refused(self, t):
+        # num_steps: 10**400 passed and died in a bare OverflowError; 1e18 s
+        # is more steps than numpy can index, 1e308 s an infinite count
+        # (refused without a numpy overflow warning)
         model = get_model("xxz")
-        with pytest.raises(InvariantViolation, match="duration"):
+        with pytest.raises(InvariantViolation, match="duration"), warnings.catch_warnings():
+            warnings.simplefilter("error")
             optimize(model, model.true_values, None, None, t,
                      GrapeConfig(max_iters=1, steps_per_unit=20))
 

@@ -5,6 +5,8 @@ operations."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,6 +36,31 @@ def test_wrapped_method_resolves(mod, cls, attr):
     owner = getattr(importlib.import_module(f"fisherctl.{mod}"), cls)
     # the tracer patches the class's own attribute, not an inherited one
     assert callable(owner.__dict__[attr])
+
+
+def test_tracer_restores_an_export_first_read_while_installed():
+    # the package used to bind an export in its namespace on first read, and
+    # a binding made while the tracer was installed outlived uninstall
+    code = (
+        "import importlib.util, sys\n"
+        f"spec = importlib.util.spec_from_file_location('spans', {str(SPANS)!r})\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "import fisherctl, fisherctl.models\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "fisherctl.get_model('zz')\n"
+        "tracer.uninstall()\n"
+        "assert fisherctl.get_model is fisherctl.models.get_model\n"
+        "recorded = len(tracer.spans)\n"
+        "fisherctl.get_model('zz')\n"
+        "assert len(tracer.spans) == recorded\n"
+    )
+    src = str(SPANS.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _workload(monkeypatch, name, workdir):
