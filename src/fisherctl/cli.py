@@ -332,7 +332,7 @@ def cmd_replay(pulsefile: str) -> int:
     print(f"stored objective:      {_fmt(stored_val)}")
     print(f"re-evaluated objective: {_fmt(value)}")
     print(f"tr_inv: {_fmt(tr_inv(f))}")
-    if abs(value - stored_val) > 1e-9 * max(1.0, abs(stored_val)):
+    if not math.isclose(value, stored_val, rel_tol=1e-9, abs_tol=1e-9):  # inf only inf
         print("MISMATCH: stored and re-evaluated objectives differ", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK

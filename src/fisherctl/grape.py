@@ -5,7 +5,7 @@ Response structure
 ------------------
 Writing ``D_a^b`` for the propagator product over steps a..b (identity when
 a > b) and ``J_X(j)`` for the within-step insertion of a generator direction
-X into step j, the responses behind the gradients are
+X into step j (see Rules), the responses behind the gradients are
 
 * probability:       ``R1_{k,j}   = D_{j+1}^m J_k(j) rho_{j-1}``,
 * past insertions:   ``R2_{a,k,j} = D_{j+1}^m J_k(j) w_{a,j-1}``,
@@ -63,26 +63,29 @@ All of it runs in the real coordinates of the Hermitian basis that
 directions ``C_k`` and ``D_a = -i ad(dH0_a)``, the states, the effect
 covectors ``e_y`` (``p_y = e_y . rho``) and hence every costate, forward sum
 and grid are float64, with the ``-i`` of each insertion inside its direction
-and the quadrature weights real.
+and the rules' weights real.
 
-Quadrature
-----------
-The insertion ``J_X(j)`` discretizes ``int_0^dt exp((dt-s) L_j) X exp(s L_j)
-ds`` by the trapezoid rule ``(dt/2)(X E_j + E_j X)``, bias second order in
-dt.  "simpson" is Richardson's ``(4 T_{dt/2} - T_dt) / 3`` of it, from a
-second pass over the half steps: for ``J_X`` Simpson's rule ``(dt/6)(X E_j +
-4 H_j X H_j + E_j X)`` with ``H_j = exp(dt/2 L_j)``, and a fourth-order bias
-for the whole gradient, same-step mix term included.  The end-point form is
-first order in dt and misses finite-difference checks at practical grids.
+Rules
+-----
+The trajectory chooses ``J_X(j)``, step j's propagator derivative along
+``dt X``.  With state derivatives (propagate with derivatives to get the
+exact gradient) it is exact: step j is the Taylor polynomial P of
+:func:`~fisherctl.dynamics.expm_stack` at the block-triangular generator
+``A~_j`` (Van Loan, IEEE TAC 23, 395 (1978)) of ``w_j = x_j = (d_1 rho_j,
+..., d_n rho_j, rho_j)``: ``dt L_j`` on every slot, ``dt D_b`` from rho
+into slot b.  So ``S_j = dt sum_{l+r<q} c_{l+r+1} (lam~_j A~_j^l)^T
+(A~_j^r x_{j-1})``, c_i = 1/i!, q the degree, ``lam~_j = (lam_{b,j},
+lam_{n,j} + mu_j)``; a pass scaled by 2^-s costs 2^s sub-steps.  Without
+them (:func:`optimize`'s trial points) it is the trapezoid rule ``(dt/2)(X
+E_j + E_j X)``, bias second order in dt.
 
 Entry points
 ------------
 :class:`GradientContext` is the one per-entry API: ``prob_gradient``,
 ``dprob_gradient``, ``cfim_entry_gradient``, ``cfim_gradient_grid`` and
-``objective_gradient`` use the rule its ``insertion`` names ("simpson" by
-default).  :func:`gradient_objective` builds a default context, and
-:func:`optimize` "trapezoid" ones.  A new objective is one entry, its value and
-``dphi/dF``, in :data:`fisherctl.fisher.OBJECTIVES`.
+``objective_gradient`` follow its trajectory's rule; :func:`gradient_objective`
+builds one, :func:`optimize` trapezoid ones.  A new objective is one entry,
+its value and ``dphi/dF``, in :data:`fisherctl.fisher.OBJECTIVES`.
 
 Ascent loop
 -----------
@@ -113,17 +116,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 import numpy as np
 
 from .dynamics import (
+    _INV_FACTORIAL,
     ControlGrid,
     Trajectory,
     _propagate,
     _scan,
     _scan_layout,
+    _taylor_passes,
     check_amplitude_bound,
-    expm_stack,
     is_finite_real,
     is_integer,
     measure,
@@ -236,57 +241,80 @@ class GrapeResult:
         return self.termination == "converged"
 
 
-def _half_step_propagators(trajectory: Trajectory) -> np.ndarray:
-    """exp(dt/2 L_j) for every step, as one (m, d^2, d^2) stack."""
-    return expm_stack(0.5 * trajectory.dt * step_liouvillians(
-        trajectory.model, trajectory.x, trajectory.controls))
+# Floats of one batch of the exact rule: merged passes, kept sub-step vectors
+_BATCH_FLOATS = 2**18
 
 
-def _half_step_trajectory(trajectory: Trajectory) -> Trajectory:
-    """The trajectory on the grid of half steps: step j splits into two steps
-    of exp(dt/2 L_j), and the states interleave rho_{j-1} with
-    exp(dt/2 L_j) rho_{j-1}.  Without parameter derivatives."""
-    halves = _half_step_propagators(trajectory)
-    coarse, c = trajectory.coords, trajectory.controls
-    coords = np.empty((2 * len(coarse) - 1, coarse.shape[1]))
-    coords[0::2] = coarse
-    coords[1::2] = (halves @ coarse[:-1, :, None])[..., 0]
-    controls = ControlGrid(c.num_fields, 2 * c.num_steps, c.total_time,
-                           np.repeat(c.amplitudes, 2, axis=1), c.amplitude_bound)
-    return Trajectory(trajectory.model, trajectory.x, controls, coords,
-                      np.repeat(halves, 2, axis=0), None)
+def _taylor_pairs(gens, passes, dt, dirs, lefts, rights):
+    """``lefts[j-1] P(A~_j)`` and the exact rule's ``S_j`` (see Rules) for
+    covectors ``lefts`` (m, rows, n+1, d^2) and vectors ``rights`` (m, n+1,
+    d^2), in the ``passes`` of ``gens`` (``A_j``), ``dirs`` the ``dt D_b``.
+    Sub-step i < 2^s of a scaled pass pairs ``lefts Q^(2^s-1-i)`` with ``Q^i
+    rights``, Q = P(A~)^(2^-s) its unscaled polynomial."""
+    m, rows, slots, d2 = lefts.shape
+    n = slots - 1
+    ends, pairs = np.empty(lefts.shape), np.empty((m, rows, d2, d2))
+    runs = []  # consecutive passes of one (q, s), within the float budget
+    for lo, hi, q, s in passes:
+        if runs and runs[-1][2:] == (q, s) and \
+                (hi - runs[-1][0]) * rows * (q + 1) * slots * d2 <= _BATCH_FLOATS:
+            lo = runs.pop()[0]
+        runs.append((lo, hi, q, s))
+    for lo, hi, q, s in runs:
+        k, h, subs = hi - lo, 2.0**-s, 2**s
+        a = gens[lo:hi] * h
+        e_rows, e_cols = h * dirs.reshape(n * d2, d2), h * dirs.transpose(2, 0, 1).reshape(d2, -1)
+        coef = np.array(_INV_FACTORIAL[:q + 1])
+        hankel = np.array([np.append(coef[l + 1:], np.zeros(l)) for l in range(q)]) * (dt * h)
 
+        def krylov(x, terms, covector):  # x, x A~, ... or A~ x, ... (as rows)
+            seq = np.empty((terms,) + x.shape)
+            seq[0] = x
+            for prev, out in zip(seq, seq[1:]):
+                if covector:
+                    np.matmul(prev.reshape(k, -1, d2), a, out=out.reshape(k, -1, d2))
+                    if n:
+                        out[:, :, n] += _blocked(prev[:, :, :n].reshape(-1, n * d2),
+                                                 e_rows).reshape(k, -1, d2)
+                else:
+                    np.matmul(prev, a.swapaxes(1, 2), out=out)
+                    if n:
+                        out[:, :n] += _blocked(prev[:, n], e_cols).reshape(k, n, d2)
+            return seq
 
-def _extrapolate(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """Richardson's ``(4 T_{dt/2} - T_dt) / 3`` of two trapezoid results; a
-    step's derivative is the sum of its half steps' 2j-1 and 2j."""
-    return (4.0 * fine.reshape(coarse.shape + (-1,)).sum(axis=-1) - coarse) / 3.0
+        def advance(x, _=None):  # Q x
+            return (coef @ krylov(x, q + 1, False).reshape(q + 1, -1)).reshape(x.shape)
+
+        block = subs if subs * k * slots * d2 <= _BATCH_FLOATS else 2**((s + 1) // 2)
+        marks = islice(  # Q^i rights for i = 0, block, 2 block, ...; a block from each
+            accumulate(range(subs - block), advance, initial=rights[lo:hi]), 0, None, block)
+        y, acc = lefts[lo:hi], 0.0
+        for mark in reversed(list(marks)):
+            for x in reversed(list(accumulate(range(block - 1), advance, initial=mark))):
+                ys = krylov(y, q + 1, True)
+                hx = hankel @ krylov(x, q, False).reshape(q, -1)
+                hx = hx.reshape(q, k, slots * d2).swapaxes(0, 1).reshape(k, 1, q * slots, d2)
+                acc = acc + ys[:q].transpose(1, 2, 4, 0, 3).reshape(k, rows, d2, -1) @ hx
+                y = (coef @ ys.reshape(q + 1, -1)).reshape(y.shape)
+        ends[lo:hi], pairs[lo:hi] = y, acc
+    return ends, pairs
 
 
 class GradientContext:
-    """Per-trajectory workspace for the analytic control gradients.
-
-    The forward insertion sums (enough for probabilities, their parameter
-    derivatives and hence the objective value) are built eagerly; the
-    backward sweeps needed for control gradients are built on first use.
-    It reads the trajectory's coordinates and propagators and the POVM's
-    effect coordinates (:attr:`Povm.coords`, the array ``measure_derivs``
-    reads) and keeps neither object.  Step indices ``j`` are 1-based,
-    matching control grid columns ``amplitudes[:, j-1]``.  ``_layout`` hands
-    over the trajectory's :func:`~fisherctl.dynamics._scan_layout`.
+    """Per-trajectory workspace for the analytic control gradients, by its
+    trajectory's rule (see Rules).  The trapezoid rule's forward insertion
+    sums are built eagerly, the backward sweeps on first use.  It reads the
+    trajectory's coordinates and propagators and the POVM's effect
+    coordinates (:attr:`Povm.coords`, the array ``measure_derivs`` reads) and
+    keeps neither object.  Step indices ``j`` are 1-based, matching control
+    grid columns ``amplitudes[:, j-1]``.  ``_layout`` hands over the
+    trajectory's :func:`~fisherctl.dynamics._scan_layout`.
     """
 
-    def __init__(self, trajectory: Trajectory, povm: Povm, insertion: str = "simpson",
-                 *, _layout: tuple | None = None):
+    def __init__(self, trajectory: Trajectory, povm: Povm, *, _layout: tuple | None = None):
         model = trajectory.model
         if povm.dim != model.dim:
             raise DimensionMismatch("POVM dimension does not match the model")
-        if insertion not in ("simpson", "trapezoid"):
-            raise InvariantViolation(f"unknown insertion rule {insertion!r}")
-        self.insertion = insertion
-        # simpson: a second trapezoid pass over the half steps, extrapolated
-        self._fine = (GradientContext(_half_step_trajectory(trajectory), povm, "trapezoid")
-                      if insertion == "simpson" else None)
         self.dt = dt = trajectory.dt
         self.num_steps = m = trajectory.num_steps
         d2 = model.dim**2
@@ -295,9 +323,20 @@ class GradientContext:
 
         self.segs = trajectory.segment_propagators
         self.rvecs = trajectory.coords
-
         self.ctrl_dirs = model.control_dirs
         self.dh0_dirs = model.at(trajectory.x).dh0_dirs
+        self.effect_coords = povm.coords
+        self._backward = self._cfim = None
+
+        if trajectory.deriv_coords is not None:
+            # the exact rule: propagation's A_j and Taylor passes, and x_{j-1}
+            self._gens = dt * step_liouvillians(model, trajectory.x, trajectory.controls)
+            self._passes = _taylor_passes(self._gens)
+            self._xvecs = np.concatenate([trajectory.deriv_coords[:, :-1].swapaxes(0, 1),
+                                          self.rvecs[:-1, None]], axis=1)
+            self.p, self.dp = measure_derivs(trajectory, povm)
+            return
+        self._gens = None
         # (d^2, n d^2): a row vector times it applies every direction D_a =
         # -i[dH0_a, .] at once
         dh_cols = self.dh0_dirs.transpose(2, 0, 1).reshape(d2, n * d2)
@@ -315,43 +354,48 @@ class GradientContext:
         w = _scan(np.zeros((n, d2)), layout, cjd @ segs_t + src)
         self._z = w[:-1] + cjd
         self._ez = w[1:] - src
-
-        # Measurement data.  Derivatives follow the trajectory when present;
-        # otherwise w[m] is the discretized derivative of the final state.
-        self.effect_coords = povm.coords
-        if trajectory.deriv_coords is None:
-            self.p, self.dp = measure(trajectory.final_state, povm), w[m] @ povm.coords.T
-            if self._fine is not None:
-                self.dp = _extrapolate(self._fine.dp, self.dp)
-        else:
-            self.p, self.dp = measure_derivs(trajectory, povm)
-        self._backward = self._cfim = None
+        # w[m] is the discretized derivative of the final state
+        self.p, self.dp = measure(trajectory.final_state, povm), w[m] @ povm.coords.T
 
     # -- backward costate sweep -----------------------------------------------
 
     def _costates(self, weights: np.ndarray):
-        """Backward sweep of the weighted effect covectors.
-
-        ``weights[r, b, y]`` weights ``d(d_b p_y)/dV`` for b < n and
-        ``dp_y/dV`` for b = n.  Returns ``lam[j, r, b] = (sum_y weights[r, b, y]
-        e_y) D_{j+1}^m`` and ``mu[j, r]``, indexed by step j = 0..m, and ``ld[j,
-        r] = sum_b lam[j, r, b] D_b`` (``D_b = -i[dH0_b, .]``) for the contraction.
-        """
+        """``lam[j, r, b] = (sum_y weights[r, b, y] e_y) D_{j+1}^m``, ``mu[j, r]``
+        (j = 0..m), ``S_j``; b < n weights ``d(d_b p_y)/dV``, b = n ``dp_y/dV``."""
         m, n, segs = self.num_steps, self.num_params, self.segs
         rows, d2 = weights.shape[0], segs.shape[-1]
-        dh = self.dh0_dirs.reshape(n * d2, d2)
 
-        # lam_{j-1} = lam_j E_j and mu_{j-1} = mu_j E_j + ins_j: scans from
+        # lam_{j-1} = lam_j E_j and mu_{j-1} = mu_j E_j + src_j: scans from
         # j = m down, over one layout of the reversed steps
         back = _scan_layout(segs[::-1])
         lam = _scan((weights @ self.effect_coords).reshape(-1, d2), back)[::-1]
         lam = lam.reshape(m + 1, rows, n + 1, d2)
+        lam_b = lam[:, :, :n]
+        if self._gens is None:
+            # src_j = sum_b lam_{b,j} J_b(j), using lam_{b,j} E_j = lam_{b,j-1}
+            dh = self.dh0_dirs.reshape(n * d2, d2)
+            ld = _blocked(lam_b.reshape(-1, n * d2), dh).reshape(m + 1, rows, d2)
+            src = (ld[1:] @ segs + ld[:-1]) * self._coef
+        else:  # src_j is the state slot of (lam_{b,j}, 0) P(A~_j)
+            left = np.concatenate([lam_b[1:], np.zeros_like(lam[1:, :, n:])], axis=2)
+            ends, s = _taylor_pairs(self._gens, self._passes, self.dt, self.dt * self.dh0_dirs,
+                                    left, self._xvecs)
+            src = ends[:, :, n]
+        mu = _scan(np.zeros((rows, d2)), back, src[::-1])[::-1]
+        if self._gens is not None:  # the rest of lam~'s state slot pairs with the states
+            s += _taylor_pairs(self._gens, self._passes, self.dt, self.dh0_dirs[:0],
+                               (lam[1:, :, n] + mu[1:])[:, :, None], self.rvecs[:-1, None])[1]
+            return lam, mu, s
 
-        # ins[j-1, r] = sum_b lam_{b,j} J_b(j), using lam_{b,j} E_j = lam_{b,j-1}
-        ld = _blocked(lam[:, :, :n].reshape(-1, n * d2), dh).reshape(m + 1, rows, d2)
-        ins = (ld[1:] @ segs + ld[:-1]) * self._coef
-        mu = _scan(np.zeros((rows, d2)), back, ins[::-1])[::-1]
-        return lam, mu, ld
+        # trapezoid: the pairs with forward vector rho_j or rho_{j-1} share a costate
+        coef, rvecs = self._coef, self.rvecs
+        shared = mu[1:] + lam[1:, :, n] + coef * ld[1:]
+        left = [shared[:, :, None], (shared @ segs)[:, :, None], lam_b[1:], lam_b[:-1]]
+        right = [coef * rvecs[1:, None], coef * rvecs[:-1, None],
+                 coef * self._ez, coef * self._z]
+        pairs_l = np.concatenate(left, axis=2)  # (m, rows, T, d^2)
+        pairs_r = np.concatenate(right, axis=1)  # (m, T, d^2)
+        return lam, mu, pairs_l.swapaxes(2, 3) @ pairs_r[:, None]
 
     # -- gradient grids -----------------------------------------------------------
 
@@ -365,35 +409,14 @@ class GradientContext:
         if not all(0 <= a < self.num_params for a in params):
             raise DimensionMismatch(f"parameter index out of range in {params}")
 
-    def _contract(self, lam, mu, ld) -> np.ndarray:
-        """``grid[r, k, j-1]``: the weighted response sums of weight row r.
-
-        Each step pairs the costates (left) with forward vectors (right);
-        ``S_j = sum_t L_t^T R_t`` and ``grid[r, k, j-1] = sum(C_k * S_j)``.
-        """
-        m, n = self.num_steps, self.num_params
-        coef, segs, rvecs = self._coef, self.segs, self.rvecs
-        rows, d2 = mu.shape[1], mu.shape[2]
-        lam_b = lam[:, :, :n]
-        # every pair whose forward vector is rho_j or rho_{j-1} shares one costate
-        shared = mu[1:] + lam[1:, :, n] + coef * ld[1:]
-        left = [shared[:, :, None], (shared @ segs)[:, :, None], lam_b[1:], lam_b[:-1]]
-        right = [coef * rvecs[1:, None], coef * rvecs[:-1, None],
-                 coef * self._ez, coef * self._z]
-        pairs_l = np.concatenate(left, axis=2)  # (m, rows, T, d^2)
-        pairs_r = np.concatenate(right, axis=1)  # (m, T, d^2)
-        s = pairs_l.swapaxes(2, 3) @ pairs_r[:, None]  # (m, rows, d^2, d^2)
+    def _grid(self, weights: np.ndarray) -> np.ndarray:
+        """``grid[r, k, j-1] = sum(C_k * S_j)`` for the effect weights
+        ``weights[r]`` (:meth:`_costates`): the one pass behind every gradient."""
+        s = self._costates(weights)[2]
+        m, rows, d2 = s.shape[:3]
         ctrl = self.ctrl_dirs.reshape(len(self.ctrl_dirs), d2 * d2)
         grid = _blocked(s.reshape(m * rows, d2 * d2), ctrl.T)  # (m rows, p)
         return grid.reshape(m, rows, -1).transpose(1, 2, 0)
-
-    def _grid(self, weights: np.ndarray) -> np.ndarray:
-        """``grid[r, k, j-1]`` for the effect weights ``weights[r]`` (see
-        :meth:`_costates`): the one reverse pass behind every gradient."""
-        grid = self._contract(*self._costates(weights))
-        if self._fine is not None:
-            grid = _extrapolate(self._fine._grid(weights), grid)
-        return grid
 
     def _weights(self, gs: np.ndarray) -> np.ndarray:
         """Effect weights ``(r, n+1, n_out)`` for ``sum_ab gs[r, a, b] dF_ab/dV``,
@@ -537,7 +560,7 @@ def optimize(model, x_true, probe, povm, t: float, config: GrapeConfig,
         nonlocal evaluations
         evaluations += 1
         traj, layout = _propagate(model, x_true, grid, probe, None)
-        ctx = GradientContext(traj, povm, insertion="trapezoid", _layout=layout)
+        ctx = GradientContext(traj, povm, _layout=layout)
         val = value_of(ctx.current_cfim())
         if not math.isfinite(val):
             raise PropagationError(f"objective became non-finite ({val})")

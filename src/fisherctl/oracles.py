@@ -40,6 +40,12 @@ __all__ = [
 DENOM_FLOOR = 1e-12
 
 
+def _t_squared(scale: float, t: float) -> float:
+    if not math.isfinite(t2 := scale * t * t):  # the forms' prefactor overflows
+        raise InvariantViolation(f"the closed form's T^2 prefactor overflows at time {t!r}")
+    return t2
+
+
 def oracle_magfield_bell_probs(b, theta, phi, gamma, t) -> np.ndarray:
     """Entangled-basis outcome probabilities for the uncontrolled field model.
 
@@ -83,7 +89,7 @@ def oracle_magfield_cfim(b, theta, phi, gamma, t) -> FisherMatrix:
         ct2
         + s2 * st2 * ct2 * ((1 + 3 * e2) * c2 + (1 - e2) * s2 * ct2) / den
     )
-    f_bb = 4 * t * t * c2 * (
+    f_bb = _t_squared(4, t) * c2 * (
         st2
         + s2 * (
             (st2 ** 2 + e2 * (1 + ct2) ** 2) * (1 - s2 * st2)
@@ -112,7 +118,7 @@ def oracle_magfield_qfim(b, theta, phi, gamma, t) -> FisherMatrix:
     s = math.sin(b * t)
     c = math.cos(b * t)
     st, ct = math.sin(theta), math.cos(theta)
-    f_bb = 4 * t * t * (ct * ct * e2 + st * st)
+    f_bb = _t_squared(4, t) * (ct * ct * e2 + st * st)
     f_tt = 4 * s * s * (ct * ct + st * st * (e2 * c * c + s * s))
     f_pp = 4 * st * st * s * s * (1 - (1 - e2) * st * st * s * s)
     f_bt = (1 - e2) * t * math.sin(2 * b * t) * math.sin(2 * theta)
@@ -159,7 +165,7 @@ def oracle_zz_qfim_pure(z1, z2, zz, t) -> FisherMatrix:
     ``z1``, ``z2``, ``zz`` are the probe expectation values of sigma_3 on
     qubit 1, sigma_3 on qubit 2 and their product.
     """
-    t2 = 4 * t * t
+    t2 = _t_squared(4, t)
     mat = t2 * np.array([
         [1 - z1 * z1, zz - z1 * z2, z2 - z1 * zz],
         [zz - z1 * z2, 1 - z2 * z2, z1 - z2 * zz],
@@ -203,7 +209,7 @@ def oracle_xxz_cfim(x1, x2, gamma, t) -> FisherMatrix:
     """
     dp = _delta_pm(x1, x2, gamma, t, +1)
     dm = _delta_pm(x1, x2, gamma, t, -1)
-    t2 = 2 * t * t
+    t2 = _t_squared(2, t)
     mat = t2 * np.array([[dp + dm, dp - dm], [dp - dm, dp + dm]])
     return FisherMatrix(mat)
 
@@ -215,7 +221,7 @@ def oracle_xxz_trinv(x1, x2, gamma, t) -> float:
     dm = _delta_pm(x1, x2, gamma, t, -1)
     if dp <= DENOM_FLOOR or dm <= DENOM_FLOOR:
         return math.inf
-    return (1.0 / dp + 1.0 / dm) / (4 * t * t)
+    return (1.0 / dp + 1.0 / dm) / _t_squared(4, t)
 
 
 def oracle_xxz_qfim_pure(zz, xy, t) -> FisherMatrix:
@@ -223,7 +229,7 @@ def oracle_xxz_qfim_pure(zz, xy, t) -> FisherMatrix:
     probe expectations ``zz`` of sigma_3 sigma_3 and ``xy`` of
     sigma_1 sigma_1 + sigma_2 sigma_2.
     """
-    t2 = 4 * t * t
+    t2 = _t_squared(4, t)
     f11 = t2 * (2 - 2 * zz - xy * xy)
     f22 = t2 * (1 - zz * zz)
     f12 = -t2 * xy * (1 + zz)

@@ -271,7 +271,7 @@ class TestCriterion3GradientCorrectness:
             amps = np.repeat(base, m // 50, axis=1)
             grid = ControlGrid(6, m, 1.0, amps)
             traj = propagate(model, model.true_values, grid, deriv_method=None)
-            ctx = GradientContext(traj, model.default_povm, insertion="trapezoid")
+            ctx = GradientContext(traj, model.default_povm)
             rel = []
             for (k, cell) in [(0, 10), (2, 20), (4, 35), (1, 44), (5, 5)]:
                 j = cell * (m // 50) + 1

@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fisherctl import ControlGrid, get_model, measure, propagate, tr_inv
-from fisherctl.cli import EXIT_CONFIG, EXIT_IO, SWEEP_COLUMNS, main
+from fisherctl.cli import EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, SWEEP_COLUMNS, main
 
 
 def read_csv(path):
@@ -366,6 +367,18 @@ class TestOptimize:
         assert run(["optimize", "--replay", str(out)]) != EXIT_CONFIG
         assert "stored objective:      inf" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("stored", ["inf", "nan"])
+    def test_replay_flags_a_non_finite_stored_objective(self, tmp_path, capsys, stored):
+        # inf > inf and every comparison with nan are false: such a stored
+        # objective once matched any finite re-evaluated one
+        out = tmp_path / "pulse.json"
+        assert run(["optimize", "--model", "xxz", "--t", "0.3", "--max-iters", "2",
+                    "--steps-per-unit", "20", "--out", str(out)]) == 0
+        out.write_text(json.dumps(dict(json.loads(out.read_text()), final_objective=stored)))
+        capsys.readouterr()
+        assert run(["optimize", "--replay", str(out)]) == EXIT_NUMERICAL
+        assert "MISMATCH" in capsys.readouterr().err
+
     def test_band_for_noiseless_exchange_model(self, tmp_path, capsys):
         # below the uncontrolled 1/(2T^2), at or above the probe-optimal
         # 3/(8T^2) less a small synthesis slack
@@ -381,6 +394,24 @@ class TestOptimize:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("model, row", [
+        ("zz", "1e+200,0.25,0.25,0.25,0.25,,singular"),
+        ("xxz", "1e+200,0.25,0.25,0.25,0.25,,,,singular"),
+        ("magfield", "1e+200,0.396326072386,0.396326072386,0.103673927614,0.103673927614"
+                     ",,,,,,0.5,0.5,factorized; singular"),
+    ])
+    def test_overflowing_prefactor_is_singular_without_a_warning(self, tmp_path, capsys,
+                                                                 model, row):
+        # 4 t^2 overflows at t = 1e200: inf times a zero entry was a nan and
+        # a numpy RuntimeWarning on stderr before the table
+        out = tmp_path / "oracle.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["oracle", "--model", model, "--t-grid", "1e200",
+                        "--out", str(out), "--reproducible"]) == 0
+        assert out.read_text().splitlines()[-1] == row
+        assert capsys.readouterr().err == ""
+
     def test_exchange_row_at_long_time(self, tmp_path):
         # e^{2 gamma t} would overflow here; the information has decayed away
         out = tmp_path / "oracle.csv"

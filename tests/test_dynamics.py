@@ -489,10 +489,11 @@ class TestExpmStack:
                 assert res.iterations_used == 1 and np.isfinite(res.final_objective)
             p = len(model.control_hams)
             grid = ControlGrid(p, 30, 0.3, rng.uniform(-0.2, 0.2, size=(p, 30)))
-            traj = propagate(model, x, grid, deriv_method=None)
-            for insertion in ("simpson", "trapezoid"):
-                ctx = GradientContext(traj, model.default_povm, insertion=insertion)
+            for deriv_method in (None, "exact"):
+                traj = propagate(model, x, grid, deriv_method=deriv_method)
+                ctx = GradientContext(traj, model.default_povm)
                 assert np.all(np.isfinite(ctx.cfim_gradient_grid()))
+                assert np.all(np.isfinite(ctx.objective_gradient(model.default_objective)))
 
 
 class TestTaylorKernel:
@@ -725,9 +726,10 @@ class TestScan:
         assert np.array_equal(got[0], x0)
         assert _rel(got, _sequential(x0, mats, src)) <= 1e-13
 
-    def test_propagation_loops_are_scans(self, monkeypatch, rng):
-        # the state, derivative, forward-sum and both costate recurrences;
-        # simpson adds the forward sum and both costates over the half steps
+    @pytest.mark.parametrize("deriv_method", [None, "exact"])
+    def test_propagation_loops_are_scans(self, monkeypatch, rng, deriv_method):
+        # the state recurrence, the derivative one (exact rule) or the forward
+        # sums (trapezoid rule), and both costate recurrences
         from fisherctl.grape import GradientContext
 
         kernel = dyn._scan
@@ -737,11 +739,9 @@ class TestScan:
         model = get_model("magfield-xyz", noise=False)
         p = len(model.control_hams)
         grid = ControlGrid(p, 50, 0.5, rng.uniform(-0.2, 0.2, size=(p, 50)))
-        for insertion, half_steps in (("trapezoid", 0), ("simpson", 3)):
-            calls.clear()
-            traj = propagate(model, model.true_values, grid)
-            GradientContext(traj, model.default_povm, insertion).objective_gradient("f0")
-            assert sorted(calls) == [50] * 5 + [100] * half_steps, insertion
+        traj = propagate(model, model.true_values, grid, deriv_method=deriv_method)
+        GradientContext(traj, model.default_povm).objective_gradient("f0")
+        assert calls == [50] * 4
 
     def test_one_layout_per_stack_and_direction(self, monkeypatch):
         # a trial point's state scan and its context's forward sums share one
@@ -768,19 +768,21 @@ class TestScan:
         assert built.count("forward") == res.evaluations + 1
         assert built.count("reversed") == len(gradients) == res.iterations_used + 1
 
+    @pytest.mark.parametrize("deriv_method", [None, "exact"])
     @pytest.mark.parametrize("noise", [False, True])
-    def test_handed_over_layout_changes_no_bit(self, rng, noise):
+    def test_handed_over_layout_changes_no_bit(self, rng, noise, deriv_method):
         from fisherctl.grape import GradientContext
 
         model = get_model("magfield-xyz", noise=noise)
         p = len(model.control_hams)
         grid = ControlGrid(p, 37, 0.5, rng.uniform(-0.2, 0.2, size=(p, 37)))
-        traj, layout = dyn._propagate(model, model.true_values, grid, None, None)
-        bare = propagate(model, model.true_values, grid, deriv_method=None)
+        traj, layout = dyn._propagate(model, model.true_values, grid, None, deriv_method)
+        bare = propagate(model, model.true_values, grid, deriv_method=deriv_method)
         assert np.array_equal(traj.coords, bare.coords)
-        shared = GradientContext(traj, model.default_povm, "trapezoid", _layout=layout)
-        own = GradientContext(bare, model.default_povm, "trapezoid")
-        for name in ("_z", "_ez", "p", "dp"):
+        shared = GradientContext(traj, model.default_povm, _layout=layout)
+        own = GradientContext(bare, model.default_povm)
+        names = ("_z", "_ez") if deriv_method is None else ("_gens", "_xvecs")
+        for name in names + ("p", "dp"):
             assert np.array_equal(getattr(shared, name), getattr(own, name)), name
         assert np.array_equal(shared.objective_gradient("f0"), own.objective_gradient("f0"))
 

@@ -104,35 +104,76 @@ def einsum_reference_grids(traj, povm):
     return dprob, np.real(resp + coef * future)
 
 
-def simpson_reference_grids(model, grid, povm):
-    """Richardson's ``(4 T_{dt/2} - T_dt) / 3`` of the trapezoid reference,
-    from a separate propagation over the grid of half steps; each step's
-    entry is the sum of its two half steps'."""
-    coarse = propagate(model, model.true_values, grid, deriv_method=None)
-    halves = ControlGrid(grid.num_fields, 2 * grid.num_steps, grid.total_time,
-                         np.repeat(grid.amplitudes, 2, axis=1))
-    fine = propagate(model, model.true_values, halves, deriv_method=None)
-    return [(4.0 * (f[..., 0::2] + f[..., 1::2]) - c) / 3.0
-            for f, c in zip(einsum_reference_grids(fine, povm),
-                            einsum_reference_grids(coarse, povm))]
+def augmented_reference_grids(traj, povm):
+    """The per-outcome exact gradient grids ``dprob[y, k, j-1]`` and
+    ``ddprob[y, a, k, j-1]`` from the block-triangular generator A~_j of the
+    stacked derivatives and state (Van Loan, IEEE TAC 23, 395 (1978)): the
+    Frechet action of its Taylor polynomial in direction ``dt diag(C_k)`` on
+    step j's input, in propagation's own passes, carried to the end by the
+    polynomials of the later steps, one step at a time."""
+    from fisherctl.dynamics import (_frechet_action, _taylor_passes, expm_stack,
+                                    step_liouvillians)
+
+    model, dt, m = traj.model, traj.dt, traj.num_steps
+    gens = dt * step_liouvillians(model, traj.x, traj.controls)
+    passes = _taylor_passes(gens)
+    d2, dirs, ctrl = gens.shape[1], dt * model.at(traj.x).dh0_dirs, dt * model.control_dirs
+    n, slots = len(dirs), len(dirs) + 1
+    aug = np.zeros((m, slots, d2, slots, d2))
+    ctrl_aug = np.zeros((len(ctrl), slots, d2, slots, d2))
+    for b in range(slots):
+        aug[:, b, :, b] = gens
+        ctrl_aug[:, b, :, b] = ctrl
+    aug[:, :n, :, n] = dirs
+    aug, ctrl_aug = (x.reshape(len(x), slots * d2, slots * d2) for x in (aug, ctrl_aug))
+    inputs = np.concatenate([traj.deriv_coords[:, :-1].swapaxes(0, 1),
+                             traj.coords[:-1, None]], axis=1).reshape(m, -1)
+    acts = _frechet_action(aug, ctrl_aug, inputs, passes)  # (m, p, slots d^2)
+    props = expm_stack(aug, passes)
+    n_out = len(povm.coords)
+    lam = np.zeros((slots, n_out, slots, d2))  # e_y in slot b, row (b, y)
+    for b in range(slots):
+        lam[b, :, b] = povm.coords
+    lam = lam.reshape(slots * n_out, -1)
+    grid = np.empty((slots * n_out, len(ctrl), m))
+    for j in range(m - 1, -1, -1):
+        grid[:, :, j] = lam @ acts[j].T
+        lam = lam @ props[j]
+    grid = grid.reshape(slots, n_out, len(ctrl), m)
+    return grid[n], grid[:n].swapaxes(0, 1)
+
+
+def objective_at(model, grid, objective):
+    traj = propagate(model, model.true_values, grid, deriv_method="exact")
+    return OBJECTIVES[objective][0](cfim(*measure_derivs(traj, model.default_povm)))
+
+
+# (steps, duration, amplitude): a pulse of unscaled Taylor passes, and one
+# whose steps are scaled and squared (s >= 1)
+UNSCALED, SCALED = (30, 0.6, 0.3), (12, 2.4, 2.0)
+
+
+def random_grid(model, steps, duration, amplitude, seed):
+    p = len(model.control_hams)
+    rng = np.random.default_rng(seed)
+    return ControlGrid(p, steps, duration, rng.uniform(-amplitude, amplitude, size=(p, steps)))
 
 
 class TestRealCoordinates:
     @pytest.mark.parametrize("noise", [True, False])
-    @pytest.mark.parametrize("insertion", ["simpson", "trapezoid"])
-    def test_workspace_is_float64(self, rng, noise, insertion):
+    @pytest.mark.parametrize("deriv_method", [None, "exact"])
+    def test_workspace_is_float64(self, rng, noise, deriv_method):
         model = get_model("magfield", noise=noise)
         p = len(model.control_hams)
         grid = ControlGrid(p, 12, 0.3, rng.uniform(-0.3, 0.3, size=(p, 12)))
-        traj = propagate(model, model.true_values, grid, deriv_method=None)
-        ctx = GradientContext(traj, model.default_povm, insertion=insertion)
+        traj = propagate(model, model.true_values, grid, deriv_method=deriv_method)
+        ctx = GradientContext(traj, model.default_povm)
         arrays = [ctx.dp, ctx._ensure_backward(), ctx.cfim_gradient_grid(),
                   ctx.objective_gradient(model.default_objective)]
         arrays += list(ctx._gradient_grids())
-        # the simpson rule's second trapezoid pass runs over the half steps
-        for c in (ctx, ctx._fine) if insertion == "simpson" else (ctx,):
-            arrays += [c.segs, c.rvecs, c.effect_coords, c.dp, c._z, c._ez]
-            arrays += c._costates(c._weights(np.eye(model.num_params)[None]))
+        arrays += [ctx.segs, ctx.rvecs, ctx.effect_coords]
+        arrays += [ctx._z, ctx._ez] if deriv_method is None else [ctx._gens, ctx._xvecs]
+        arrays += ctx._costates(ctx._weights(np.eye(model.num_params)[None]))
         assert all(a.dtype == np.float64 for a in arrays)
 
 
@@ -187,7 +228,8 @@ def controlled_setup():
 
 
 class TestGradientProb:
-    def test_identity_control_has_zero_gradient(self):
+    @pytest.mark.parametrize("deriv_method", [None, "exact"])
+    def test_identity_control_has_zero_gradient(self, deriv_method):
         base = get_model("zz")
         with_identity = ParametricModel(
             name="zz+id", dim=4, param_names=base.param_names,
@@ -198,7 +240,7 @@ class TestGradientProb:
         )
         grid = zero_controls(1.0, 40, num_fields=7)
         traj = propagate(with_identity, with_identity.true_values, grid,
-                         deriv_method=None)
+                         deriv_method=deriv_method)
         g = GradientContext(traj, with_identity.default_povm).prob_gradient(k=6, j=20)
         assert np.abs(g).max() < 1e-14
 
@@ -237,7 +279,8 @@ class TestGradientProb:
 
 
 class TestGradientDprob:
-    def test_absent_parameter_has_zero_gradient(self):
+    @pytest.mark.parametrize("deriv_method", [None, "exact"])
+    def test_absent_parameter_has_zero_gradient(self, deriv_method):
         base = get_model("zz")
         frozen = ParametricModel(
             name="zz-frozen", dim=4, param_names=("w1", "dead"),
@@ -248,7 +291,7 @@ class TestGradientDprob:
             true_values=np.array([1.0, 0.0]),
         )
         grid = zero_controls(0.8, 40)
-        traj = propagate(frozen, frozen.true_values, grid, deriv_method=None)
+        traj = propagate(frozen, frozen.true_values, grid, deriv_method=deriv_method)
         g = GradientContext(traj, frozen.default_povm).dprob_gradient(a=1, k=2, j=10)
         assert np.abs(g).max() < 1e-14
 
@@ -325,11 +368,12 @@ class TestGradientCfimEntry:
 
 
 class TestGradientObjective:
-    def test_zero_grid_for_flat_objective(self):
+    @pytest.mark.parametrize("deriv_method", [None, "exact"])
+    def test_zero_grid_for_flat_objective(self, deriv_method):
         model = get_model("zz", rates=(0.0, 0.0))
         x = np.zeros(3)  # trivial dynamics: probabilities do not move
         grid = zero_controls(0.5, 20)
-        traj = propagate(model, x, grid, deriv_method=None)
+        traj = propagate(model, x, grid, deriv_method=deriv_method)
         ctx = GradientContext(traj, model.default_povm)
         assert np.abs(ctx.cfim_gradient_grid()).max() < 1e-12
 
@@ -375,31 +419,74 @@ class TestGradientObjective:
 
 
 class TestGridsAgainstReference:
-    @pytest.mark.parametrize("insertion", ["simpson", "trapezoid"])
     @pytest.mark.parametrize("noise", [True, False])
     @pytest.mark.parametrize("name", ["magfield", "magfield-xyz", "zz", "xxz"])
-    def test_matches_einsum_reference(self, name, noise, insertion):
+    def test_trapezoid_matches_einsum_reference(self, name, noise):
         model = get_model(name, noise=noise)
-        p, m = len(model.control_hams), 30
-        rng = np.random.default_rng(len(name) + 10 * noise)
-        grid = ControlGrid(p, m, 0.6, rng.uniform(-0.3, 0.3, size=(p, m)))
+        grid = random_grid(model, *UNSCALED, seed=len(name) + 10 * noise)
         traj = propagate(model, model.true_values, grid, deriv_method=None)
-        ctx = GradientContext(traj, model.default_povm, insertion=insertion)
-        if insertion == "simpson":
-            want_grids = simpson_reference_grids(model, grid, model.default_povm)
-        else:
-            want_grids = einsum_reference_grids(traj, model.default_povm)
-        for got, want in zip(ctx._gradient_grids(), want_grids):
+        ctx = GradientContext(traj, model.default_povm)
+        for got, want in zip(ctx._gradient_grids(),
+                             einsum_reference_grids(traj, model.default_povm)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("pulse", [UNSCALED, SCALED], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("name", ["magfield", "magfield-xyz", "zz", "xxz"])
+    def test_exact_matches_augmented_reference(self, name, noise, pulse):
+        from fisherctl.dynamics import _taylor_passes
+
+        model = get_model(name, noise=noise)
+        grid = random_grid(model, *pulse, seed=len(name) + 10 * noise)
+        traj = propagate(model, model.true_values, grid, deriv_method="exact")
+        ctx = GradientContext(traj, model.default_povm)
+        scaled = max(s for *_, s in _taylor_passes(ctx._gens))
+        assert (scaled >= 1) == (pulse is SCALED)
+        for got, want in zip(ctx._gradient_grids(),
+                             augmented_reference_grids(traj, model.default_povm)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_substep_checkpoints_change_nothing(self, monkeypatch):
+        # a scaled pass too large to keep its sub-step vectors recomputes
+        # them from every 2^ceil(s/2)-th: the same grids to rounding
+        import fisherctl.grape as grape_mod
+
+        model = get_model("magfield-xyz")
+        grid = random_grid(model, 8, 2.4, 30.0, seed=3)
+        traj = propagate(model, model.true_values, grid, deriv_method="exact")
+        kept = GradientContext(traj, model.default_povm)._ensure_backward()
+        monkeypatch.setattr(grape_mod, "_BATCH_FLOATS", 1)
+        recomputed = GradientContext(traj, model.default_povm)._ensure_backward()
+        assert np.abs(recomputed - kept).max() <= 1e-13 * np.abs(kept).max()
+
+
+class TestExactObjectiveGradient:
+    @pytest.mark.parametrize("pulse", [(20, 0.6, 0.3), SCALED], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("name", ["magfield", "magfield-xyz", "zz", "xxz"])
+    def test_matches_five_point_differences(self, name, noise, pulse):
+        # the derivative of the objective propagation computes, to the
+        # differences' own error (~1e-11 at h = 2.5e-4)
+        model = get_model(name, noise=noise)
+        objective = model.default_objective
+        grid = random_grid(model, *pulse, seed=len(name) + 10 * noise)
+        traj = propagate(model, model.true_values, grid, deriv_method="exact")
+        analytic = gradient_objective(traj, model.default_povm, objective)
+        p, m, h = len(model.control_hams), grid.num_steps, 2.5e-4
+        for k, j in [(0, 1), (p - 1, m // 2), (1, m)]:
+            vals = [objective_at(model, perturbed(grid, k, j, c * h), objective)
+                    for c in (-2, -1, 1, 2)]
+            fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+            assert abs(analytic[k, j - 1] - fd) <= 1e-9, (k, j)
+
 
 class TestObjectiveReversePass:
-    @pytest.mark.parametrize("insertion", ["simpson", "trapezoid"])
     @pytest.mark.parametrize("deriv_method", [None, "exact"])
     @pytest.mark.parametrize("noise", [True, False])
     @pytest.mark.parametrize("name", ["magfield", "magfield-xyz", "zz", "xxz"])
-    def test_matches_explicit_chain_rule(self, name, noise, deriv_method, insertion):
+    def test_matches_explicit_chain_rule(self, name, noise, deriv_method):
         # one reverse pass with the chain rule folded into the effect
         # covectors equals sum_ab G_ab dF_ab over the full information grid
         model = get_model(name, noise=noise)
@@ -407,7 +494,7 @@ class TestObjectiveReversePass:
         rng = np.random.default_rng(len(name) + 10 * noise)
         grid = ControlGrid(p, m, 0.8, rng.uniform(-0.3, 0.3, size=(p, m)))
         traj = propagate(model, model.true_values, grid, deriv_method=deriv_method)
-        ctx = GradientContext(traj, model.default_povm, insertion=insertion)
+        ctx = GradientContext(traj, model.default_povm)
         fmat = ctx.current_cfim().matrix
         grid_f = ctx.cfim_gradient_grid()
         objectives = ("f0", "fcle") if model.num_params == 2 else ("f0",)
@@ -431,7 +518,7 @@ class TestObjectiveReversePass:
 
 class TestDiscretizationError:
     @staticmethod
-    def median_errors(insertion, cells, ms, h):
+    def median_errors(cells, ms, h):
         """Median finite-difference mismatch of each gradient on ``xxz``, at
         five spots of a random pulse of ``cells`` steps refined to m steps."""
         rng = np.random.default_rng(12)
@@ -443,7 +530,7 @@ class TestDiscretizationError:
             amps = np.repeat(base, m // cells, axis=1)
             grid = ControlGrid(6, m, 1.0, amps)
             traj = propagate(model, model.true_values, grid, deriv_method=None)
-            ctx = GradientContext(traj, povm, insertion=insertion)
+            ctx = GradientContext(traj, povm)
             rel = {"prob": [], "dprob": [], "cfim": []}
             for (k, frac) in [(0, 0.2), (2, 0.4), (4, 0.7), (1, 0.88), (5, 0.1)]:
                 j = round(frac * cells) * (m // cells) + 1
@@ -463,19 +550,10 @@ class TestDiscretizationError:
     def test_gradient_bias_shrinks_quadratically_with_grid_density(self):
         # trapezoid insertions, as in the ascent loop: the finite-difference
         # mismatch of each gradient drops ~4x per step-count doubling
-        medians = self.median_errors("trapezoid", 50, (50, 100, 200), 1e-6)
+        medians = self.median_errors(50, (50, 100, 200), 1e-6)
         for key in ("prob", "dprob", "cfim"):
             assert medians[0][key] / medians[1][key] >= 1.9, key
             assert medians[1][key] / medians[2][key] >= 1.9, key
-
-    def test_simpson_bias_shrinks_to_fourth_order(self):
-        # the simpson rule's mismatch drops ~16x per doubling; a rule whose
-        # same-step mix term is third order drops ~8x.  The wider difference
-        # step keeps the differences' own rounding below the bias at m = 50
-        medians = self.median_errors("simpson", 25, (25, 50), 1e-4)
-        for key in ("dprob", "cfim"):
-            assert medians[0][key] / medians[1][key] >= 12, key
-            assert medians[1][key] < 1e-7, key
 
 
 def flat(monkeypatch, name):

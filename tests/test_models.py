@@ -259,16 +259,13 @@ class TestBasisRepresentation:
     @pytest.mark.parametrize("noise", [True, False])
     def test_step_transfer_matrices_preserve_the_trace(self, rng, name, noise):
         # row 0 of a trace-preserving map in the basis is e_0
-        from fisherctl.grape import _half_step_propagators
-
         model = get_model(name, noise=noise)
         p = len(model.control_hams)
         grid = ControlGrid(p, 25, 0.8, rng.uniform(-1.0, 1.0, size=(p, 25)))
         traj = propagate(model, model.true_values, grid, deriv_method=None)
-        e0 = np.eye(model.dim**2)[0]
-        for segs in (traj.segment_propagators, _half_step_propagators(traj)):
-            assert segs.dtype == np.float64
-            assert np.abs(segs[:, 0] - e0).max() <= 1e-14
+        segs = traj.segment_propagators
+        assert segs.dtype == np.float64
+        assert np.abs(segs[:, 0] - np.eye(model.dim**2)[0]).max() <= 1e-14
 
 
 class TestPovms:
