@@ -296,10 +296,11 @@ def _pulse_amplitudes(payload) -> np.ndarray:
         amplitudes = np.asarray(payload["amplitudes"])
     except ValueError as exc:  # ragged nested lists
         raise FisherctlError(f"pulse file amplitudes are not a grid: {exc}")
-    if amplitudes.dtype.kind not in "iuf":
-        raise FisherctlError("pulse file amplitudes must be numbers")
     if amplitudes.ndim != 2:
         raise FisherctlError(f"pulse file amplitudes must be a 2-D grid, got {amplitudes.ndim}-D")
+    # numpy reads a true among numbers as 1.0
+    if not all(is_finite_real(v) for row in payload["amplitudes"] for v in row):
+        raise FisherctlError("pulse file amplitudes must be finite numbers")
     return amplitudes.astype(float)
 
 
@@ -320,7 +321,9 @@ def cmd_replay(pulsefile: str) -> int:
         grid = ControlGrid(*amplitudes.shape, _number("pulse file t", payload["t"]), amplitudes,
                            None if bound is None else _number("pulse file amplitude_bound", bound))
         x_true = np.array([_number("pulse file x_true entry", v) for v in payload["x_true"]])
-        stored_val = float(payload["final_objective"])  # also parses "inf"
+        stored = payload["final_objective"]  # a non-finite one is stored as text, "inf"
+        stored_val = (float(stored) if isinstance(stored, str)
+                      else _number("pulse file final_objective", stored))
     except FisherctlError:
         raise
     except (TypeError, ValueError) as exc:  # json.JSONDecodeError included

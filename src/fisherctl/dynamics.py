@@ -589,14 +589,14 @@ def measure(rho: np.ndarray, povm: Povm) -> np.ndarray:
 
 
 def measure_derivs(trajectory: Trajectory, povm: Povm):
-    """Final-state probabilities and their parameter derivatives.
+    """Final-state probabilities and their parameter derivatives ``dp[a, y] = Tr(drho_a E_y)``."""
+    return _final_probs(trajectory.final_state, trajectory._derivs()[:, -1], povm)
 
-    Returns ``(p, dp)`` with ``dp[a, y] = Tr(drho_a E_y)``, the product of the
-    final derivative coordinates with the effect coordinates
-    (:attr:`Povm.coords`).
-    """
-    p = measure(trajectory.final_state, povm)
-    dp = trajectory._derivs()[:, -1] @ povm.coords.T
+
+def _final_probs(rho: np.ndarray, drho: np.ndarray, povm: Povm):
+    """:func:`measure_derivs` of a final state ``rho`` and its derivative
+    coordinates ``drho`` (n, d^2), however the derivatives were taken."""
+    p, dp = measure(rho, povm), drho @ povm.coords.T
     if np.max(np.abs(dp.sum(axis=1))) > 1e-8:
         raise InvariantViolation("probability derivatives do not sum to zero")
     return p, dp

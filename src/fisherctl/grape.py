@@ -19,32 +19,30 @@ Tr[E_y (R2 + R3 + RX)]``.
 
 Adjoint contraction
 -------------------
-Every response is read only through an effect trace and is linear in it, so
-the left factors ``D_{j+1}^m`` and ``G_{a,j}`` are never formed as matrices
-and any weighted sum over outcomes costs one pass.  As in GRAPE (Khaneja et
-al., J. Magn. Reson. 172, 296 (2005)), a forward state sweep (``rho_j`` and
+Every response is read only through a covector of the final state or its
+derivatives and is linear in it, so the left factors ``D_{j+1}^m`` and
+``G_{a,j}`` are never formed as matrices.  As in GRAPE (Khaneja et al., J.
+Magn. Reson. 172, 296 (2005)), a forward state sweep (``rho_j`` and
 ``w_{a,j}``) meets a backward costate sweep.  Every sweep is a linear
 recurrence over the steps and is evaluated as a blocked prefix scan
 (:func:`~fisherctl.dynamics._scan`), the backward ones over the reversed
 steps; the scans over one stack and direction share its
-:func:`~fisherctl.dynamics._scan_layout`.  A weight row ``W`` asks for
-``sum_{b<n, y} W[b, y] d(d_b p_y)/dV + sum_y W[n, y] dp_y/dV``; its effect
-covectors are folded before the sweep:
+:func:`~fisherctl.dynamics._scan_layout`.  A row of final covectors ``(c_0,
+..., c_n)`` asks for ``sum_{b<n} c_b . d(d_b rho_m)/dV + c_n . d rho_m/dV``
+and starts the sweep:
 
-* ``lam_{b,j} = (sum_y W[b, y] e_y) D_{j+1}^m`` for b = 0..n, with
-  ``lam_{j-1} = lam_j E_j``;
-* one ``mu_j = sum_{b<n} (sum_y W[b, y] e_y) G_{b,j}``, with ``mu_{j-1} =
-  mu_j E_j + sum_b lam_{b,j} J_b(j)`` and ``mu_m = 0``.
+* ``lam_{b,j} = c_b D_{j+1}^m`` for b = 0..n, with ``lam_{j-1} = lam_j E_j``;
+* one ``mu_j = sum_{b<n} c_b G_{b,j}``, with ``mu_{j-1} = mu_j E_j + sum_b
+  lam_{b,j} J_b(j)`` and ``mu_m = 0``.
 
-One chain rule turns symmetric information-matrix weights ``G`` into a row:
-with the scores ``s1[a, y] = d_a p_y / p_y``, ``sum_ab G_ab dF_ab/dV`` takes
-``W[b, y] = 2 sum_a G_ab s1[a, y]`` and ``W[n, y] = -sum_ab G_ab s1[a, y]
-s1[b, y]``.  A scalar objective takes ``G = dphi/dF`` and is backpropagated
-directly (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)) in one row.
-Identity weights, one row per outcome and per (parameter, outcome) pair,
-give the per-outcome grids ``dprob[y, k, j]`` and ``ddprob[y, a, k, j]``
-that the per-index gradients slice; the ``(n, n, p, m)`` information-matrix
-grid weights them by the symmetric unit matrices.
+The CFIM chain rule turns symmetric information-matrix weights ``G`` into a
+row: with the scores ``s1[a, y] = d_a p_y / p_y``, ``sum_ab G_ab dF_ab/dV``
+takes ``c_b = 2 sum_y (G s1)[b, y] e_y`` and ``c_n = -sum_y (s1^T G s1)[y,
+y] e_y``.  A scalar objective takes ``G = dphi/dF``, one row backpropagated
+directly (de Fouquieres et al., J. Magn. Reson. 212, 412 (2011)); the
+information-matrix grid one row per symmetric unit matrix.  Unit rows,
+effect y in slot b, give the per-outcome grids ``dprob[y, k, j]`` and
+``ddprob[y, a, k, j]``.
 
 Each term of a response is ``L C_k R``: a costate covector ``L`` and a
 forward vector ``R`` of step j around ``C_k = -i ad(H_k)``, the generator
@@ -84,8 +82,11 @@ Entry points
 :class:`GradientContext` is the one per-entry API: ``prob_gradient``,
 ``dprob_gradient``, ``cfim_entry_gradient``, ``cfim_gradient_grid`` and
 ``objective_gradient`` follow its trajectory's rule; :func:`gradient_objective`
-builds one, :func:`optimize` trapezoid ones.  A new objective is one entry,
-its value and ``dphi/dF``, in :data:`fisherctl.fisher.OBJECTIVES`.
+builds one, :func:`optimize` trapezoid ones.  The first two slice the cached
+per-outcome grids, the others are one pass over their own rows.  Both rules
+read ``(p, dp)`` through one derivative-sum check (``dynamics._final_probs``).
+A new objective is one entry, its value and ``dphi/dF``, in
+:data:`fisherctl.fisher.OBJECTIVES`.
 
 Ascent loop
 -----------
@@ -124,6 +125,7 @@ from .dynamics import (
     _INV_FACTORIAL,
     ControlGrid,
     Trajectory,
+    _final_probs,
     _propagate,
     _scan,
     _scan_layout,
@@ -131,7 +133,6 @@ from .dynamics import (
     check_amplitude_bound,
     is_finite_real,
     is_integer,
-    measure,
     measure_derivs,
     propagate,
     step_liouvillians,
@@ -355,21 +356,20 @@ class GradientContext:
         self._z = w[:-1] + cjd
         self._ez = w[1:] - src
         # w[m] is the discretized derivative of the final state
-        self.p, self.dp = measure(trajectory.final_state, povm), w[m] @ povm.coords.T
+        self.p, self.dp = _final_probs(trajectory.final_state, w[m], povm)
 
     # -- backward costate sweep -----------------------------------------------
 
-    def _costates(self, weights: np.ndarray):
-        """``lam[j, r, b] = (sum_y weights[r, b, y] e_y) D_{j+1}^m``, ``mu[j, r]``
-        (j = 0..m), ``S_j``; b < n weights ``d(d_b p_y)/dV``, b = n ``dp_y/dV``."""
+    def _costates(self, covectors: np.ndarray):
+        """``lam[j, r, b] = covectors[r, b] D_{j+1}^m``, ``mu[j, r]`` (j = 0..m),
+        ``S_j``; final covector b < n reads ``d_b rho_m``, b = n ``rho_m``."""
         m, n, segs = self.num_steps, self.num_params, self.segs
-        rows, d2 = weights.shape[0], segs.shape[-1]
+        rows, d2 = covectors.shape[0], segs.shape[-1]
 
         # lam_{j-1} = lam_j E_j and mu_{j-1} = mu_j E_j + src_j: scans from
         # j = m down, over one layout of the reversed steps
         back = _scan_layout(segs[::-1])
-        lam = _scan((weights @ self.effect_coords).reshape(-1, d2), back)[::-1]
-        lam = lam.reshape(m + 1, rows, n + 1, d2)
+        lam = _scan(covectors.reshape(-1, d2), back)[::-1].reshape(m + 1, rows, n + 1, d2)
         lam_b = lam[:, :, :n]
         if self._gens is None:
             # src_j = sum_b lam_{b,j} J_b(j), using lam_{b,j} E_j = lam_{b,j-1}
@@ -409,32 +409,32 @@ class GradientContext:
         if not all(0 <= a < self.num_params for a in params):
             raise DimensionMismatch(f"parameter index out of range in {params}")
 
-    def _grid(self, weights: np.ndarray) -> np.ndarray:
-        """``grid[r, k, j-1] = sum(C_k * S_j)`` for the effect weights
-        ``weights[r]`` (:meth:`_costates`): the one pass behind every gradient."""
-        s = self._costates(weights)[2]
+    def _grid(self, covectors: np.ndarray) -> np.ndarray:
+        """``grid[r, k, j-1] = sum(C_k * S_j)`` for the final covectors
+        ``covectors[r]`` (:meth:`_costates`): the one pass behind every gradient."""
+        s = self._costates(covectors)[2]
         m, rows, d2 = s.shape[:3]
         ctrl = self.ctrl_dirs.reshape(len(self.ctrl_dirs), d2 * d2)
         grid = _blocked(s.reshape(m * rows, d2 * d2), ctrl.T)  # (m rows, p)
         return grid.reshape(m, rows, -1).transpose(1, 2, 0)
 
     def _weights(self, gs: np.ndarray) -> np.ndarray:
-        """Effect weights ``(r, n+1, n_out)`` for ``sum_ab gs[r, a, b] dF_ab/dV``,
-        ``gs`` symmetric: ``2 gs s1`` and ``-s1^T gs s1`` with the scores ``s1[a,
-        y] = d_a p_y / p_y``, zero where :func:`usable_outcomes` is False."""
+        """The CFIM chain rule: final covectors ``(r, n+1, d^2)`` for ``sum_ab gs[r,
+        a, b] dF_ab/dV``, ``gs`` symmetric, the effects weighted by ``2 gs s1`` and
+        ``-s1^T gs s1``; scores ``s1 = dp / p`` where :func:`usable_outcomes`, else 0."""
         usable = usable_outcomes(self.p, self.dp)
         p_safe = np.where(usable, self.p, 1.0)
         s1 = np.where(usable, self.dp / p_safe, 0.0)
         gs1 = gs @ s1
-        return np.concatenate([2.0 * gs1, -np.sum(s1 * gs1, axis=1)[:, None]], axis=1)
+        return np.concatenate([2.0 * gs1, -np.sum(s1 * gs1, axis=1)[:, None]],
+                              axis=1) @ self.effect_coords
 
     def _ensure_backward(self) -> np.ndarray:
-        """Identity-weight grids, cached: one weight row per outcome y for
-        ``dp_y`` and per (parameter, outcome) pair for ``d_a p_y``."""
-        if self._backward is None:
-            n, n_out = self.num_params, len(self.effect_coords)
-            rows = (n + 1) * n_out
-            self._backward = self._grid(np.eye(rows).reshape(rows, n + 1, n_out))
+        """Per-outcome grids, cached: a unit row, effect y in slot b, per outcome
+        for ``dp_y`` (b = n) and per (parameter b, outcome) pair for ``d_b p_y``."""
+        if self._backward is None:  # units[b, y, b] = e_y
+            units = np.eye(self.num_params + 1)[:, None, :, None] * self.effect_coords[:, None]
+            self._backward = self._grid(units.reshape(-1, *units.shape[2:]))
         return self._backward
 
     def _gradient_grids(self) -> tuple[np.ndarray, np.ndarray]:
@@ -456,22 +456,23 @@ class GradientContext:
 
     def cfim_entry_gradient(self, a: int, b: int, k: int, j: int) -> float:
         self._check_indices(k, j, a, b)
-        return float(self.cfim_gradient_grid()[a, b, k, j - 1])
+        unit = np.zeros((1, self.num_params, self.num_params))  # symmetric: one row
+        unit[0, a, b] += 0.5
+        unit[0, b, a] += 0.5
+        return float(self._grid(self._weights(unit))[0, k, j - 1])
 
     def cfim_gradient_grid(self) -> np.ndarray:
-        """All entry gradients at once: shape (n_par, n_par, p, m), the
-        identity-weight grids weighted by the symmetric unit matrices."""
+        """All entry gradients at once: shape (n_par, n_par, p, m), by one pass
+        over a row per symmetric unit matrix."""
         n = self.num_params
         units = np.eye(n * n).reshape(n * n, n, n)  # e_a e_b^T, row a n + b
-        weights = self._weights(0.5 * (units + units.swapaxes(1, 2))).reshape(n * n, -1)
-        grid = self._ensure_backward()
-        return (weights @ grid.reshape(len(grid), -1)).reshape(
-            n, n, self.num_fields, self.num_steps)
+        grid = self._grid(self._weights(0.5 * (units + units.swapaxes(1, 2))))
+        return grid.reshape(n, n, self.num_fields, self.num_steps)
 
     def objective_gradient(self, objective: str) -> np.ndarray:
         """Gradient grid (num_fields x num_steps) of a scalar objective of the
         information matrix, by one reverse pass with the chain rule folded
-        into the effect covectors."""
+        into the final covectors."""
         g = _objective(objective)[1](self.current_cfim())
         return self._grid(self._weights(g[None]))[0]
 

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dynamics import NoiseSpec, _liouvillian, check_probe
+from .dynamics import NoiseSpec, _liouvillian, check_probe, is_finite_real
 from .errors import DimensionMismatch, FisherctlError
 from .operators import I2, SX, SY, SZ, Povm, _ad, basis_superop, kron, validate_hermitian
 
@@ -314,6 +314,8 @@ def get_model(name: str, noise: bool = True, rates=None) -> ParametricModel:
     if noise and rates is None:
         return model
     count = len(model.rates)
+    if noise and not all(map(is_finite_real, rates)):
+        raise FisherctlError(f"dephasing rates must be finite numbers, got {rates!r}")
     rates = (0.0,) * count if not noise else tuple(float(r) for r in rates)
     if len(rates) != count:
         raise FisherctlError(f"model {name!r} takes {count} dephasing rate(s), got {len(rates)}")

@@ -303,6 +303,14 @@ class TestOptimize:
             dict(payload, x_true=[True, 1.2])), id="x-true-bool"),
         pytest.param(lambda text, payload: json.dumps(
             dict(payload, x_true=["1", "1.2"])), id="x-true-text"),
+        # each was read as the number 1 and replayed into a mismatch
+        pytest.param(lambda text, payload: json.dumps(
+            dict(payload, rates=[True, 0.1])), id="rates-bool"),
+        pytest.param(lambda text, payload: json.dumps(dict(
+            payload, amplitudes=[[True] + row[1:] for row in payload["amplitudes"]])),
+            id="amplitude-bool"),
+        pytest.param(lambda text, payload: json.dumps(
+            dict(payload, final_objective=True)), id="final-objective-bool"),
     ])
     def test_replay_malformed_pulse_file_exits_2(self, tmp_path, capsys, mutate):
         out = tmp_path / "pulse.json"

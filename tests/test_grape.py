@@ -143,9 +143,27 @@ def augmented_reference_grids(traj, povm):
     return grid[n], grid[:n].swapaxes(0, 1)
 
 
-def objective_at(model, grid, objective):
+def cfim_of(model, grid):
     traj = propagate(model, model.true_values, grid, deriv_method="exact")
-    return OBJECTIVES[objective][0](cfim(*measure_derivs(traj, model.default_povm)))
+    return cfim(*measure_derivs(traj, model.default_povm))
+
+
+def contracted_cfim_grid(ctx):
+    """The information-matrix grid as the chain-rule weights of the symmetric
+    unit matrices times the per-outcome grids of ``_ensure_backward``, a
+    contraction after the reverse pass; the one pass over the unit matrices'
+    covectors in ``cfim_gradient_grid`` must reproduce it to rounding."""
+    from fisherctl.fisher import usable_outcomes
+
+    n = ctx.num_params
+    units = np.eye(n * n).reshape(n * n, n, n)
+    usable = usable_outcomes(ctx.p, ctx.dp)
+    s1 = np.where(usable, ctx.dp / np.where(usable, ctx.p, 1.0), 0.0)
+    gs1 = 0.5 * (units + units.swapaxes(1, 2)) @ s1
+    weights = np.concatenate([2.0 * gs1, -np.sum(s1 * gs1, axis=1)[:, None]], axis=1)
+    grid = ctx._ensure_backward()  # rows (b, y), effect y in slot b
+    return (weights.reshape(n * n, -1) @ grid.reshape(len(grid), -1)).reshape(
+        n, n, ctx.num_fields, ctx.num_steps)
 
 
 # (steps, duration, amplitude): a pulse of unscaled Taylor passes, and one
@@ -331,9 +349,11 @@ class TestGradientDprob:
         # covectors start from zero there
         model, grid, traj = controlled_setup
         ctx = GradientContext(traj, model.default_povm)
-        n, n_out = model.num_params, len(ctx.effect_coords)
-        rows = (n + 1) * n_out
-        mu = ctx._costates(np.eye(rows).reshape(rows, n + 1, n_out))[1]
+        n, (n_out, d2) = model.num_params, ctx.effect_coords.shape
+        units = np.zeros((n + 1, n_out, n + 1, d2))  # effect y in slot b
+        for b in range(n + 1):
+            units[b, :, b] = ctx.effect_coords
+        mu = ctx._costates(units.reshape(-1, n + 1, d2))[1]
         m = grid.num_steps
         assert np.abs(mu[m]).max() == 0.0
         assert np.abs(mu[m - 1]).max() > 0.0
@@ -448,6 +468,19 @@ class TestGridsAgainstReference:
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("deriv_method", [None, "exact"])
+    @pytest.mark.parametrize("pulse", [UNSCALED, SCALED], ids=["unscaled", "scaled"])
+    @pytest.mark.parametrize("noise", [True, False])
+    @pytest.mark.parametrize("name", ["magfield", "magfield-xyz", "zz", "xxz"])
+    def test_cfim_grid_matches_contracted_reference(self, name, noise, pulse, deriv_method):
+        model = get_model(name, noise=noise)
+        grid = random_grid(model, *pulse, seed=len(name) + 10 * noise)
+        traj = propagate(model, model.true_values, grid, deriv_method=deriv_method)
+        ctx = GradientContext(traj, model.default_povm)
+        got, want = ctx.cfim_gradient_grid(), contracted_cfim_grid(ctx)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_substep_checkpoints_change_nothing(self, monkeypatch):
         # a scaled pass too large to keep its sub-step vectors recomputes
         # them from every 2^ceil(s/2)-th: the same grids to rounding
@@ -462,24 +495,52 @@ class TestGridsAgainstReference:
         assert np.abs(recomputed - kept).max() <= 1e-13 * np.abs(kept).max()
 
 
+def test_trace_component_in_forward_sums_refused(monkeypatch):
+    # the trapezoid rule's w[m] meets the derivative-sum check of the exact
+    # rule's final derivatives: a trace component shifts every dp_y alike
+    import fisherctl.grape as grape_mod
+
+    model = get_model("xxz")
+    grid = random_grid(model, *UNSCALED, seed=1)
+    traj = propagate(model, model.true_values, grid, deriv_method=None)
+    GradientContext(traj, model.default_povm)  # unpatched, the sums pass
+    scan = grape_mod._scan
+
+    def leaky(*args):
+        out = scan(*args)
+        out[..., 0] += 1e-6  # the trace coordinate
+        return out
+
+    monkeypatch.setattr(grape_mod, "_scan", leaky)
+    with pytest.raises(InvariantViolation, match="do not sum to zero"):
+        GradientContext(traj, model.default_povm)
+
+
 class TestExactObjectiveGradient:
     @pytest.mark.parametrize("pulse", [(20, 0.6, 0.3), SCALED], ids=["unscaled", "scaled"])
     @pytest.mark.parametrize("noise", [True, False])
     @pytest.mark.parametrize("name", ["magfield", "magfield-xyz", "zz", "xxz"])
     def test_matches_five_point_differences(self, name, noise, pulse):
-        # the derivative of the objective propagation computes, to the
-        # differences' own error (~1e-11 at h = 2.5e-4)
+        # the derivatives of the objective and of every information-matrix
+        # entry that propagation computes, to the differences' own error
+        # (~1e-11 at h = 2.5e-4)
         model = get_model(name, noise=noise)
-        objective = model.default_objective
+        value_of = OBJECTIVES[model.default_objective][0]
         grid = random_grid(model, *pulse, seed=len(name) + 10 * noise)
         traj = propagate(model, model.true_values, grid, deriv_method="exact")
-        analytic = gradient_objective(traj, model.default_povm, objective)
+        analytic = gradient_objective(traj, model.default_povm, model.default_objective)
+        grid_f = GradientContext(traj, model.default_povm).cfim_gradient_grid()
         p, m, h = len(model.control_hams), grid.num_steps, 2.5e-4
+
+        def five_point(vals):
+            return (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+
         for k, j in [(0, 1), (p - 1, m // 2), (1, m)]:
-            vals = [objective_at(model, perturbed(grid, k, j, c * h), objective)
-                    for c in (-2, -1, 1, 2)]
-            fd = (vals[0] - 8 * vals[1] + 8 * vals[2] - vals[3]) / (12 * h)
+            fs = [cfim_of(model, perturbed(grid, k, j, c * h)) for c in (-2, -1, 1, 2)]
+            fd = five_point([value_of(f) for f in fs])
             assert abs(analytic[k, j - 1] - fd) <= 1e-9, (k, j)
+            fd_f = five_point([f.matrix for f in fs])
+            assert np.abs(grid_f[:, :, k, j - 1] - fd_f).max() <= 1e-9, (k, j)
 
 
 class TestObjectiveReversePass:

@@ -49,6 +49,12 @@ class TestCatalog:
         with pytest.raises(FisherctlError):
             get_model("zz", rates=(0.1,))
 
+    @pytest.mark.parametrize("rates", [(True, False), (0.1, True), (0.1, "0.1")])
+    def test_rates_must_be_numbers(self, rates):
+        # a bool was read as the rate 1.0 or 0.0
+        with pytest.raises(FisherctlError, match="dephasing rates must be finite numbers"):
+            get_model("xxz", rates=rates)
+
     def test_probes_and_povms_valid(self):
         for name in MODEL_NAMES:
             model = get_model(name)
